@@ -2,13 +2,16 @@
 
 On a homogeneous model the flow reduces to a small ODE system: the SPD
 metric matrix in the fixed basis (quotients) or one scale per factor
-(products).  Integration uses an embedded Dormand-Prince 5(4) pair with
-proportional step control; a step is rejected and halved if it would leave
-the SPD cone, and the run stops early when |Rm| crosses the blowup
-threshold or the step size underflows.
+(products).  Integration uses Dormand-Prince 8(5,3) (DOP853, Hairer,
+Norsett & Wanner, Solving ODEs I, Sec. II.5-6) whose step size is set only
+by its embedded 5th/3rd-order error estimate; a step is rejected and halved
+if it would leave the SPD cone, and the run stops early when |Rm| crosses
+the blowup threshold or the step size underflows.
 
 States are recorded on a uniform time grid (spacing ``record_every``), so
-the finite-difference identity checks downstream see a regular grid.
+the finite-difference identity checks downstream see a regular grid.  The
+grid never limits the step: records inside a step are filled by the
+method's 7th-order dense output, at 3 extra RHS evaluations per step.
 Derived per-record quantities are recomputed from the recorded state, never
 integrated alongside, which keeps state and invariants drift-free.
 """
@@ -18,10 +21,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from . import _dop853 as _dop
 from . import geometry
 from .geometry import (
     LIE_GROUP_QUOTIENT,
@@ -55,6 +60,7 @@ DERIVED_KEYS = ("vol", "rm_norm", "scalar_R", "rm_n2_norm", "J", "theta", "chi",
 
 _DEFAULT_RECORDS = 1024
 _SAFETY, _MIN_FAC, _MAX_FAC = 0.9, 0.2, 5.0
+_ERR_EXP = -1.0 / 8.0          # DOP853's error estimate has order 7
 
 
 class TrajectorySchemaError(ValueError):
@@ -192,8 +198,12 @@ def initial_delta0(model: ModelGeometry, g0: MetricState, cs0: float) -> float:
 # ---------------------------------------------------------------------------
 # state packing
 
+@lru_cache(maxsize=None)
 def _tri_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n)
+    iu = np.triu_indices(n)
+    for idx in iu:
+        idx.setflags(write=False)
+    return iu
 
 
 def _pack(model: ModelGeometry, g: MetricState) -> np.ndarray:
@@ -207,38 +217,55 @@ def _unpack(model: ModelGeometry, y: np.ndarray, t: float) -> MetricState:
     if model.kind == LIE_GROUP_QUOTIENT:
         n = model.dim
         mat = np.zeros((n, n))
-        iu = _tri_indices(n)
-        mat[iu] = y
-        mat = mat + np.triu(mat, 1).T
+        rows, cols = _tri_indices(n)
+        mat[rows, cols] = y
+        mat[cols, rows] = y
         return MetricState(time=t, matrix=mat)
     return MetricState(time=t, scales=tuple(y))
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# ---------------------------------------------------------------------------
+# DOP853 integrator
+
+def _dop853_stages(f, t, y, k0, h) -> tuple[np.ndarray, np.ndarray]:
+    """Stages 0-11 of one step from (t, y) with f(t, y) = k0, and y_new.
+
+    Row 12 of the returned stage matrix is left for f(t + h, y_new) and rows
+    13-15 for the interpolant.
+    """
+    K = np.empty((_dop.N_STAGES_EXTENDED, len(y)))
+    K[0] = k0
+    for s in range(1, _dop.N_STAGES):
+        K[s] = f(t + _dop.C[s] * h, y + h * (_dop.A[s, :s] @ K[:s]))
+    return K, y + h * (_dop.B @ K[:_dop.N_STAGES])
 
 
-def _dp54_step(f, t, y, h):
-    k = [f(t, y)]
-    for i in range(1, 7):
-        yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
-        k.append(f(t + _DP_C[i] * h, yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return y5, err, 7
+def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """Hairer's blend of the embedded 5th- and 3rd-order error estimates."""
+    err5 = (_dop.E5[:_dop.N_STAGES] @ K[:_dop.N_STAGES]) / scale
+    err3 = (_dop.E3[:_dop.N_STAGES] @ K[:_dop.N_STAGES]) / scale
+    e5, e3 = float(err5 @ err5), float(err3 @ err3)
+    if e5 == 0.0:
+        return 0.0
+    return h * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
+
+
+def _dense_output(f, t, y, y_new, K, h, x: np.ndarray) -> np.ndarray:
+    """The 7th-order interpolant on [t, t + h] at step fractions x.
+
+    Fills stages 13-15 of K (3 RHS evaluations); one row per fraction.
+    """
+    for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
+        K[s] = f(t + _dop.C[s] * h, y + h * (_dop.A[s, :s] @ K[:s]))
+    dy = y_new - y
+    coeffs = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_dop.N_STAGES] + K[0]),
+              *(h * (_dop.D @ K))]
+    x = x[:, None]
+    out = np.zeros((len(x), len(y)))
+    for i, c in enumerate(reversed(coeffs)):
+        out += c
+        out *= x if i % 2 == 0 else 1.0 - x
+    return y + out
 
 
 def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Trajectory:
@@ -260,67 +287,80 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
     n_rec = max(1, int(round(t_end / dt_rec)))
     record_times = np.linspace(0.0, t_end, n_rec + 1)
     delta0 = initial_delta0(model, g0, cfg.cs0)
+    stats = {"accepted": 0, "rejected_err": 0, "rejected_spd": 0,
+             "rhs_evals": 0, "dense_evals": 0}
 
     def f(t, y):
-        state = _unpack(model, y, t)
-        rhs = ricci_rhs(model, state)
+        rhs = ricci_rhs(model, _unpack(model, y, t))
+        stats["rhs_evals"] += 1
         if model.kind == LIE_GROUP_QUOTIENT:
             return rhs[_tri_indices(n)]
         return np.array([rhs[sl.start, sl.start] for sl in model.factor_slices()])
 
     y = _pack(model, g0)
     t = 0.0
+    k0 = f(t, y)
     min_step = 1e-14 * t_end
-    h = min(record_times[1], t_end / 1000.0)
-    stats = {"accepted": 0, "rejected_err": 0, "rejected_spd": 0, "rhs_evals": 0}
+    h = t_end / 1000.0
+    steps, err_norms = [], []
     termination = TERM_HORIZON
-
-    recorded_t = [0.0]
     recorded_y = [y.copy()]
-    done = False
-    for target in record_times[1:]:
-        while t < target * (1.0 - 1e-14) and not done:
-            h_eff = min(h, target - t)
-            if h_eff < min_step:
-                termination = TERM_UNDERFLOW
-                done = True
-                break
-            try:
-                y_new, err, nfev = _dp54_step(f, t, y, h_eff)
-            except (GeometryError, np.linalg.LinAlgError):
-                # a stage left the SPD cone: reject exactly like an SPD failure
-                stats["rejected_spd"] += 1
-                h = 0.5 * h_eff
-                continue
-            stats["rhs_evals"] += nfev
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if enorm > 1.0:
-                stats["rejected_err"] += 1
-                h = h_eff * max(_MIN_FAC, min(1.0, _SAFETY * enorm ** -0.2))
-                continue
-            try:
-                # rm_norm validates SPD internally; one decomposition does both
-                rmn = geometry.rm_norm(model, _unpack(model, y_new, t + h_eff))
-            except (GeometryError, np.linalg.LinAlgError):
-                stats["rejected_spd"] += 1
-                h = 0.5 * h_eff
-                continue
-            t += h_eff
-            y = y_new
-            stats["accepted"] += 1
-            grow = _MAX_FAC if enorm == 0.0 else min(_MAX_FAC, _SAFETY * enorm ** -0.2)
-            h = h_eff * max(_MIN_FAC, grow)
-            if rmn > max_rm:
-                termination = TERM_BLOWUP
-                done = True
-        if done:
+    next_rec = 1
+    rejected = False
+    while t < t_end:
+        last = t + 1.01 * h >= t_end
+        h_eff = t_end - t if last else h
+        if h_eff < min_step:
+            termination = TERM_UNDERFLOW
             break
-        t = float(target)
-        recorded_t.append(t)
-        recorded_y.append(y.copy())
+        t_new = t_end if last else t + h_eff
+        try:
+            K, y_new = _dop853_stages(f, t, y, k0, h_eff)
+        except (GeometryError, np.linalg.LinAlgError):
+            # a stage left the SPD cone: reject exactly like an SPD failure
+            stats["rejected_spd"] += 1
+            h, rejected = 0.5 * h_eff, True
+            continue
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        enorm = _error_norm(K, h_eff, scale)
+        if enorm > 1.0:
+            stats["rejected_err"] += 1
+            h = h_eff * max(_MIN_FAC, _SAFETY * enorm ** _ERR_EXP)
+            rejected = True
+            continue
+        try:
+            # rm_norm validates SPD internally; one decomposition does both
+            rmn = geometry.rm_norm(model, _unpack(model, y_new, t_new))
+            if rmn <= max_rm:
+                K[_dop.N_STAGES] = f(t_new, y_new)
+        except (GeometryError, np.linalg.LinAlgError):
+            stats["rejected_spd"] += 1
+            h, rejected = 0.5 * h_eff, True
+            continue
+        stats["accepted"] += 1
+        steps.append(h_eff)
+        err_norms.append(enorm)
+        if rmn > max_rm:
+            t = t_new
+            termination = TERM_BLOWUP
+            break
+        # records strictly inside the step come from the interpolant
+        inside = int(np.searchsorted(record_times, t_new, side="left"))
+        if inside > next_rec:
+            x = (record_times[next_rec:inside] - t) / h_eff
+            recorded_y.extend(_dense_output(f, t, y, y_new, K, h_eff, x))
+            stats["dense_evals"] += 3
+            next_rec = inside
+        if next_rec <= n_rec and record_times[next_rec] == t_new:
+            recorded_y.append(y_new)
+            next_rec += 1
+        grow = _MAX_FAC if enorm == 0.0 else min(_MAX_FAC, _SAFETY * enorm ** _ERR_EXP)
+        if rejected:
+            grow = min(grow, 1.0)
+        t, y, k0 = t_new, y_new, K[_dop.N_STAGES]
+        h, rejected = h_eff * max(_MIN_FAC, grow), False
 
-    times = np.array(recorded_t)
+    times = record_times[:len(recorded_y)]
     meta = {
         "model": model.describe(),
         "gamma": cfg.gamma,
@@ -337,7 +377,13 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
         "vol0": vol0,
         "rm_n2_0": rm0 * vol0 ** (2.0 / n),
         "T0": horizon_T0(cfg.gamma, vol0, cfg.cs0, n),
-        "integrator": {"method": "dormand-prince-5(4)", **stats},
+        "integrator": {
+            "method": "dop853",
+            **stats,
+            "h_min": min(steps, default=None),
+            "h_max": max(steps, default=None),
+            "max_err_norm": max(err_norms, default=None),
+        },
     }
     return _assemble(model, times, recorded_y, meta)
 
@@ -445,9 +491,14 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
             raise TrajectorySchemaError(f"line {ln}: expected {len(expected)} fields, "
                                         f"got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            vals = [float(p) for p in parts]
         except ValueError as exc:
             raise TrajectorySchemaError(f"line {ln}: {exc}") from None
+        for col, v in zip(expected, vals):
+            if not math.isfinite(v):
+                raise TrajectorySchemaError(f"line {ln}: column {col!r} is {v!r}, "
+                                            "expected a finite number")
+        rows.append(vals)
     if not rows:
         raise TrajectorySchemaError("trajectory has no states")
     data = np.array(rows)
@@ -457,12 +508,10 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     if np.any(np.diff(times) <= 0):
         raise TrajectorySchemaError("column 't' must be strictly increasing")
     ntri = n * (n + 1) // 2
-    iu = _tri_indices(n)
-    mats = np.empty((len(rows), n, n))
-    for i in range(len(rows)):
-        m = np.zeros((n, n))
-        m[iu] = data[i, 1:1 + ntri]
-        mats[i] = m + np.triu(m, 1).T
+    tri_rows, tri_cols = _tri_indices(n)
+    mats = np.zeros((len(rows), n, n))
+    mats[:, tri_rows, tri_cols] = data[:, 1:1 + ntri]
+    mats[:, tri_cols, tri_rows] = data[:, 1:1 + ntri]
     derived = {k: data[:, 1 + ntri + j].copy() for j, k in enumerate(DERIVED_KEYS)}
     scales = None
     if model.kind != LIE_GROUP_QUOTIENT:
@@ -505,7 +554,8 @@ def validate_trajectory(traj: Trajectory, tol: float = 1e-10) -> float:
             ref = row[k]
             got = float(traj.derived[k][i])
             diff = abs(got - ref) / max(1.0, abs(ref))
-            worst = max(worst, diff)
-    if worst > tol:
+            if diff > worst or math.isnan(diff):   # max() would drop a NaN
+                worst = diff
+    if not worst <= tol:
         raise ValueError(f"derived quantities deviate from recomputation by {worst:.3e}")
     return worst

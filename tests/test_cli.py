@@ -156,6 +156,26 @@ def test_check_corrupted_csv_exit_3(cfgfile, tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_check_non_finite_field_exit_3(cfgfile, tmp_path, capsys, bad):
+    out = tmp_path / "s3"
+    cfg = cfgfile(SPHERE_CFG)
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    col = lines[0].split(",").index("chi")
+    fields = lines[5].split(",")
+    fields[col] = bad
+    lines[5] = ",".join(fields)
+    corrupt = tmp_path / "non_finite.csv"
+    corrupt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["check", "--config", cfg, "--out", str(out),
+               "--trajectory", str(corrupt)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "line 6" in err and "'chi'" in err
+
+
 def test_constants_defaults_n4(cfgfile, tmp_path, capsys):
     cfg = cfgfile("[constants]\nn = 4\n")
     rc = main(["constants", "--config", cfg, "--out", str(tmp_path)])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +23,12 @@ from riccilab import (
     scale_metric,
     write_trajectory_csv,
 )
+from riccilab.config import load_config
 from riccilab.flow import (
     TERM_BLOWUP,
     TERM_HORIZON,
     TERM_UNDERFLOW,
+    Trajectory,
     TrajectorySchemaError,
     validate_trajectory,
 )
@@ -55,12 +61,20 @@ def test_shrinking_sphere_closed_form(s3_traj):
         assert abs(got - exact) / exact < 1e-8
 
 
+def _isenberg_jackson_error(traj):
+    # worst deviation from g(t) = diag(u^{1/3}, u^{1/3}, u^{-1/3}), u = 1 + 3t,
+    # over every record, relative to u^{1/3}
+    u = 1.0 + 3.0 * traj.times
+    exact = np.zeros_like(traj.mats)
+    exact[:, 0, 0] = exact[:, 1, 1] = u ** (1 / 3)
+    exact[:, 2, 2] = u ** (-1 / 3)
+    return float((np.abs(traj.mats - exact).max(axis=(1, 2)) / u ** (1 / 3)).max())
+
+
 def test_heisenberg_closed_form(heis_traj):
-    # g(t) = diag(u^{1/3}, u^{1/3}, u^{-1/3}) with u = 1 + 3t
-    for i in range(0, len(heis_traj), 7):
-        u = 1.0 + 3.0 * heis_traj.times[i]
-        exact = np.diag([u ** (1 / 3), u ** (1 / 3), u ** (-1 / 3)])
-        assert np.abs(heis_traj.mats[i] - exact).max() < 1e-8 * u ** (1 / 3)
+    # rel_tol 1e-9, abs_tol 1e-12, 512 records: every record, interpolated or not
+    assert len(heis_traj) == 513
+    assert _isenberg_jackson_error(heis_traj) <= 1e-8
 
 
 def test_flat_torus_is_fixed_point(torus_traj):
@@ -114,6 +128,81 @@ def test_integration_deterministic(heis_model):
     assert np.array_equal(a.mats, b.mats)
     for k in a.derived:
         assert np.array_equal(a.derived[k], b.derived[k])
+
+
+def _heis_run(heis_model, rel_tol):
+    cfg = FlowConfig(t_end=0.5, record_every=0.5 / 512, rel_tol=rel_tol,
+                     abs_tol=1e-3 * rel_tol)
+    return integrate(heis_model, reference_metric(heis_model), cfg)
+
+
+@pytest.mark.parametrize("rel_tol", [0.5e-9, 1e-11])
+def test_heisenberg_closed_form_other_tolerances(heis_model, rel_tol):
+    traj = _heis_run(heis_model, rel_tol)
+    assert len(traj) == 513 and traj.meta["termination"] == TERM_HORIZON
+    assert _isenberg_jackson_error(traj) <= 1e-8
+
+
+def test_heisenberg_error_falls_with_tolerance(heis_model, heis_traj):
+    fine = _isenberg_jackson_error(_heis_run(heis_model, 1e-11))
+    assert fine < _isenberg_jackson_error(heis_traj)
+
+
+def test_halved_tolerances_change_trajectory(heis_model, heis_traj):
+    # the step is set by error control, so the tolerance must reach the records
+    halved = _heis_run(heis_model, 0.5e-9)
+    assert np.array_equal(halved.times, heis_traj.times)
+    assert not np.array_equal(halved.mats, heis_traj.mats)
+
+
+def test_heisenberg_cfg_rhs_budget(heis_model):
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "heisenberg.cfg")
+    traj = integrate(heis_model, reference_metric(heis_model), cfg.flow)
+    stats = traj.meta["integrator"]
+    assert len(traj) == 513
+    assert stats["rhs_evals"] <= 200
+    assert stats["accepted"] < len(traj) // 10
+
+
+def test_integrator_telemetry(heis_traj):
+    stats = heis_traj.meta["integrator"]
+    assert stats["method"] == "dop853"
+    assert 0.0 < stats["h_min"] <= stats["h_max"] <= 0.5
+    assert 0.0 <= stats["max_err_norm"] <= 1.0
+    # 3 interpolant stages per step holding an interior record
+    assert 0 < stats["dense_evals"] <= 3 * stats["accepted"]
+    assert stats["dense_evals"] % 3 == 0
+    assert stats["rhs_evals"] == (1 + 12 * (stats["accepted"] + stats["rejected_err"])
+                                  + stats["dense_evals"])
+
+
+def test_record_on_step_end_needs_no_interpolant(heis_model):
+    # a single record at t_end lands on the last step's end exactly
+    traj = integrate(heis_model, reference_metric(heis_model),
+                     FlowConfig(t_end=0.5, record_every=0.5))
+    stats = traj.meta["integrator"]
+    assert traj.times.tolist() == [0.0, 0.5]
+    assert stats["dense_evals"] == 0
+    assert stats["rhs_evals"] == 1 + 12 * stats["accepted"]
+    assert _isenberg_jackson_error(traj) <= 1e-8
+
+
+def test_dop853_tableau_matches_scipy():
+    pytest.importorskip("scipy")
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from riccilab import _dop853
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        assert np.array_equal(getattr(_dop853, name), getattr(ref, name)), name
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, riccilab.cli; print('scipy' in sys.modules)"
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # -- horizon -----------------------------------------------------------------
@@ -250,3 +339,12 @@ def test_csv_schema_errors(heis_traj, heis_model, tmp_path):
     bad.write_text("\n".join(swapped))
     with pytest.raises(TrajectorySchemaError, match="strictly increasing"):
         read_trajectory_csv(heis_model, bad)
+
+
+def test_validate_trajectory_reports_nan(heis_traj):
+    derived = {k: v.copy() for k, v in heis_traj.derived.items()}
+    derived["chi"][5] = np.nan
+    bad = Trajectory(model=heis_traj.model, times=heis_traj.times, mats=heis_traj.mats,
+                     scales=None, derived=derived, meta=heis_traj.meta)
+    with pytest.raises(ValueError, match="nan"):
+        validate_trajectory(bad)
