@@ -12,6 +12,7 @@ from .geometry import (
     ModelGeometry,
     build_model,
     curvature,
+    curvature_batch,
     diameter,
     flat_torus_model,
     heisenberg_model,

@@ -93,14 +93,7 @@ def _thin(traj: flow.Trajectory, stride: int) -> flow.Trajectory:
 
 def _trajectory_rows(traj: flow.Trajectory) -> list[dict]:
     cols = flow.csv_columns(traj.model.dim)
-    n = traj.model.dim
-    iu = np.triu_indices(n)
-    rows = []
-    for i in range(len(traj)):
-        vals = [float(traj.times[i]), *map(float, traj.mats[i][iu]),
-                *(float(traj.derived[k][i]) for k in flow.DERIVED_KEYS)]
-        rows.append(dict(zip(cols, vals)))
-    return rows
+    return [dict(zip(cols, map(float, row))) for row in flow.trajectory_table(traj)]
 
 
 def cmd_check(args) -> int:

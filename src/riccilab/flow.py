@@ -18,7 +18,6 @@ integrated alongside, which keeps state and invariants drift-free.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,11 +43,12 @@ __all__ = [
     "horizon_T0",
     "parabolic_rescale",
     "normalize_to_unit_volume",
-    "derived_row",
+    "derived_rows",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "validate_trajectory",
     "csv_columns",
+    "trajectory_table",
 ]
 
 TERM_HORIZON = "horizon-reached"
@@ -132,10 +132,6 @@ class Trajectory:
             return MetricState(time=t, scales=tuple(self.scales[i]))
         return MetricState(time=t, matrix=self.mats[i])
 
-    @property
-    def states(self) -> list[MetricState]:
-        return [self.state(i) for i in range(len(self))]
-
 
 def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
     """Flow horizon gamma * vol0^(2/n) * cs0^2."""
@@ -157,42 +153,37 @@ def normalize_to_unit_volume(model: ModelGeometry, g0: MetricState) -> MetricSta
     return geometry.scale_metric(g0, vol ** (-2.0 / model.dim))
 
 
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def derived_rows(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
+                 cs0: float, c_n: float, delta0: float) -> dict[str, np.ndarray]:
+    """Recompute every derived invariant of a stack of recorded states.
 
-
-def derived_row(model: ModelGeometry, g: MetricState, t: float,
-                cs0: float, c_n: float, delta0: float) -> dict[str, float]:
-    """Recompute every derived invariant of one recorded state."""
+    ``mats`` (M, n, n) holds the metrics at ``times`` (M,); every value is an
+    array with one entry (``ric_eigs``: one row) per record.
+    """
     n = model.dim
-    vol = geometry.volume(model, g)
-    curv = geometry.curvature(model, g, plane_samples=0)
-    ric_eigs = np.linalg.eigvalsh(curv.ric)
-    rm_n2 = curv.rm_norm * vol ** (2.0 / n)
+    curv = geometry.curvature_batch(model, mats)
+    rm_n2 = curv.rm_norm * curv.vol ** (2.0 / n)
+    with np.errstate(over="ignore", invalid="ignore"):   # chi may overflow to inf
+        chi = c_n * np.exp(8.0 * np.asarray(times, dtype=float) * delta0 / n) * rm_n2
     return {
-        "vol": vol,
+        "vol": curv.vol,
         "rm_norm": curv.rm_norm,
         "scalar_R": curv.scalar,
         "rm_n2_norm": rm_n2,
-        "J": curv.rm_norm ** (n / 2.0) * vol,
+        "J": curv.rm_norm ** (n / 2.0) * curv.vol,
         "theta": rm_n2 * cs0 * cs0,
-        "chi": c_n * _safe_exp(8.0 * t * delta0 / n) * rm_n2,
-        "ric_min": float(ric_eigs[0]),
-        "ric_max": float(ric_eigs[-1]),
-        "ric_eigs": ric_eigs,
+        "chi": chi,
+        "ric_min": curv.ric_eigs[:, 0],
+        "ric_max": curv.ric_eigs[:, -1],
+        "ric_eigs": curv.ric_eigs,
     }
 
 
 def initial_delta0(model: ModelGeometry, g0: MetricState, cs0: float) -> float:
     """cs0^-2 plus the n/2-norm of the negative part of scalar curvature at t=0."""
-    n = model.dim
-    vol = geometry.volume(model, g0)
-    curv = geometry.curvature(model, g0, plane_samples=0)
-    neg = max(0.0, -curv.scalar)
-    return cs0 ** -2 + neg * vol ** (2.0 / n)
+    curv = geometry.curvature_batch(model, geometry.metric_matrix(model, g0))
+    neg = max(0.0, -float(curv.scalar[0]))
+    return cs0 ** -2 + neg * float(curv.vol[0]) ** (2.0 / model.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +204,18 @@ def _pack(model: ModelGeometry, g: MetricState) -> np.ndarray:
     return np.asarray(g.scales, dtype=float)
 
 
+def _sym_from_tri(n: int, tri: np.ndarray) -> np.ndarray:
+    """Stack of symmetric matrices (M, n, n) from upper triangles (M, n(n+1)/2)."""
+    rows, cols = _tri_indices(n)
+    mats = np.zeros((len(tri), n, n))
+    mats[:, rows, cols] = tri
+    mats[:, cols, rows] = tri
+    return mats
+
+
 def _unpack(model: ModelGeometry, y: np.ndarray, t: float) -> MetricState:
     if model.kind == LIE_GROUP_QUOTIENT:
-        n = model.dim
-        mat = np.zeros((n, n))
-        rows, cols = _tri_indices(n)
-        mat[rows, cols] = y
-        mat[cols, rows] = y
-        return MetricState(time=t, matrix=mat)
+        return MetricState(time=t, matrix=_sym_from_tri(model.dim, y[None])[0])
     return MetricState(time=t, scales=tuple(y))
 
 
@@ -361,6 +356,12 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
         h, rejected = h_eff * max(_MIN_FAC, grow), False
 
     times = record_times[:len(recorded_y)]
+    packed = np.array(recorded_y)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        mats = _sym_from_tri(n, packed)
+    else:
+        dims = [d for _, d, _ in model.factors]
+        mats = np.repeat(packed, dims, axis=1)[:, :, None] * np.eye(n)
     meta = {
         "model": model.describe(),
         "gamma": cfg.gamma,
@@ -382,31 +383,18 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
             **stats,
             "h_min": min(steps, default=None),
             "h_max": max(steps, default=None),
+            "h_median": float(np.median(steps)) if steps else None,
             "max_err_norm": max(err_norms, default=None),
+            "rhs_evals_per_record": stats["rhs_evals"] / len(times),
         },
     }
-    return _assemble(model, times, recorded_y, meta)
+    return _assemble(model, times, mats, meta)
 
 
-def _assemble(model: ModelGeometry, times: np.ndarray, packed: list[np.ndarray],
+def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
               meta: dict) -> Trajectory:
-    n = model.dim
-    cs0, c_n, delta0 = meta["cs0"], meta["c_n"], meta["delta0"]
-    mats = np.empty((len(times), n, n))
-    scales = None
-    if model.kind != LIE_GROUP_QUOTIENT:
-        scales = np.empty((len(times), len(model.factors)))
-    derived = {k: np.empty(len(times)) for k in DERIVED_KEYS}
-    derived["ric_eigs"] = np.empty((len(times), n))
-    for i, (t, y) in enumerate(zip(times, packed)):
-        state = _unpack(model, y, float(t))
-        mats[i] = geometry.metric_matrix(model, state)
-        if scales is not None:
-            scales[i] = state.scales
-        row = derived_row(model, state, float(t), cs0, c_n, delta0)
-        for k in DERIVED_KEYS:
-            derived[k][i] = row[k]
-        derived["ric_eigs"][i] = row["ric_eigs"]
+    scales = None if model.kind == LIE_GROUP_QUOTIENT else model.scales_of(mats)
+    derived = derived_rows(model, times, mats, meta["cs0"], meta["c_n"], meta["delta0"])
     return Trajectory(model=model, times=times, mats=mats, scales=scales,
                       derived=derived, meta=meta)
 
@@ -418,11 +406,6 @@ def parabolic_rescale(traj: Trajectory, lam: float) -> Trajectory:
     lam2 = lam * lam
     model = traj.model
     times = lam2 * traj.times
-    packed = []
-    for i in range(len(traj)):
-        state = traj.state(i)
-        scaled = geometry.scale_metric(state, lam2)
-        packed.append(_pack(model, scaled))
     meta = dict(traj.meta)
     g0 = geometry.scale_metric(traj.state(0), lam2)
     meta["delta0"] = initial_delta0(model, g0, meta["cs0"])
@@ -435,7 +418,7 @@ def parabolic_rescale(traj: Trajectory, lam: float) -> Trajectory:
     meta["record_every"] = lam2 * meta.get("record_every", 0.0)
     meta["max_rm"] = meta.get("max_rm", math.inf) / lam2
     meta["rescaled_by"] = lam * meta.get("rescaled_by", 1.0)
-    return _assemble(model, times, packed, meta)
+    return _assemble(model, times, lam2 * traj.mats, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +432,17 @@ def csv_columns(n: int) -> list[str]:
     return cols
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def trajectory_table(traj: Trajectory) -> np.ndarray:
+    """One row per record, one column per ``csv_columns`` entry."""
+    rows, cols = _tri_indices(traj.model.dim)
+    return np.column_stack([traj.times, traj.mats[:, rows, cols],
+                            *(traj.derived[k] for k in DERIVED_KEYS)])
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    n = traj.model.dim
-    iu = _tri_indices(n)
-    buf = io.StringIO()
-    buf.write(",".join(csv_columns(n)) + "\n")
-    for i in range(len(traj)):
-        vals = [traj.times[i], *traj.mats[i][iu],
-                *(traj.derived[k][i] for k in DERIVED_KEYS)]
-        buf.write(",".join(_fmt(v) for v in vals) + "\n")
-    Path(path).write_text(buf.getvalue())
+    lines = [",".join(csv_columns(traj.model.dim))]
+    lines += [",".join(repr(float(v)) for v in row) for row in trajectory_table(traj)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(model: ModelGeometry, path: str | Path,
@@ -508,22 +488,10 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     if np.any(np.diff(times) <= 0):
         raise TrajectorySchemaError("column 't' must be strictly increasing")
     ntri = n * (n + 1) // 2
-    tri_rows, tri_cols = _tri_indices(n)
-    mats = np.zeros((len(rows), n, n))
-    mats[:, tri_rows, tri_cols] = data[:, 1:1 + ntri]
-    mats[:, tri_cols, tri_rows] = data[:, 1:1 + ntri]
+    mats = _sym_from_tri(n, data[:, 1:1 + ntri])
     derived = {k: data[:, 1 + ntri + j].copy() for j, k in enumerate(DERIVED_KEYS)}
-    scales = None
-    if model.kind != LIE_GROUP_QUOTIENT:
-        starts = [sl.start for sl in model.factor_slices()]
-        scales = mats[:, starts, starts]
-    eigs = np.empty((len(rows), n))
-    for i in range(len(rows)):
-        state = MetricState(time=float(times[i]), matrix=mats[i]) if scales is None \
-            else MetricState(time=float(times[i]), scales=tuple(scales[i]))
-        curv = geometry.curvature(model, state, plane_samples=0)
-        eigs[i] = np.linalg.eigvalsh(curv.ric)
-    derived["ric_eigs"] = eigs
+    scales = None if model.kind == LIE_GROUP_QUOTIENT else model.scales_of(mats)
+    derived["ric_eigs"] = geometry.curvature_batch(model, mats).ric_eigs
     g0 = MetricState(time=0.0, matrix=mats[0]) if scales is None else \
         MetricState(time=0.0, scales=tuple(scales[0]))
     vol0 = geometry.volume(model, g0)
@@ -545,17 +513,16 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
 
 
 def validate_trajectory(traj: Trajectory, tol: float = 1e-10) -> float:
-    """Largest relative mismatch between stored and recomputed derived values."""
-    worst = 0.0
-    for i in range(len(traj)):
-        row = derived_row(traj.model, traj.state(i), float(traj.times[i]),
-                          traj.meta["cs0"], traj.meta["c_n"], traj.meta["delta0"])
-        for k in DERIVED_KEYS:
-            ref = row[k]
-            got = float(traj.derived[k][i])
-            diff = abs(got - ref) / max(1.0, abs(ref))
-            if diff > worst or math.isnan(diff):   # max() would drop a NaN
-                worst = diff
+    """Largest relative mismatch between stored and recomputed derived values.
+
+    Every ``DERIVED_KEYS`` column is compared at every record; a NaN on
+    either side fails.
+    """
+    ref = derived_rows(traj.model, traj.times, traj.mats, traj.meta["cs0"],
+                       traj.meta["c_n"], traj.meta["delta0"])
+    diffs = np.stack([np.abs(traj.derived[k] - ref[k]) / np.maximum(1.0, np.abs(ref[k]))
+                      for k in DERIVED_KEYS])
+    worst = float(diffs.max())                 # a NaN propagates
     if not worst <= tol:
         raise ValueError(f"derived quantities deviate from recomputation by {worst:.3e}")
     return worst

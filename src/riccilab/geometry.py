@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "ModelGeometry",
     "MetricState",
     "CurvatureData",
+    "CurvatureBatch",
     "build_model",
     "heisenberg_model",
     "flat_torus_model",
@@ -44,6 +45,7 @@ __all__ = [
     "metric_from_scales",
     "orthonormalize",
     "curvature",
+    "curvature_batch",
     "rm_norm",
     "ricci_fixed_basis",
     "volume",
@@ -94,6 +96,11 @@ class ModelGeometry:
             out.append(slice(start, start + d))
             start += d
         return out
+
+    def scales_of(self, mats: np.ndarray) -> np.ndarray:
+        """Factor scales (M, num_factors) read off a stack of product metrics."""
+        starts = [sl.start for sl in self.factor_slices()]
+        return np.asarray(mats)[:, starts, starts]
 
     def describe(self) -> dict:
         """JSON-serializable description (round-trips through build_model)."""
@@ -149,7 +156,8 @@ class CurvatureData:
     docstring; ``ric`` is the orthonormal-frame Ricci matrix, so
     ``trace(ric) == scalar``; ``sec_min``/``sec_max`` are extremes of the
     sectional curvature over coordinate 2-planes plus a seeded random
-    sample of 2-planes (conservative, reporting only).
+    sample of 2-planes.  They are sampled inner values, not bounds: the
+    true extremes can lie outside them (reporting only).
     """
 
     rm: np.ndarray
@@ -193,6 +201,7 @@ def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray
         c[k, i, j] = coeff
         c[k, j, i] = -coeff
     _check_jacobi(c)
+    _check_unimodular(c)
     return c
 
 
@@ -209,6 +218,15 @@ def _check_jacobi(c: np.ndarray) -> None:
             f"Jacobi identity violated at index triple ({i+1},{j+1},{k+1}) "
             f"(component {l+1}): residual {worst:.3e} > {tol:.1e}"
         )
+
+
+def _check_unimodular(c: np.ndarray) -> None:
+    # a Lie group with a lattice is unimodular (Milnor 1976, Lemma 6.2)
+    traces = np.einsum("kik->i", c)          # tr ad_{e_i} = sum_k c^k_{ik}
+    i = int(np.argmax(np.abs(traces)))
+    if abs(traces[i]) > _JACOBI_TOL * max(1.0, float(np.max(np.abs(c)))):
+        raise GeometryError(f"not unimodular: tr ad(e{i+1}) = {traces[i]:.6g} != 0, "
+                            "so the group admits no compact quotient")
 
 
 def build_model(spec: dict) -> ModelGeometry:
@@ -308,24 +326,34 @@ def metric_matrix(model: ModelGeometry, g: MetricState) -> np.ndarray:
     """Metric as a full matrix in the fixed basis (block diagonal for products)."""
     if g.matrix is not None:
         return np.array(g.matrix)
-    diag = np.concatenate([np.full(d, s) for (_, d, _), s in zip(model.factors, g.scales)])
-    return np.diag(diag)
+    return np.diag(np.repeat(_check_scales(model, g), [d for _, d, _ in model.factors]))
 
 
 # ---------------------------------------------------------------------------
 # frames and curvature
 
 
-def _check_spd(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise GeometryError(f"metric matrix must be square, got shape {mat.shape}")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
-        raise GeometryError("metric matrix is not symmetric")
-    evals = np.linalg.eigvalsh(mat)
-    if evals[0] <= 0:
-        raise GeometryError(f"metric is not positive definite: minimum eigenvalue {evals[0]:.6e}")
-    return mat
+def _metric_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of one metric matrix or a stack, after validation.
+
+    A non-finite entry is named by its index in ``mats``.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim not in (2, 3) or mats.shape[-1] != mats.shape[-2]:
+        raise GeometryError(f"metric matrix must be square, got shape {mats.shape}")
+    if not np.isfinite(mats).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(mats))[0])
+        raise GeometryError(f"metric entry {idx} is not finite: {float(mats[idx])!r}")
+    mats_t = np.swapaxes(mats, -1, -2)
+    if not (mats == mats_t).all():            # exact equality is the hot path
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1), keepdims=True))
+        if np.any(np.abs(mats - mats_t) > 1e-12 * scale):
+            raise GeometryError("metric matrix is not symmetric")
+    evals, vecs = np.linalg.eigh(mats)
+    if evals[..., 0].min() <= 0:
+        raise GeometryError("metric is not positive definite: minimum eigenvalue "
+                            f"{evals[..., 0].min():.6e}")
+    return evals, vecs
 
 
 def _check_scales(model: ModelGeometry, g: MetricState) -> tuple[float, ...]:
@@ -337,22 +365,26 @@ def _check_scales(model: ModelGeometry, g: MetricState) -> tuple[float, ...]:
     return g.scales
 
 
-def _frame(model: ModelGeometry, g: MetricState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mat = np.asarray(g.matrix, dtype=float)
-    if not np.array_equal(mat, mat.T):      # exact equality is the hot path
-        mat = _check_spd(mat)
-    evals, vecs = np.linalg.eigh(mat)
-    if evals[0] <= 0:
-        raise GeometryError(
-            f"metric is not positive definite: minimum eigenvalue {evals[0]:.6e}")
-    L = (vecs / np.sqrt(evals)) @ vecs.T
-    Linv = (vecs * np.sqrt(evals)) @ vecs.T
-    c = model.structure_constants
-    # c~^c_{ab} = Linv[c,k] L[i,a] L[j,b] c^k_{ij}, contracted one axis at a time
-    tmp = np.tensordot(c, L, axes=([1], [0]))        # (k, j, a)
-    tmp = np.tensordot(tmp, L, axes=([1], [0]))      # (k, a, b)
-    ct = np.tensordot(Linv, tmp, axes=([1], [0]))    # (c, a, b)
-    return L, Linv, ct
+def _frames(model: ModelGeometry, mats: np.ndarray):
+    """Milnor frames of one metric (n, n) or a stack (M, n, n), as a stack.
+
+    Returns the eigenvalues of each metric, the frame change L (symmetric
+    inverse square root), its inverse, and the transported structure
+    constants ``ct[m, c, a, b] = Linv[m, c, k] L[m, i, a] L[m, j, b] c^k_{ij}``.
+    """
+    n = model.dim
+    evals, vecs = _metric_eigh(mats)
+    evals, vecs = evals.reshape(-1, n), vecs.reshape(-1, n, n)
+    root = np.sqrt(evals)[:, None, :]
+    vecs_t = np.swapaxes(vecs, 1, 2)
+    L = (vecs / root) @ vecs_t
+    Linv = (vecs * root) @ vecs_t
+    m = len(L)
+    # contract j, then i, then k with stacked matmuls
+    tmp = model.structure_constants @ L[:, None]              # (m, k, i, b)
+    tmp = np.swapaxes(L, 1, 2)[:, None] @ tmp                # (m, k, a, b)
+    ct = (Linv @ tmp.reshape(m, n, n * n)).reshape(m, n, n, n)
+    return evals, L, Linv, ct
 
 
 def orthonormalize(model: ModelGeometry, g: MetricState) -> tuple[np.ndarray, np.ndarray]:
@@ -365,36 +397,39 @@ def orthonormalize(model: ModelGeometry, g: MetricState) -> tuple[np.ndarray, np
     """
     if model.kind != LIE_GROUP_QUOTIENT:
         raise GeometryError("orthonormalize applies to Lie group quotients only")
-    L, _, ct = _frame(model, g)
-    return L, ct
+    _, L, _, ct = _frames(model, g.matrix)
+    return L[0], ct[0]
 
 
 def _rm_from_structure(ct: np.ndarray) -> np.ndarray:
-    """Curvature components in an orthonormal frame from structure constants."""
-    # gamma[k,i,j] = (ct[k,i,j] - ct[i,j,k] + ct[j,k,i]) / 2; note that
-    # ct.transpose(2,0,1)[k,i,j] == ct[i,j,k] and ct.transpose(1,2,0)[k,i,j] == ct[j,k,i]
-    gamma = 0.5 * (ct - ct.transpose(2, 0, 1) + ct.transpose(1, 2, 0))
+    """Curvature components in orthonormal frames from a stack of structure constants."""
+    m, n = ct.shape[:2]
+    # gamma[k,i,j] = (ct[k,i,j] - ct[i,j,k] + ct[j,k,i]) / 2 per metric
+    gamma = 0.5 * (ct - ct.transpose(0, 3, 1, 2) + ct.transpose(0, 2, 3, 1))
     # t1[i,j,k,l] = gamma[m,j,l] gamma[k,i,m]
-    t1 = np.tensordot(gamma, gamma, axes=([0], [2])).transpose(3, 0, 2, 1)
+    t1 = (gamma.reshape(m, n * n, n) @ gamma.reshape(m, n, n * n))
+    t1 = t1.reshape(m, n, n, n, n).transpose(0, 2, 3, 1, 4)
     # t3[i,j,k,l] = ct[m,i,j] gamma[k,m,l]
-    t3 = np.tensordot(ct, gamma, axes=([0], [1]))
-    return t1 - t1.transpose(1, 0, 2, 3) - t3
+    t3 = (np.swapaxes(ct.reshape(m, n, n * n), 1, 2)
+          @ gamma.transpose(0, 2, 1, 3).reshape(m, n, n * n)).reshape(m, n, n, n, n)
+    return t1 - t1.transpose(0, 2, 1, 3, 4) - t3
 
 
-def _rm_product(model: ModelGeometry, scales: Sequence[float]) -> np.ndarray:
-    n = model.dim
-    rm = np.zeros((n, n, n, n))
-    for sl, (ftype, d, _), s in zip(model.factor_slices(), model.factors, scales):
-        if ftype != FACTOR_SPHERE:
-            continue
-        k = 1.0 / s
-        idx = range(sl.start, sl.stop)
-        for i in idx:
-            for j in idx:
-                if i != j:
-                    rm[i, j, i, j] += k
-                    rm[i, j, j, i] -= k
-    return rm
+def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
+    """Stacked rm of products at scales (M, num_factors).
+
+    On a sphere factor of scale s, R_{ijkl} = (delta_ik delta_jl -
+    delta_il delta_jk) / s for i, j, k, l in its block; zero elsewhere.
+    """
+    if not np.all(scales > 0):
+        raise GeometryError(f"factor scales must be positive, got {scales}")
+    dims = [d for _, d, _ in model.factors]
+    sphere = [ftype == FACTOR_SPHERE for ftype, _, _ in model.factors]
+    k = np.repeat(np.where(sphere, 1.0 / scales, 0.0), dims, axis=1)   # per direction
+    block = np.repeat(np.arange(len(dims)), dims)
+    eye = np.eye(model.dim)
+    delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+    return (k[:, :, None] * (block[:, None] == block))[:, :, :, None, None] * delta
 
 
 def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float, float]:
@@ -416,29 +451,58 @@ def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float,
     return float(lo), float(hi)
 
 
+class CurvatureBatch(NamedTuple):
+    """Curvature of a stack of M metrics, one row per metric."""
+
+    rm: np.ndarray          # (M, n, n, n, n) orthonormal-frame R_{ijkl}
+    ric: np.ndarray         # (M, n, n) orthonormal-frame Ricci
+    scalar: np.ndarray      # (M,)
+    rm_norm: np.ndarray     # (M,) pointwise |Rm|
+    ric_eigs: np.ndarray    # (M, n) ascending Ricci eigenvalues
+    vol: np.ndarray         # (M,) total volume
+
+
+def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
+    """Curvature tensor, Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack.
+
+    ``mats`` has shape (M, n, n), or (n, n) for M = 1: metrics in the fixed
+    basis, block diagonal for products (whose factor scales are read off the
+    diagonal).  Quotients share one stacked eigendecomposition for frames
+    and volume.  No plane sampling.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        evals, _, _, ct = _frames(model, mats)
+        rm = _rm_from_structure(ct)
+        vol = np.sqrt(np.prod(evals, axis=1)) * model.covolume
+    else:
+        scales = model.scales_of(mats.reshape(-1, model.dim, model.dim))
+        rm = _rm_product(model, scales)
+        vol = np.prod([_factor_volume(ftype, d, scales[:, f])
+                       for f, (ftype, d, _) in enumerate(model.factors)], axis=0)
+    ric = np.trace(rm, axis1=1, axis2=3)
+    ric = 0.5 * (ric + np.swapaxes(ric, 1, 2))
+    flat = rm.reshape(len(rm), -1)
+    return CurvatureBatch(rm=rm, ric=ric, scalar=np.trace(ric, axis1=1, axis2=2),
+                          rm_norm=np.sqrt(np.einsum("ij,ij->i", flat, flat)),
+                          ric_eigs=np.linalg.eigvalsh(ric), vol=vol)
+
+
 def curvature(model: ModelGeometry, g: MetricState, *,
               plane_samples: int = _DEFAULT_PLANE_SAMPLES,
               seed: int = 0) -> CurvatureData:
-    """Full orthonormal-frame curvature data of (model, g)."""
-    if model.kind == LIE_GROUP_QUOTIENT:
-        _, _, ct = _frame(model, g)
-        rm = _rm_from_structure(ct)
-    else:
-        rm = _rm_product(model, _check_scales(model, g))
-    ric = np.trace(rm, axis1=0, axis2=2)
-    ric = 0.5 * (ric + ric.T)
-    scalar = float(np.trace(ric))
-    rm_n = float(np.sqrt(np.sum(rm * rm)))
-    lo, hi = _sec_extremes(rm, plane_samples, seed)
-    return CurvatureData(rm=rm, ric=ric, scalar=scalar, rm_norm=rm_n,
-                         sec_min=lo, sec_max=hi)
+    """Full orthonormal-frame curvature data of (model, g): the one-metric
+    batch plus sampled sectional-curvature extremes."""
+    cb = curvature_batch(model, metric_matrix(model, g))
+    lo, hi = _sec_extremes(cb.rm[0], plane_samples, seed)
+    return CurvatureData(rm=cb.rm[0], ric=cb.ric[0], scalar=float(cb.scalar[0]),
+                         rm_norm=float(cb.rm_norm[0]), sec_min=lo, sec_max=hi)
 
 
 def rm_norm(model: ModelGeometry, g: MetricState) -> float:
     """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator)."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        _, _, ct = _frame(model, g)
-        rm = _rm_from_structure(ct)
+        rm = _rm_from_structure(_frames(model, g.matrix)[3])
         return float(np.sqrt(np.sum(rm * rm)))
     total = 0.0
     for (ftype, d, _), s in zip(model.factors, _check_scales(model, g)):
@@ -450,10 +514,9 @@ def rm_norm(model: ModelGeometry, g: MetricState) -> float:
 def ricci_fixed_basis(model: ModelGeometry, g: MetricState) -> np.ndarray:
     """Ricci tensor as a bilinear form in the fixed basis."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        _, Linv, ct = _frame(model, g)
-        rm = _rm_from_structure(ct)
-        ric = np.trace(rm, axis1=0, axis2=2)
-        out = Linv.T @ ric @ Linv
+        _, _, Linv, ct = _frames(model, g.matrix)
+        ric = np.trace(_rm_from_structure(ct)[0], axis1=0, axis2=2)
+        out = Linv[0].T @ ric @ Linv[0]
         return 0.5 * (out + out.T)
     _check_scales(model, g)
     diag = np.concatenate([
@@ -476,23 +539,24 @@ def unit_sphere_volume(d: int) -> float:
     return _UNIT_SPHERE_VOL[d]
 
 
-def _factor_volume(ftype: str, d: int, s: float) -> float:
+def _factor_volume(ftype: str, d: int, s):
+    """Volume of one factor at scale s (a float or an array of scales)."""
     if ftype == FACTOR_SPHERE:
         return unit_sphere_volume(d) * s ** (d / 2.0)
     if ftype == FACTOR_CIRCLE:
-        return 2.0 * math.pi * math.sqrt(s)
-    return (2.0 * math.pi * math.sqrt(s)) ** d
+        return 2.0 * math.pi * s ** 0.5
+    return (2.0 * math.pi * s ** 0.5) ** d
 
 
 def volume(model: ModelGeometry, g: MetricState) -> float:
     """Total volume: sqrt(det g) * covolume, or the product of factor volumes."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        mat = _check_spd(g.matrix)
-        return float(math.sqrt(np.linalg.det(mat)) * model.covolume)
+        evals, _ = _metric_eigh(g.matrix)
+        return float(math.sqrt(np.prod(evals)) * model.covolume)
     vol = 1.0
     for (ftype, d, _), s in zip(model.factors, _check_scales(model, g)):
         vol *= _factor_volume(ftype, d, s)
-    return vol
+    return float(vol)
 
 
 def sphere_circle_note(model: ModelGeometry) -> str | None:

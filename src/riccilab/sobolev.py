@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import (
-    FACTOR_CIRCLE,
     FACTOR_FLAT_TORUS,
     FACTOR_SPHERE,
     LIE_GROUP_QUOTIENT,
@@ -29,6 +28,7 @@ from .geometry import (
     GeometryError,
     MetricState,
     ModelGeometry,
+    _factor_volume,
     unit_sphere_volume,
     volume,
 )
@@ -269,7 +269,7 @@ def _factor_integrals(model: ModelGeometry, g: MetricState, w: Witness,
     rest = 1.0
     for idx, ((ft, fd, _), fs) in enumerate(zip(model.factors, g.scales)):
         if idx != w.factor_index:
-            rest *= _factor_vol(ft, fd, fs)
+            rest *= _factor_volume(ft, fd, fs)
     length = math.pi if ftype == FACTOR_SPHERE else 2.0 * math.pi
     out = [0.0] * (len(exponents) + 1)
     for x in _segment_nodes(length, w.breakpoints, grid):
@@ -291,14 +291,6 @@ def _factor_integrals(model: ModelGeometry, g: MetricState, w: Witness,
             out[i] += rest * float(_trapezoid(np.abs(u) ** e * weight, x))
         out[-1] += rest * float(_trapezoid(du * du / s * weight, x))
     return out
-
-
-def _factor_vol(ftype: str, d: int, s: float) -> float:
-    if ftype == FACTOR_SPHERE:
-        return unit_sphere_volume(d) * s ** (d / 2.0)
-    if ftype == FACTOR_CIRCLE:
-        return 2.0 * math.pi * math.sqrt(s)
-    return (2.0 * math.pi * math.sqrt(s)) ** d
 
 
 def witness_norms(model: ModelGeometry, g: MetricState, w: Witness,

@@ -20,13 +20,17 @@ from riccilab import (
     hypothesis_report,
     integrate,
     parabolic_rescale,
+    read_trajectory_csv,
     reference_metric,
     run_suite,
     suite_failed,
     witness_family,
     witness_norms,
+    write_trajectory_csv,
 )
-from riccilab.checks import HYP_NOT_MET, PASS, RATIO, UNAVAILABLE, grid_derivative
+from riccilab import checks as checks_module
+from riccilab.checks import FAIL, HYP_NOT_MET, PASS, RATIO, UNAVAILABLE, grid_derivative
+from riccilab.flow import validate_trajectory
 
 P = ConstantPrimitives()
 
@@ -207,6 +211,48 @@ def test_holder_domain_errors():
         check_holder([(-1.0, 1.0)], 2.0, 4)
     with pytest.raises(ValueError):
         check_holder([(1.0, 0.0)], 2.0, 4)
+
+
+def _holder_suite_loop(n, p, seed, count):
+    """Reference: one check_holder call per seeded measure."""
+    rng = np.random.default_rng(seed)
+    failures, worst = [], math.inf
+    for trial in range(count):
+        size = int(rng.integers(1, 21))
+        values = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-2, 2)
+        weights = rng.uniform(0.1, 2.0, size)
+        rep = check_holder(list(zip(values, weights)), p, n)
+        if rep.status == FAIL:
+            failures.append({"trial": trial, **rep.details})
+        worst = min(worst, min(rep.details["min_margins"].values()))
+    return failures, worst
+
+
+@pytest.mark.parametrize("n,slack", [(3, None), (6, None), (4, -0.5)])
+def test_holder_suite_matches_per_trial_loop(n, slack, monkeypatch):
+    if slack is not None:
+        # the inequalities hold, so only a negative slack exercises failures
+        monkeypatch.setattr(checks_module, "_REL_SLACK", slack)
+    rep = holder_suite(n, p=2.0, seed=11, count=300)
+    failures, worst = _holder_suite_loop(n, 2.0, 11, 300)
+    assert rep.status == (FAIL if failures else PASS)
+    assert (slack is not None) == bool(failures)
+    assert rep.details["failures"] == failures[:5]
+    assert abs(rep.details["worst_margin"] - worst) <= 1e-12
+
+
+def test_check_path_makes_no_per_record_curvature_calls(heis_traj, heis_model,
+                                                        tmp_path, monkeypatch):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(heis_traj, path)
+    calls = []
+    real = checks_module.geometry.curvature
+    monkeypatch.setattr(checks_module.geometry, "curvature",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    traj = read_trajectory_csv(heis_model, path)
+    validate_trajectory(traj)
+    assert check_scalar_identity(traj).status == PASS
+    assert not calls                # every per-record value comes from the batch kernel
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

@@ -88,6 +88,13 @@ def test_flow_missing_model_block(cfgfile, tmp_path, capsys):
     assert "[model]" in capsys.readouterr().err
 
 
+def test_flow_rejects_non_unimodular_model(cfgfile, tmp_path, capsys):
+    cfg = HEIS_CFG.replace("brackets = 1 2 3 1.0", "brackets = 1 2 2 1.0 ; 1 3 3 1.0")
+    rc = main(["flow", "--config", cfgfile(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "not unimodular" in capsys.readouterr().err
+
+
 def test_unknown_key_is_line_precise(cfgfile, tmp_path, capsys):
     bad = "[model]\nkind = product_of_space_forms\nfactors = sphere 3 1.0\nboom = 1\n"
     rc = main(["flow", "--config", cfgfile(bad), "--out", str(tmp_path)])

@@ -167,7 +167,8 @@ def test_heisenberg_cfg_rhs_budget(heis_model):
 def test_integrator_telemetry(heis_traj):
     stats = heis_traj.meta["integrator"]
     assert stats["method"] == "dop853"
-    assert 0.0 < stats["h_min"] <= stats["h_max"] <= 0.5
+    assert 0.0 < stats["h_min"] <= stats["h_median"] <= stats["h_max"] <= 0.5
+    assert stats["rhs_evals_per_record"] == stats["rhs_evals"] / len(heis_traj)
     assert 0.0 <= stats["max_err_norm"] <= 1.0
     # 3 interpolant stages per step holding an interior record
     assert 0 < stats["dense_evals"] <= 3 * stats["accepted"]

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riccilab import (
     GeometryError,
     build_model,
     curvature,
+    curvature_batch,
     diameter,
     heisenberg_model,
     metric_from_matrix,
+    metric_from_scales,
     orthonormalize,
     reference_metric,
     scale_metric,
@@ -47,6 +52,25 @@ def test_jacobi_violation_names_triple():
     with pytest.raises(GeometryError, match="Jacobi"):
         build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
                      "brackets": [[1, 2, 1, 1.0], [2, 3, 2, 1.0]]})
+
+
+def test_non_unimodular_brackets_rejected():
+    # [e1,e2]=e2, [e1,e3]=e3 is hyperbolic 3-space: tr ad(e1) = 2, no lattice
+    with pytest.raises(GeometryError, match=r"not unimodular: tr ad\(e1\) = 2"):
+        build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
+                     "brackets": [[1, 2, 2, 1.0], [1, 3, 3, 1.0]]})
+
+
+def test_non_finite_metric_entry_is_named(heis_model):
+    mat = np.eye(3)
+    mat[0, 2] = mat[2, 0] = np.nan
+    for fn in (volume, curvature, ricci_fixed_basis):
+        with pytest.raises(GeometryError, match=r"entry \(0, 2\) is not finite: nan"):
+            fn(heis_model, metric_from_matrix(mat))
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 1, 1] = np.inf
+    with pytest.raises(GeometryError, match=r"entry \(2, 1, 1\) is not finite: inf"):
+        curvature_batch(heis_model, stack)
 
 
 def test_dimension_error():
@@ -284,3 +308,83 @@ def test_rm_norm_fast_path_matches_curvature(heis_model, prod_model):
     assert math.isclose(rm_norm(prod_model, gp),
                         curvature(prod_model, gp, plane_samples=0).rm_norm,
                         rel_tol=1e-14)
+
+
+# -- batched kernel --------------------------------------------------------
+
+def milnor_model(l1, l2, l3):
+    """Milnor's basis: [e2,e3] = l1 e1, [e3,e1] = l2 e2, [e1,e2] = l3 e3."""
+    return build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
+                        "brackets": [[2, 3, 1, l1], [3, 1, 2, l2], [1, 2, 3, l3]]})
+
+
+MILNOR_CLASSES = {"su2": (1.0, 1.0, 1.0), "sl2r": (1.0, 1.0, -1.0),
+                  "e2": (1.0, 1.0, 0.0), "e11": (1.0, -1.0, 0.0),
+                  "nil": (0.0, 0.0, 1.0), "abelian": (0.0, 0.0, 0.0)}
+
+
+@st.composite
+def spd_stacks(draw, n):
+    a = draw(arrays(float, (draw(st.integers(1, 5)), n, n),
+                    elements=st.floats(-1.0, 1.0)))
+    return a @ a.transpose(0, 2, 1) + draw(st.floats(0.5, 3.0)) * np.eye(n)
+
+
+@pytest.mark.parametrize("model", [
+    *(milnor_model(2.0 * l1, 0.5 * l2, 1.5 * l3) for l1, l2, l3 in MILNOR_CLASSES.values()),
+    build_model(FILIFORM4),
+], ids=[*MILNOR_CLASSES, "filiform4"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_curvature_batch_matches_brute_force(model, data):
+    mats = data.draw(spd_stacks(model.dim))
+    cb = curvature_batch(model, mats)
+    for m, mat in enumerate(mats):
+        rlow, rm_n = brute_force_curvature(model, metric_from_matrix(mat))
+        ginv = np.linalg.inv(mat)
+        ric = np.einsum("ik,ijkl->jl", ginv, rlow)          # fixed-basis Ricci
+        eigs = np.sort(np.linalg.eigvals(ginv @ ric).real)
+        scale = max(1.0, rm_n)
+        assert abs(cb.rm_norm[m] - rm_n) <= 1e-12 * scale
+        assert np.abs(cb.ric_eigs[m] - eigs).max() <= 1e-12 * scale
+        assert abs(cb.scalar[m] - eigs.sum()) <= 1e-12 * scale
+        assert abs(np.trace(cb.ric[m]) - cb.scalar[m]) <= 1e-12 * scale
+        assert math.isclose(cb.vol[m], math.sqrt(np.linalg.det(mat)), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("factors", [
+    [["sphere", 3, 1.0]],
+    [["sphere", 3, 1.0], ["circle", 1, 0.5]],
+    [["sphere", 2, 1.0], ["flat_torus", 2, 1.0], ["sphere", 4, 2.0]],
+])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_curvature_batch_products_match_closed_forms(factors, data):
+    model = build_model({"kind": "product_of_space_forms", "factors": factors})
+    scales = data.draw(arrays(float, (data.draw(st.integers(1, 5)), len(factors)),
+                              elements=st.floats(0.05, 20.0)))
+    dims = [d for _, d, _ in factors]
+    cb = curvature_batch(model, np.stack([np.diag(np.repeat(s, dims)) for s in scales]))
+    for m, s in enumerate(scales):
+        g = metric_from_scales(s)
+        # Ric = (d - 1) / s on each sphere direction in an orthonormal frame
+        ric = np.diag(ricci_fixed_basis(model, g)) / np.repeat(s, dims)
+        scale = max(1.0, rm_norm(model, g))
+        assert abs(cb.rm_norm[m] - rm_norm(model, g)) <= 1e-12 * scale
+        assert np.abs(cb.ric[m] - np.diag(ric)).max() <= 1e-12 * scale
+        assert np.abs(cb.ric_eigs[m] - np.sort(ric)).max() <= 1e-12 * scale
+        assert abs(cb.scalar[m] - ric.sum()) <= 1e-12 * scale
+        assert math.isclose(cb.vol[m], volume(model, g), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("lams", MILNOR_CLASSES.values(), ids=MILNOR_CLASSES.keys())
+@settings(max_examples=25, deadline=None)
+@given(diag=arrays(float, 3, elements=st.floats(0.1, 10.0)))
+def test_milnor_principal_ricci(lams, diag):
+    # on g = diag(a) the frame e_i / sqrt(a_i) is Milnor's with rescaled
+    # constants; Ric(f_1) = 2 mu_2 mu_3 and cyclically, mu_i = sum(l) / 2 - l_i
+    lam = np.array(lams) * np.sqrt(diag / (diag[[1, 2, 0]] * diag[[2, 0, 1]]))
+    mu = lam.sum() / 2.0 - lam
+    expected = 2.0 * mu[[1, 0, 0]] * mu[[2, 2, 1]]
+    cb = curvature_batch(milnor_model(*lams), np.diag(diag)[None])
+    assert np.abs(cb.ric[0] - np.diag(expected)).max() <= 1e-12 * max(1.0, np.abs(expected).max())
