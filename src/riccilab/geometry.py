@@ -433,9 +433,16 @@ def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
 
 
 def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float, float]:
+    """Sectional curvature extremes over coordinate planes and seeded sampled planes.
+
+    For orthonormal u, v, sec(u, v) = R(u, v, u, v) = w . op w with the
+    bivector w = u ^ v and op the curvature operator on the basis
+    e_i ^ e_j (i < j), so a sampled plane costs one small quadratic form.
+    """
     n = rm.shape[0]
-    secs = [rm[i, j, i, j] for i in range(n) for j in range(i + 1, n)]
-    lo, hi = min(secs), max(secs)
+    iu, ju = np.triu_indices(n, 1)
+    op = rm[iu[:, None], ju[:, None], iu, ju]      # op[a, b] = R(e_ia, e_ja, e_ib, e_jb)
+    lo, hi = np.diag(op).min(), np.diag(op).max()
     if plane_samples > 0:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((plane_samples, n))
@@ -445,7 +452,8 @@ def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float,
         keep = np.linalg.norm(v, axis=1) > 1e-8
         u, v = u[keep], v[keep]
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        k = np.einsum("ijkl,pi,pj,pk,pl->p", rm, u, v, u, v, optimize=True)
+        w = u[:, iu] * v[:, ju] - u[:, ju] * v[:, iu]
+        k = np.einsum("pa,pa->p", w @ op, w)
         lo = min(lo, float(k.min()))
         hi = max(hi, float(k.max()))
     return float(lo), float(hi)

@@ -250,6 +250,33 @@ def test_tensor_symmetries_random_metrics(model_spec, n):
         assert cv.sec_min <= cv.sec_max
 
 
+@pytest.mark.parametrize("model_spec,n", [
+    ({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
+      "brackets": [[1, 2, 3, 1.0]]}, 3),
+    (FILIFORM4, 4),
+    ({"kind": "product_of_space_forms",
+      "factors": [["sphere", 3, 1.0], ["circle", 1, 0.3]]}, 4),
+])
+def test_sampled_sec_matches_four_index_contraction(model_spec, n):
+    # the same seeded planes, with sec(u, v) = R_ijkl u^i v^j u^k v^l summed in full
+    model = build_model(model_spec)
+    rng = np.random.default_rng(5)
+    for seed in range(5):
+        g = (metric_from_matrix(random_spd(rng, n)) if model.kind == "lie_group_quotient"
+             else reference_metric(model))
+        cv = curvature(model, g, plane_samples=2000, seed=seed)
+        draws = np.random.default_rng(seed)
+        u, v = draws.standard_normal((2000, n)), draws.standard_normal((2000, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v -= np.sum(u * v, axis=1, keepdims=True) * u
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        k = np.einsum("ijkl,pi,pj,pk,pl->p", cv.rm, u, v, u, v)
+        coords = [cv.rm[i, j, i, j] for i in range(n) for j in range(i + 1, n)]
+        scale = max(1.0, np.abs(cv.rm).max())
+        assert abs(cv.sec_min - min(k.min(), *coords)) <= 1e-12 * scale
+        assert abs(cv.sec_max - max(k.max(), *coords)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
 def test_scaling_covariance(heis_model, lam):
     rng = np.random.default_rng(7)
