@@ -365,7 +365,9 @@ def _holder_sides(f: np.ndarray, w: np.ndarray, p: float, n: int,
     exps = (p + 1.0, n / 2.0, p * n / (n - 2.0), n / 2.0 + 1.0,
             (n / 2.0) * n / (n - 2.0), p0 / 2.0, p * p0 / (p0 - 2.0),
             p0 / (p0 - 2.0), 1.0, n / (n - 2.0))
-    ms = dict(zip(exps, np.einsum("ta,tka->kt", w, f[:, None, :] ** np.array(exps)[:, None])))
+    distinct = tuple(dict.fromkeys(exps))
+    ms = dict(zip(distinct,
+                  np.einsum("ta,tka->kt", w, f[:, None, :] ** np.array(distinct)[:, None])))
     eps = np.asarray(eps_grid, dtype=float)
     e1 = -((n - 2.0) / n) ** 2
     e2 = 2.0 * (n - 2.0) / (n * n)
@@ -442,17 +444,23 @@ def holder_suite(n: int, p: float = 2.0, seed: int = 0, count: int = 1000,
                  eps_grid: Sequence[float] | None = None) -> CheckReport:
     """The discrete inequality suite over seeded random measures.
 
-    All measures are checked at once; the reported failure entries are
-    rebuilt with ``check_holder`` on the failing measures.
+    The measures come from one seeded draw in this order: ``count`` atom
+    counts uniform on 1..20; then |N(0, 1)| values, shape (count, 20),
+    each row times its own 10^U(-2, 2); then weights U(0.1, 2.0), shape
+    (count, 20).  Atoms at or beyond a measure's count get value and
+    weight 0, which ``_holder_sides`` ignores.  All measures are checked at
+    once; the reported failure entries are rebuilt with ``check_holder``
+    on the failing measures.
     """
     eps_grid = _DEFAULT_EPS_GRID if eps_grid is None else eps_grid
     rng = np.random.default_rng(seed)
-    sizes = np.empty(count, dtype=int)
-    f, w = np.zeros((count, _MAX_ATOMS)), np.zeros((count, _MAX_ATOMS))
-    for trial in range(count):
-        size = sizes[trial] = int(rng.integers(1, _MAX_ATOMS + 1))
-        f[trial, :size] = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-2, 2)
-        w[trial, :size] = rng.uniform(0.1, 2.0, size)
+    sizes = rng.integers(1, _MAX_ATOMS + 1, count)
+    f = np.abs(rng.standard_normal((count, _MAX_ATOMS))) \
+        * 10.0 ** rng.uniform(-2, 2, (count, 1))
+    w = rng.uniform(0.1, 2.0, (count, _MAX_ATOMS))
+    padded = np.arange(_MAX_ATOMS) >= sizes[:, None]
+    f[padded] = 0.0
+    w[padded] = 0.0
     _, _, _, margin, failed = _holder_sides(f, w, p, n, eps_grid)
     failures = []
     for trial in np.flatnonzero(failed.any(axis=1))[:5]:

@@ -100,12 +100,9 @@ def cmd_check(args) -> int:
     cfg = _load(args)
     model = _build_model(cfg)
     out = _out_dir(args, cfg)
+    # loading also validates the stored derived columns
     traj = flow.read_trajectory_csv(model, args.trajectory, cs0=cfg.flow.cs0,
                                     c_n=cfg.flow.c_n, gamma=cfg.flow.gamma)
-    try:
-        flow.validate_trajectory(traj)
-    except ValueError as exc:
-        raise TrajectorySchemaError(str(exc)) from None
     chain = constants.constant_chain(
         cfg.primitives, model.dim, cfg.flow.gamma, traj.meta["vol0"],
         cfg.flow.cs0, traj.meta["rm_n2_0"])

@@ -59,6 +59,7 @@ DERIVED_KEYS = ("vol", "rm_norm", "scalar_R", "rm_n2_norm", "J", "theta", "chi",
                 "ric_min", "ric_max")
 
 _DEFAULT_RECORDS = 1024
+_VALIDATE_TOL = 1e-10          # relative, stored vs recomputed derived values
 _SAFETY, _MIN_FAC, _MAX_FAC = 0.9, 0.2, 5.0
 _ERR_EXP = -1.0 / 8.0          # DOP853's error estimate has order 7
 
@@ -153,15 +154,15 @@ def normalize_to_unit_volume(model: ModelGeometry, g0: MetricState) -> MetricSta
     return geometry.scale_metric(g0, vol ** (-2.0 / model.dim))
 
 
-def derived_rows(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
+def derived_rows(curv: geometry.CurvatureBatch, times: np.ndarray,
                  cs0: float, c_n: float, delta0: float) -> dict[str, np.ndarray]:
-    """Recompute every derived invariant of a stack of recorded states.
+    """Every derived invariant of a stack of recorded states.
 
-    ``mats`` (M, n, n) holds the metrics at ``times`` (M,); every value is an
-    array with one entry (``ric_eigs``: one row) per record.
+    ``curv`` is the ``curvature_batch`` of the metrics at ``times`` (M,);
+    every value is an array with one entry (``ric_eigs``: one row) per
+    record.
     """
-    n = model.dim
-    curv = geometry.curvature_batch(model, mats)
+    n = curv.ric_eigs.shape[1]
     rm_n2 = curv.rm_norm * curv.vol ** (2.0 / n)
     with np.errstate(over="ignore", invalid="ignore"):   # chi may overflow to inf
         chi = c_n * np.exp(8.0 * np.asarray(times, dtype=float) * delta0 / n) * rm_n2
@@ -181,9 +182,13 @@ def derived_rows(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
 
 def initial_delta0(model: ModelGeometry, g0: MetricState, cs0: float) -> float:
     """cs0^-2 plus the n/2-norm of the negative part of scalar curvature at t=0."""
-    curv = geometry.curvature_batch(model, geometry.metric_matrix(model, g0))
+    return _delta0(geometry.curvature_batch(model, geometry.metric_matrix(model, g0)), cs0)
+
+
+def _delta0(curv: geometry.CurvatureBatch, cs0: float) -> float:
+    """``initial_delta0`` from row 0 of a curvature batch."""
     neg = max(0.0, -float(curv.scalar[0]))
-    return cs0 ** -2 + neg * float(curv.vol[0]) ** (2.0 / model.dim)
+    return cs0 ** -2 + neg * float(curv.vol[0]) ** (2.0 / curv.ric_eigs.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +399,8 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
 def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
               meta: dict) -> Trajectory:
     scales = None if model.kind == LIE_GROUP_QUOTIENT else model.scales_of(mats)
-    derived = derived_rows(model, times, mats, meta["cs0"], meta["c_n"], meta["delta0"])
+    derived = derived_rows(geometry.curvature_batch(model, mats), times, meta["cs0"],
+                           meta["c_n"], meta["delta0"])
     return Trajectory(model=model, times=times, mats=mats, scales=scales,
                       derived=derived, meta=meta)
 
@@ -441,14 +447,85 @@ def trajectory_table(traj: Trajectory) -> np.ndarray:
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     lines = [",".join(csv_columns(traj.model.dim))]
-    lines += [",".join(repr(float(v)) for v in row) for row in trajectory_table(traj)]
+    lines += [",".join(map(repr, row)) for row in trajectory_table(traj).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _nonfinite(ln: int, col: str, v: float) -> TrajectorySchemaError:
+    return TrajectorySchemaError(f"line {ln}: column {col!r} is {v!r}, "
+                                 "expected a finite number")
+
+
+def _scan_rows(lines: list[str], expected: list[str]) -> list[list[float]]:
+    """Parse data lines one by one (the first is file line 2), skipping blanks.
+
+    Raises on the first bad line, naming it; the bulk parse falls back to
+    this only when it fails, so every error reads as from a line-order scan.
+    """
+    rows = []
+    for ln, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(expected):
+            raise TrajectorySchemaError(f"line {ln}: expected {len(expected)} fields, "
+                                        f"got {len(parts)}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise TrajectorySchemaError(f"line {ln}: {exc}") from None
+        for col, v in zip(expected, vals):
+            if not math.isfinite(v):
+                raise _nonfinite(ln, col, v)
+        rows.append(vals)
+    return rows
+
+
+def _parse_rows(lines: list[str], expected: list[str]) -> np.ndarray:
+    """The data lines as an (M, columns) array, all fields finite."""
+    body = [line for line in lines if line.strip()]
+    if not body:
+        raise TrajectorySchemaError("trajectory has no states")
+    data = None
+    if all(line.count(",") == len(expected) - 1 for line in body):
+        try:
+            data = np.array(",".join(body).split(","), dtype=float)
+        except ValueError:
+            pass
+    if data is None:
+        return np.array(_scan_rows(lines, expected))
+    data = data.reshape(len(body), len(expected))
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        ln = [ln for ln, line in enumerate(lines, start=2) if line.strip()][row]
+        raise _nonfinite(ln, expected[col], float(data[row, col]))
+    return data
+
+
+def _check_derived(derived: dict[str, np.ndarray], ref: dict[str, np.ndarray],
+                   tol: float) -> float:
+    """Largest relative deviation of stored from recomputed derived columns."""
+    diffs = np.stack([np.abs(derived[k] - ref[k]) / np.maximum(1.0, np.abs(ref[k]))
+                      for k in DERIVED_KEYS])
+    worst = float(diffs.max())                 # a NaN propagates
+    if not worst <= tol:
+        raise TrajectorySchemaError(
+            f"derived quantities deviate from recomputation by {worst:.3e}")
+    return worst
 
 
 def read_trajectory_csv(model: ModelGeometry, path: str | Path,
                         cs0: float = 1.0, c_n: float = 1.0,
                         gamma: float = 1.0) -> Trajectory:
-    """Load a trajectory; schema violations raise TrajectorySchemaError."""
+    """Load and validate a trajectory.
+
+    Schema violations, non-finite fields and stored derived columns that
+    deviate from their recomputation (``validate_trajectory``, with
+    ``cs0`` and ``c_n`` as given) raise TrajectorySchemaError.  One
+    ``curvature_batch`` over all records serves the check, ``ric_eigs``
+    and the row-0 values in ``meta``.
+    """
     n = model.dim
     text = Path(path).read_text().splitlines()
     if not text:
@@ -462,26 +539,7 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
                 f"column {i} should be {col!r}, got {got!r}")
     if len(header) > len(expected):
         raise TrajectorySchemaError(f"unexpected extra column {header[len(expected)]!r}")
-    rows = []
-    for ln, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(expected):
-            raise TrajectorySchemaError(f"line {ln}: expected {len(expected)} fields, "
-                                        f"got {len(parts)}")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise TrajectorySchemaError(f"line {ln}: {exc}") from None
-        for col, v in zip(expected, vals):
-            if not math.isfinite(v):
-                raise TrajectorySchemaError(f"line {ln}: column {col!r} is {v!r}, "
-                                            "expected a finite number")
-        rows.append(vals)
-    if not rows:
-        raise TrajectorySchemaError("trajectory has no states")
-    data = np.array(rows)
+    data = _parse_rows(text[1:], expected)
     times = data[:, 0]
     if times[0] != 0.0:
         raise TrajectorySchemaError("column 't' must start at 0")
@@ -491,18 +549,19 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     mats = _sym_from_tri(n, data[:, 1:1 + ntri])
     derived = {k: data[:, 1 + ntri + j].copy() for j, k in enumerate(DERIVED_KEYS)}
     scales = None if model.kind == LIE_GROUP_QUOTIENT else model.scales_of(mats)
-    derived["ric_eigs"] = geometry.curvature_batch(model, mats).ric_eigs
-    g0 = MetricState(time=0.0, matrix=mats[0]) if scales is None else \
-        MetricState(time=0.0, scales=tuple(scales[0]))
-    vol0 = geometry.volume(model, g0)
+    curv = geometry.curvature_batch(model, mats)
+    delta0 = _delta0(curv, cs0)
+    _check_derived(derived, derived_rows(curv, times, cs0, c_n, delta0), _VALIDATE_TOL)
+    derived["ric_eigs"] = curv.ric_eigs
+    vol0 = float(curv.vol[0])
     meta = {
         "model": model.describe(),
         "gamma": gamma,
         "cs0": cs0,
         "c_n": c_n,
-        "delta0": initial_delta0(model, g0, cs0),
+        "delta0": delta0,
         "vol0": vol0,
-        "rm_n2_0": geometry.rm_norm(model, g0) * vol0 ** (2.0 / n),
+        "rm_n2_0": float(curv.rm_norm[0]) * vol0 ** (2.0 / n),
         "T0": horizon_T0(gamma, vol0, cs0, n),
         "t_reached": float(times[-1]),
         "termination": "loaded-from-csv",
@@ -512,17 +571,15 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
                       derived=derived, meta=meta)
 
 
-def validate_trajectory(traj: Trajectory, tol: float = 1e-10) -> float:
+def validate_trajectory(traj: Trajectory, tol: float = _VALIDATE_TOL) -> float:
     """Largest relative mismatch between stored and recomputed derived values.
 
     Every ``DERIVED_KEYS`` column is compared at every record; a NaN on
-    either side fails.
+    either side fails.  A mismatch above ``tol`` raises
+    TrajectorySchemaError (a ValueError).  ``read_trajectory_csv`` runs
+    the same comparison on load.
     """
-    ref = derived_rows(traj.model, traj.times, traj.mats, traj.meta["cs0"],
-                       traj.meta["c_n"], traj.meta["delta0"])
-    diffs = np.stack([np.abs(traj.derived[k] - ref[k]) / np.maximum(1.0, np.abs(ref[k]))
-                      for k in DERIVED_KEYS])
-    worst = float(diffs.max())                 # a NaN propagates
-    if not worst <= tol:
-        raise ValueError(f"derived quantities deviate from recomputation by {worst:.3e}")
-    return worst
+    curv = geometry.curvature_batch(traj.model, traj.mats)
+    ref = derived_rows(curv, traj.times, traj.meta["cs0"], traj.meta["c_n"],
+                       traj.meta["delta0"])
+    return _check_derived(traj.derived, ref, tol)

@@ -214,14 +214,15 @@ def test_holder_domain_errors():
 
 
 def _holder_suite_loop(n, p, seed, count):
-    """Reference: one check_holder call per seeded measure."""
+    """Reference: the suite's seeded draw layout, one check_holder call per measure."""
     rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 21, count)
+    values = np.abs(rng.standard_normal((count, 20))) * 10.0 ** rng.uniform(-2, 2, (count, 1))
+    weights = rng.uniform(0.1, 2.0, (count, 20))
     failures, worst = [], math.inf
     for trial in range(count):
-        size = int(rng.integers(1, 21))
-        values = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-2, 2)
-        weights = rng.uniform(0.1, 2.0, size)
-        rep = check_holder(list(zip(values, weights)), p, n)
+        size = sizes[trial]
+        rep = check_holder(list(zip(values[trial, :size], weights[trial, :size])), p, n)
         if rep.status == FAIL:
             failures.append({"trial": trial, **rep.details})
         worst = min(worst, min(rep.details["min_margins"].values()))
@@ -241,15 +242,37 @@ def test_holder_suite_matches_per_trial_loop(n, slack, monkeypatch):
     assert abs(rep.details["worst_margin"] - worst) <= 1e-12
 
 
+def test_holder_suite_draw_layout(monkeypatch):
+    seen = []
+    real = checks_module._holder_sides
+    monkeypatch.setattr(checks_module, "_holder_sides",
+                        lambda f, w, *a: seen.append((f, w)) or real(f, w, *a))
+    holder_suite(3, p=2.0, seed=7, count=1000)
+    ((f, w),) = seen
+    sizes = np.random.default_rng(7).integers(1, 21, 1000)   # the first draw
+    live = np.arange(20) < sizes[:, None]
+    assert set(sizes.tolist()) == set(range(1, 21))
+    assert np.all(w[~live] == 0.0) and np.all(f[~live] == 0.0)
+    assert np.all(w[live] >= 0.1) and np.all(f[live] > 0.0)
+
+
 def test_check_path_makes_no_per_record_curvature_calls(heis_traj, heis_model,
                                                         tmp_path, monkeypatch):
+    # heis_traj is the flow of configs/heisenberg.cfg: same model, t_end and grid
     path = tmp_path / "traj.csv"
     write_trajectory_csv(heis_traj, path)
-    calls = []
+    calls, stacks = [], []
     real = checks_module.geometry.curvature
+    real_batch = checks_module.geometry.curvature_batch
     monkeypatch.setattr(checks_module.geometry, "curvature",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(checks_module.geometry, "curvature_batch",
+                        lambda model, mats: stacks.append(np.shape(mats))
+                        or real_batch(model, mats))
     traj = read_trajectory_csv(heis_model, path)
+    # loading and validating is one stacked pass, with no single-row evaluation
+    assert len(traj) > 1
+    assert stacks == [(len(traj), 3, 3)]
     validate_trajectory(traj)
     assert check_scalar_identity(traj).status == PASS
     assert not calls                # every per-record value comes from the batch kernel

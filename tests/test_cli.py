@@ -183,6 +183,84 @@ def test_check_non_finite_field_exit_3(cfgfile, tmp_path, capsys, bad):
     assert "line 6" in err and "'chi'" in err
 
 
+def _field(ln, col, value):
+    """Edit: set column ``col`` of file line ``ln`` (line 1 is the header)."""
+    def edit(lines):
+        fields = lines[ln - 1].split(",")
+        fields[lines[0].split(",").index(col)] = value
+        lines[ln - 1] = ",".join(fields)
+    return edit
+
+
+def _short(ln):
+    def edit(lines):
+        lines[ln - 1] = lines[ln - 1].rsplit(",", 1)[0]
+    return edit
+
+
+def _blank(ln):
+    def edit(lines):
+        lines.insert(ln - 1, "")
+    return edit
+
+
+def _non_finite(ln, col, value):
+    return f"line {ln}: column {col!r} is {value}, expected a finite number"
+
+
+# every message names the first bad file line, as a line-by-line scan would
+MALFORMED_CSV = [
+    pytest.param([_field(4, "g_0_1", "abc")],
+                 "line 4: could not convert string to float: 'abc'", id="unparsable"),
+    pytest.param([_short(5)], "line 5: expected 16 fields, got 15", id="short-row"),
+    pytest.param([_field(6, "t", "nan")], _non_finite(6, "t", "nan"), id="nan-t"),
+    pytest.param([_field(6, "t", "-inf")], _non_finite(6, "t", "-inf"), id="neg-inf-t"),
+    pytest.param([_field(7, "g_0_0", "nan")], _non_finite(7, "g_0_0", "nan"), id="nan-g00"),
+    pytest.param([_field(7, "g_0_0", "-inf")], _non_finite(7, "g_0_0", "-inf"),
+                 id="neg-inf-g00"),
+    pytest.param([_blank(3)], None, id="blank-line-skipped"),
+    pytest.param([_blank(3), _field(6, "g_0_1", "abc")],
+                 "line 6: could not convert string to float: 'abc'", id="blank-keeps-line"),
+    pytest.param([_field(4, "rm_norm", "inf"), _field(9, "g_0_1", "abc")],
+                 _non_finite(4, "rm_norm", "inf"), id="non-finite-first"),
+    pytest.param([_field(5, "g_1_1", "x1"), _short(8)],
+                 "line 5: could not convert string to float: 'x1'", id="unparsable-first"),
+    pytest.param([_short(5), _field(8, "t", "nan")],
+                 "line 5: expected 16 fields, got 15", id="short-row-first"),
+]
+
+
+@pytest.mark.parametrize("edits,message", MALFORMED_CSV)
+def test_malformed_csv_names_first_bad_line(cfgfile, tmp_path, capsys, edits, message):
+    from riccilab import build_model, read_trajectory_csv
+    from riccilab.flow import TrajectorySchemaError
+    out = tmp_path / "heis"
+    cfg = cfgfile(HEIS_CFG)
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    for edit in edits:
+        edit(lines)
+    bad = tmp_path / "malformed.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    model = build_model({"kind": "lie_group_quotient", "dim": 3,
+                         "covolume": 1.0, "brackets": [[1, 2, 3, 1.0]]})
+    capsys.readouterr()
+    rc = main(["check", "--config", cfg, "--out", str(out), "--trajectory", str(bad)])
+    if message is None:
+        # skipped: the same verdicts as on the file as written
+        report = (out / "report.json").read_bytes()
+        assert main(["check", "--config", cfg, "--out", str(out),
+                     "--trajectory", str(out / "trajectory.csv")]) == rc != 3
+        assert (out / "report.json").read_bytes() == report
+        assert len(read_trajectory_csv(model, bad)) == len(lines) - 2
+        return
+    assert rc == 3
+    assert capsys.readouterr().err == f"trajectory schema error: {message}\n"
+    with pytest.raises(TrajectorySchemaError) as exc:
+        read_trajectory_csv(model, bad)
+    assert str(exc.value) == message
+
+
 def test_constants_defaults_n4(cfgfile, tmp_path, capsys):
     cfg = cfgfile("[constants]\nn = 4\n")
     rc = main(["constants", "--config", cfg, "--out", str(tmp_path)])

@@ -30,6 +30,8 @@ from riccilab.flow import (
     TERM_UNDERFLOW,
     Trajectory,
     TrajectorySchemaError,
+    csv_columns,
+    trajectory_table,
     validate_trajectory,
 )
 
@@ -324,6 +326,22 @@ def test_csv_round_trip_exact(heis_traj, heis_model, tmp_path):
     for k in heis_traj.derived:
         assert np.array_equal(back.derived[k], heis_traj.derived[k])
     assert validate_trajectory(back) == 0.0
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sphere", "collapse_sweep"])
+def test_csv_bytes_match_per_value_repr(name, tmp_path, monkeypatch):
+    from riccilab import cli
+    from riccilab import flow as flow_module
+    written = []
+    real = flow_module.write_trajectory_csv
+    monkeypatch.setattr(flow_module, "write_trajectory_csv",
+                        lambda traj, path: written.append(traj) or real(traj, path))
+    cfg = Path(__file__).parent.parent / "configs" / f"{name}.cfg"
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    (traj,) = written
+    lines = [",".join(csv_columns(traj.model.dim))]
+    lines += [",".join(repr(float(v)) for v in row) for row in trajectory_table(traj)]
+    assert (tmp_path / "trajectory.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_schema_errors(heis_traj, heis_model, tmp_path):
