@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry, sobolev
 from .constants import ConstantChain, ConstantPrimitives, theorem_c_threshold
-from .flow import Trajectory, horizon_T0, initial_delta0
+from .flow import Trajectory, delta0_from_row0, horizon_T0
 from .geometry import LIE_GROUP_QUOTIENT
 from .sobolev import WitnessNorms
 
@@ -41,6 +41,7 @@ __all__ = [
     "check_diameter_bound",
     "check_sobolev_along_flow",
     "hypothesis_report",
+    "hypothesis_invariants",
     "run_suite",
     "suite_failed",
     "SUITE_CHECKS",
@@ -524,7 +525,8 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
     """
     model = traj.model
     n = model.dim
-    d0 = initial_delta0(model, traj.state(0), cs0)
+    d0 = delta0_from_row0(cs0, float(traj.derived["scalar_R"][0]),
+                          float(traj.derived["vol"][0]), n)
     rm_n2 = traj.derived["rm_n2_norm"]
     t = traj.times
     cond_lhs = primitives.a_n * rm_n2 * cs0 * cs0 * np.exp(8.0 * d0 * t / n)
@@ -580,6 +582,29 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
 
 # ---------------------------------------------------------------------------
 # static hypothesis evaluation
+
+
+def hypothesis_invariants(model: geometry.ModelGeometry, g: geometry.MetricState,
+                          rm_norm: float, vol: float, ric_min: float, kappa: float,
+                          cs0: float, primitives: ConstantPrimitives) -> dict:
+    """``hypothesis_report`` invariants of g from its |Rm|, volume and lowest Ricci eigenvalue.
+
+    ``cs_upper`` is the Gallot bound where the diameter is exact (products),
+    else ``cs0``.  At homogeneity the integral Ricci deficit is the
+    pointwise max(0, kappa - ric_min).
+    """
+    n = model.dim
+    inv = {"rm_n2": sobolev.lp_norm_of_constant(rm_norm, vol, n / 2.0), "vol": vol,
+           "ric_min": ric_min, "kappa": kappa, "rm_n2_vol_normalized": rm_norm,
+           "cs_upper": cs0, "ricci_deficit": max(0.0, kappa - ric_min)}
+    diam = geometry.diameter(model, g)
+    if diam is not None:
+        inv["diam"] = diam
+        inv["cs_upper"] = sobolev.gallot_upper(n, kappa, diam, vol, primitives.gallot)
+    note = geometry.sphere_circle_note(model)
+    if note:
+        inv["model_note"] = note
+    return inv
 
 
 def hypothesis_report(n: int, invariants: dict, chain: ConstantChain,
@@ -716,37 +741,15 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
             wns = [sobolev.witness_norms(model, g0, w, grid=grid)
                    for w in sobolev.witness_family(model, family)]
             reports.append(check_diameter_bound(
-                a_const, b_const, n, diam, geometry.volume(model, g0), wns))
+                a_const, b_const, n, diam, float(traj.derived["vol"][0]), wns))
     if "sobolev_along_flow" in selected:
         reports.append(check_sobolev_along_flow(traj, cs0, primitives,
                                                 family=family, grid=grid))
     if "hypothesis_report" in selected:
-        g0 = traj.state(0)
-        curv = geometry.curvature(model, g0, plane_samples=0)
-        vol = geometry.volume(model, g0)
-        diam = geometry.diameter(model, g0)
-        rm_n2 = sobolev.rm_lp_norm(curv, vol, n / 2.0)
-        inv = {
-            "rm_n2": rm_n2,
-            "vol": vol,
-            "ric_min": float(np.linalg.eigvalsh(curv.ric)[0]),
-            "kappa": kappa,
-            "rm_n2_vol_normalized": curv.rm_norm,
-        }
-        if diam is not None:
-            inv["diam"] = diam
-            inv["cs_upper"] = sobolev.gallot_upper(n, kappa, diam, vol,
-                                                   primitives.gallot)
-        else:
-            inv["cs_upper"] = cs0
-        note = geometry.sphere_circle_note(model)
-        if note:
-            inv["model_note"] = note
-        try:
-            inv["ricci_deficit"] = sobolev.integral_ricci_deficit(
-                curv, vol, float(n), kappa)
-        except ValueError:
-            pass
+        d = traj.derived
+        inv = hypothesis_invariants(model, traj.state(0), float(d["rm_norm"][0]),
+                                    float(d["vol"][0]), float(d["ric_min"][0]),
+                                    kappa, cs0, primitives)
         reports.append(hypothesis_report(n, inv, chain, primitives))
 
     for rep in reports:

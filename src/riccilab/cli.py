@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, constants, flow, geometry, sobolev
+from . import checks, constants, flow, geometry
 from .config import ConfigError, RunConfig, load_config
 from .flow import TrajectorySchemaError
 
@@ -85,7 +85,6 @@ def _thin(traj: flow.Trajectory, stride: int) -> flow.Trajectory:
     idx = np.arange(0, len(traj), stride)
     return flow.Trajectory(
         model=traj.model, times=traj.times[idx], mats=traj.mats[idx],
-        scales=None if traj.scales is None else traj.scales[idx],
         derived={k: v[idx] for k, v in traj.derived.items()},
         meta={**traj.meta, "record_stride": stride,
               "record_every": stride * traj.meta.get("record_every", 0.0)})
@@ -185,37 +184,28 @@ def cmd_sweep(args) -> int:
                           "(sweep block or --param/--values)")
     rows = []
     for v in values:
+        if not math.isfinite(v) or (parameter == "metric_scale" and v <= 0):
+            need = "a positive finite" if parameter == "metric_scale" else "a finite"
+            raise ConfigError(f"sweep parameter {parameter} needs {need} value, got {v!r}")
         model, g = _sweep_point(cfg.model_spec, parameter, v)
         n = model.dim
         curv = geometry.curvature(model, g, seed=cfg.seed)
         vol = geometry.volume(model, g)
-        diam = geometry.diameter(model, g)
-        rm_n2 = sobolev.rm_lp_norm(curv, vol, n / 2.0)
-        cs_upper = cfg.flow.cs0 if diam is None else sobolev.gallot_upper(
-            n, cfg.kappa, diam, vol, cfg.primitives.gallot)
+        ric = np.linalg.eigvalsh(curv.ric)
+        inv = checks.hypothesis_invariants(model, g, curv.rm_norm, vol, float(ric[0]),
+                                           cfg.kappa, cfg.flow.cs0, cfg.primitives)
         chain = constants.constant_chain(cfg.primitives, n, cfg.flow.gamma,
-                                         vol, cfg.flow.cs0, rm_n2)
-        inv = {
-            "rm_n2": rm_n2, "vol": vol, "cs_upper": cs_upper,
-            "ric_min": float(np.linalg.eigvalsh(curv.ric)[0]),
-            "kappa": cfg.kappa, "rm_n2_vol_normalized": curv.rm_norm,
-        }
-        if diam is not None:
-            inv["diam"] = diam
-        note = geometry.sphere_circle_note(model)
-        if note:
-            inv["model_note"] = note
+                                         vol, cfg.flow.cs0, inv["rm_n2"])
         rep = checks.hypothesis_report(n, inv, chain, cfg.primitives)
         margins = {t["theorem"]: t["margin"] for t in rep.details["theorems"]}
         rows.append({
             "parameter": parameter, "value": v, "n": n, "vol": vol,
-            "diam": math.nan if diam is None else diam,
+            "diam": inv.get("diam", math.nan),
             "rm_norm": curv.rm_norm, "scalar_R": curv.scalar,
-            "ric_min": inv["ric_min"],
-            "ric_max": float(np.linalg.eigvalsh(curv.ric)[-1]),
+            "ric_min": inv["ric_min"], "ric_max": float(ric[-1]),
             "sec_min": curv.sec_min, "sec_max": curv.sec_max,
-            "rm_n2_norm": rm_n2, "cs_upper": cs_upper,
-            "theta0": rm_n2 * cs_upper * cs_upper,
+            "rm_n2_norm": inv["rm_n2"], "cs_upper": inv["cs_upper"],
+            "theta0": inv["rm_n2"] * inv["cs_upper"] * inv["cs_upper"],
             "margin_pinching_main": _nan(margins.get("pinching_main")),
             "margin_flow_existence": _nan(margins.get("flow_existence")),
             "margin_pinching_diameter": _nan(margins.get("pinching_diameter")),

@@ -14,6 +14,10 @@ grid never limits the step: records inside a step are filled by the
 method's 7th-order dense output, at 3 extra RHS evaluations per step.
 Derived per-record quantities are recomputed from the recorded state, never
 integrated alongside, which keeps state and invariants drift-free.
+
+``integrate``, ``parabolic_rescale`` and ``read_trajectory_csv`` all build
+their Trajectory in one place, ``_assemble``, from one ``curvature_batch``
+whose row 0 also gives ``vol0``, ``rm_n2_0``, ``delta0`` and ``T0``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _dop853 as _dop
-from . import geometry
+from . import constants, geometry
 from .geometry import (
     LIE_GROUP_QUOTIENT,
     GeometryError,
@@ -41,9 +45,9 @@ __all__ = [
     "ricci_rhs",
     "integrate",
     "horizon_T0",
+    "delta0_from_row0",
     "parabolic_rescale",
     "normalize_to_unit_volume",
-    "derived_rows",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "validate_trajectory",
@@ -108,7 +112,6 @@ class Trajectory:
     model: ModelGeometry
     times: np.ndarray
     mats: np.ndarray                    # (M, n, n) metric in the fixed basis
-    scales: np.ndarray | None           # (M, num_factors) for products
     derived: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
 
@@ -117,9 +120,6 @@ class Trajectory:
         self.times.setflags(write=False)
         self.mats = np.asarray(self.mats, dtype=float)
         self.mats.setflags(write=False)
-        if self.scales is not None:
-            self.scales = np.asarray(self.scales, dtype=float)
-            self.scales.setflags(write=False)
         for k in self.derived:
             self.derived[k] = np.asarray(self.derived[k], dtype=float)
             self.derived[k].setflags(write=False)
@@ -127,11 +127,18 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
+    @property
+    def scales(self) -> np.ndarray | None:
+        """Factor scales (M, num_factors) read off ``mats``; None for quotients."""
+        if self.model.kind == LIE_GROUP_QUOTIENT:
+            return None
+        return self.model.scales_of(self.mats)
+
     def state(self, i: int) -> MetricState:
         t = float(self.times[i])
-        if self.scales is not None:
-            return MetricState(time=t, scales=tuple(self.scales[i]))
-        return MetricState(time=t, matrix=self.mats[i])
+        if self.model.kind == LIE_GROUP_QUOTIENT:
+            return MetricState(time=t, matrix=self.mats[i])
+        return MetricState(time=t, scales=tuple(self.scales[i]))
 
 
 def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
@@ -154,41 +161,9 @@ def normalize_to_unit_volume(model: ModelGeometry, g0: MetricState) -> MetricSta
     return geometry.scale_metric(g0, vol ** (-2.0 / model.dim))
 
 
-def derived_rows(curv: geometry.CurvatureBatch, times: np.ndarray,
-                 cs0: float, c_n: float, delta0: float) -> dict[str, np.ndarray]:
-    """Every derived invariant of a stack of recorded states.
-
-    ``curv`` is the ``curvature_batch`` of the metrics at ``times`` (M,);
-    every value is an array with one entry (``ric_eigs``: one row) per
-    record.
-    """
-    n = curv.ric_eigs.shape[1]
-    rm_n2 = curv.rm_norm * curv.vol ** (2.0 / n)
-    with np.errstate(over="ignore", invalid="ignore"):   # chi may overflow to inf
-        chi = c_n * np.exp(8.0 * np.asarray(times, dtype=float) * delta0 / n) * rm_n2
-    return {
-        "vol": curv.vol,
-        "rm_norm": curv.rm_norm,
-        "scalar_R": curv.scalar,
-        "rm_n2_norm": rm_n2,
-        "J": curv.rm_norm ** (n / 2.0) * curv.vol,
-        "theta": rm_n2 * cs0 * cs0,
-        "chi": chi,
-        "ric_min": curv.ric_eigs[:, 0],
-        "ric_max": curv.ric_eigs[:, -1],
-        "ric_eigs": curv.ric_eigs,
-    }
-
-
-def initial_delta0(model: ModelGeometry, g0: MetricState, cs0: float) -> float:
+def delta0_from_row0(cs0: float, scalar0: float, vol0: float, n: int) -> float:
     """cs0^-2 plus the n/2-norm of the negative part of scalar curvature at t=0."""
-    return _delta0(geometry.curvature_batch(model, geometry.metric_matrix(model, g0)), cs0)
-
-
-def _delta0(curv: geometry.CurvatureBatch, cs0: float) -> float:
-    """``initial_delta0`` from row 0 of a curvature batch."""
-    neg = max(0.0, -float(curv.scalar[0]))
-    return cs0 ** -2 + neg * float(curv.vol[0]) ** (2.0 / curv.ric_eigs.shape[1])
+    return constants.delta0(cs0, max(0.0, -scalar0) * vol0 ** (2.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +251,8 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
     ``step-underflow``.
     """
     n = model.dim
-    vol0 = geometry.volume(model, g0)          # validates SPD / positive scales
-    rm0 = geometry.rm_norm(model, g0)
+    row0 = geometry.curvature_batch(model, geometry.metric_matrix(model, g0))  # validates g0
+    vol0, rm0 = float(row0.vol[0]), float(row0.rm_norm[0])
     t_end = cfg.t_end if cfg.t_end is not None else horizon_T0(
         cfg.gamma, vol0, cfg.cs0, n)
     max_rm = cfg.max_rm if cfg.max_rm is not None else 1e6 * max(1.0, rm0)
@@ -286,7 +261,6 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
     dt_rec = cfg.record_every if cfg.record_every is not None else t_end / _DEFAULT_RECORDS
     n_rec = max(1, int(round(t_end / dt_rec)))
     record_times = np.linspace(0.0, t_end, n_rec + 1)
-    delta0 = initial_delta0(model, g0, cfg.cs0)
     stats = {"accepted": 0, "rejected_err": 0, "rejected_spd": 0,
              "rhs_evals": 0, "dense_evals": 0}
 
@@ -372,7 +346,6 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
         "gamma": cfg.gamma,
         "cs0": cfg.cs0,
         "c_n": cfg.c_n,
-        "delta0": delta0,
         "rel_tol": cfg.rel_tol,
         "abs_tol": cfg.abs_tol,
         "max_rm": max_rm,
@@ -380,9 +353,6 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
         "t_end_requested": t_end,
         "t_reached": t,
         "termination": termination,
-        "vol0": vol0,
-        "rm_n2_0": rm0 * vol0 ** (2.0 / n),
-        "T0": horizon_T0(cfg.gamma, vol0, cfg.cs0, n),
         "integrator": {
             "method": "dop853",
             **stats,
@@ -398,11 +368,35 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
 
 def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
               meta: dict) -> Trajectory:
-    scales = None if model.kind == LIE_GROUP_QUOTIENT else model.scales_of(mats)
-    derived = derived_rows(geometry.curvature_batch(model, mats), times, meta["cs0"],
-                           meta["c_n"], meta["delta0"])
-    return Trajectory(model=model, times=times, mats=mats, scales=scales,
-                      derived=derived, meta=meta)
+    """The Trajectory of the recorded metrics, from one ``curvature_batch``.
+
+    Every derived column comes from the batch; its row 0 sets ``vol0``,
+    ``rm_n2_0``, ``delta0`` and ``T0`` in a copy of ``meta``, which must
+    carry ``gamma``, ``cs0`` and ``c_n``.
+    """
+    n = model.dim
+    cs0 = meta["cs0"]
+    curv = geometry.curvature_batch(model, mats)
+    vol0 = float(curv.vol[0])
+    delta0 = delta0_from_row0(cs0, float(curv.scalar[0]), vol0, n)
+    rm_n2 = curv.rm_norm * curv.vol ** (2.0 / n)
+    with np.errstate(over="ignore", invalid="ignore"):   # chi may overflow to inf
+        chi = meta["c_n"] * np.exp(8.0 * times * delta0 / n) * rm_n2
+    derived = {
+        "vol": curv.vol,
+        "rm_norm": curv.rm_norm,
+        "scalar_R": curv.scalar,
+        "rm_n2_norm": rm_n2,
+        "J": curv.rm_norm ** (n / 2.0) * curv.vol,
+        "theta": rm_n2 * cs0 * cs0,
+        "chi": chi,
+        "ric_min": curv.ric_eigs[:, 0],
+        "ric_max": curv.ric_eigs[:, -1],
+        "ric_eigs": curv.ric_eigs,
+    }
+    meta = {**meta, "vol0": vol0, "rm_n2_0": float(rm_n2[0]), "delta0": delta0,
+            "T0": horizon_T0(meta["gamma"], vol0, cs0, n)}
+    return Trajectory(model=model, times=times, mats=mats, derived=derived, meta=meta)
 
 
 def parabolic_rescale(traj: Trajectory, lam: float) -> Trajectory:
@@ -410,21 +404,13 @@ def parabolic_rescale(traj: Trajectory, lam: float) -> Trajectory:
     if lam <= 0:
         raise ValueError(f"rescaling factor must be positive, got {lam}")
     lam2 = lam * lam
-    model = traj.model
-    times = lam2 * traj.times
     meta = dict(traj.meta)
-    g0 = geometry.scale_metric(traj.state(0), lam2)
-    meta["delta0"] = initial_delta0(model, g0, meta["cs0"])
-    vol0 = geometry.volume(model, g0)
-    meta["vol0"] = vol0
-    meta["rm_n2_0"] = geometry.rm_norm(model, g0) * vol0 ** (2.0 / model.dim)
-    meta["T0"] = horizon_T0(meta["gamma"], vol0, meta["cs0"], model.dim)
     meta["t_reached"] = lam2 * meta.get("t_reached", float(traj.times[-1]))
     meta["t_end_requested"] = lam2 * meta.get("t_end_requested", float(traj.times[-1]))
     meta["record_every"] = lam2 * meta.get("record_every", 0.0)
     meta["max_rm"] = meta.get("max_rm", math.inf) / lam2
     meta["rescaled_by"] = lam * meta.get("rescaled_by", 1.0)
-    return _assemble(model, times, lam2 * traj.mats, meta)
+    return _assemble(traj.model, lam2 * traj.times, lam2 * traj.mats, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +507,10 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     """Load and validate a trajectory.
 
     Schema violations, non-finite fields and stored derived columns that
-    deviate from their recomputation (``validate_trajectory``, with
-    ``cs0`` and ``c_n`` as given) raise TrajectorySchemaError.  One
-    ``curvature_batch`` over all records serves the check, ``ric_eigs``
-    and the row-0 values in ``meta``.
+    deviate from their recomputation (with ``cs0`` and ``c_n`` as given)
+    raise TrajectorySchemaError.  The returned trajectory is the
+    ``_assemble`` of the stored metrics, so its derived columns and row-0
+    values come from one ``curvature_batch`` over all records.
     """
     n = model.dim
     text = Path(path).read_text().splitlines()
@@ -546,40 +532,27 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     if np.any(np.diff(times) <= 0):
         raise TrajectorySchemaError("column 't' must be strictly increasing")
     ntri = n * (n + 1) // 2
-    mats = _sym_from_tri(n, data[:, 1:1 + ntri])
-    derived = {k: data[:, 1 + ntri + j].copy() for j, k in enumerate(DERIVED_KEYS)}
-    scales = None if model.kind == LIE_GROUP_QUOTIENT else model.scales_of(mats)
-    curv = geometry.curvature_batch(model, mats)
-    delta0 = _delta0(curv, cs0)
-    _check_derived(derived, derived_rows(curv, times, cs0, c_n, delta0), _VALIDATE_TOL)
-    derived["ric_eigs"] = curv.ric_eigs
-    vol0 = float(curv.vol[0])
-    meta = {
+    traj = _assemble(model, times, _sym_from_tri(n, data[:, 1:1 + ntri]), {
         "model": model.describe(),
         "gamma": gamma,
         "cs0": cs0,
         "c_n": c_n,
-        "delta0": delta0,
-        "vol0": vol0,
-        "rm_n2_0": float(curv.rm_norm[0]) * vol0 ** (2.0 / n),
-        "T0": horizon_T0(gamma, vol0, cs0, n),
         "t_reached": float(times[-1]),
         "termination": "loaded-from-csv",
         "source": str(path),
-    }
-    return Trajectory(model=model, times=times, mats=mats, scales=scales,
-                      derived=derived, meta=meta)
+    })
+    stored = {k: data[:, 1 + ntri + j] for j, k in enumerate(DERIVED_KEYS)}
+    _check_derived(stored, traj.derived, _VALIDATE_TOL)
+    return traj
 
 
 def validate_trajectory(traj: Trajectory, tol: float = _VALIDATE_TOL) -> float:
     """Largest relative mismatch between stored and recomputed derived values.
 
-    Every ``DERIVED_KEYS`` column is compared at every record; a NaN on
-    either side fails.  A mismatch above ``tol`` raises
-    TrajectorySchemaError (a ValueError).  ``read_trajectory_csv`` runs
-    the same comparison on load.
+    Every ``DERIVED_KEYS`` column is compared at every record against the
+    ``_assemble`` of the trajectory's metrics; a NaN on either side fails.
+    A mismatch above ``tol`` raises TrajectorySchemaError (a ValueError).
+    ``read_trajectory_csv`` runs the same comparison on load.
     """
-    curv = geometry.curvature_batch(traj.model, traj.mats)
-    ref = derived_rows(curv, traj.times, traj.meta["cs0"], traj.meta["c_n"],
-                       traj.meta["delta0"])
-    return _check_derived(traj.derived, ref, tol)
+    ref = _assemble(traj.model, traj.times, traj.mats, traj.meta)
+    return _check_derived(traj.derived, ref.derived, tol)

@@ -184,6 +184,8 @@ def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray
             raise GeometryError(f"bracket entry needs 4 numbers 'i j k coeff', got {entry!r}")
         i, j, k = (int(entry[0]) - 1, int(entry[1]) - 1, int(entry[2]) - 1)
         coeff = float(entry[3])
+        if not math.isfinite(coeff):
+            raise GeometryError(f"bracket coefficient must be finite, got {entry!r}")
         for idx in (i, j, k):
             if not 0 <= idx < n:
                 raise GeometryError(f"bracket index out of range 1..{n} in {entry!r}")
@@ -243,8 +245,8 @@ def build_model(spec: dict) -> ModelGeometry:
         if n < 3:
             raise GeometryError(f"quotient models need dim >= 3, got {n}")
         covolume = float(spec.get("covolume", 1.0))
-        if covolume <= 0:
-            raise GeometryError(f"covolume must be positive, got {covolume}")
+        if not 0 < covolume < math.inf:
+            raise GeometryError(f"covolume must be positive and finite, got {covolume}")
         c = _validate_brackets(n, spec.get("brackets", ()))
         return ModelGeometry(kind=kind, dim=n, structure_constants=_readonly(c),
                              covolume=covolume)
@@ -263,8 +265,8 @@ def build_model(spec: dict) -> ModelGeometry:
                 raise GeometryError(f"circle factor has dim 1, got {d}")
             if ftype == FACTOR_FLAT_TORUS and d < 1:
                 raise GeometryError(f"flat_torus factor needs dim >= 1, got {d}")
-            if r <= 0:
-                raise GeometryError(f"factor radius must be positive, got {r}")
+            if not 0 < r < math.inf:
+                raise GeometryError(f"factor radius must be positive and finite, got {r}")
             factors.append((ftype, d, r))
         n = sum(d for _, d, _ in factors)
         if n < 3:

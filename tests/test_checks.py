@@ -410,6 +410,20 @@ def test_hypothesis_report_threshold_monotone(torus_traj):
         assert not (a is True and b is False)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+def test_hypothesis_ricci_deficit_is_integral_deficit(heis_traj, kappa):
+    from riccilab import curvature, integral_ricci_deficit, volume
+    g0 = heis_traj.state(0)
+    reports = run_suite(heis_traj, chain_for(heis_traj), P, kappa=kappa,
+                        checks=["hypothesis_report"])
+    thm = {t["theorem"]: t for t in reports[0].details["theorems"]}
+    got = thm["pinching_integral_ricci"]["value"]["ricci_deficit"]
+    expected = integral_ricci_deficit(curvature(heis_traj.model, g0, plane_samples=0),
+                                      volume(heis_traj.model, g0), 3.0, kappa)
+    assert expected > 0.0                     # Ric = diag(-1/2, -1/2, 1/2) at t = 0
+    assert got == expected
+
+
 # -- suite driver ------------------------------------------------------------------------
 
 def test_run_suite_reports_sorted_and_serializable(s3_traj):

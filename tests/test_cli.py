@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riccilab import geometry
 from riccilab.cli import main
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 SPHERE_CFG = """
 [model]
@@ -331,19 +335,84 @@ def test_sweep_heisenberg_margin_monotone(cfgfile, tmp_path):
     assert margins == sorted(margins)    # shrinking bracket raises the margin
 
 
+@pytest.mark.parametrize("param,value", [
+    ("metric_scale", "-1"), ("metric_scale", "0"), ("metric_scale", "nan"),
+    ("factor_radius:1", "inf"), ("factor_radius:1", "nan"), ("bracket_scale", "-inf"),
+])
+def test_sweep_rejects_bad_values(cfgfile, tmp_path, capsys, param, value):
+    cfg = cfgfile(HEIS_CFG if param == "bracket_scale" else PROD_CFG)
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--param", param,
+               f"--values=0.5,{value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and param in err and repr(float(value)) in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume", "rm_norm")):
+    """Record the arguments of each call to the named geometry functions."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def record(*args, _fn=getattr(geometry, name), _log=calls[name], **kwargs):
+            _log.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sphere"])
+def test_one_curvature_pass_per_command(tmp_path, monkeypatch, name):
+    cfg = str(CONFIGS / f"{name}.cfg")
+    calls = _count_calls(monkeypatch)
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    batches = [np.shape(args[1]) for args in calls["curvature_batch"]]
+    records = json.loads((tmp_path / "run.json").read_text())["records"]
+    n = batches[0][-1]
+    assert batches == [(n, n), (records, n, n)]       # row 0, then the assembly
+    assert calls["volume"] == [] and calls["curvature"] == []
+
+    calls = _count_calls(monkeypatch)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path),
+                 "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+    assert [np.shape(args[1]) for args in calls["curvature_batch"]] == [(records, n, n)]
+    assert calls["curvature"] == calls["volume"] == calls["rm_norm"] == []
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sphere"])
+def test_check_hypothesis_margins_match_sweep_at_scale_one(tmp_path, name):
+    cfg = str(CONFIGS / f"{name}.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(tmp_path),
+                 "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                 "--param", "metric_scale", "--values", "1.0"]) == 0
+    report = {r["name"]: r for r in json.loads((tmp_path / "report.json").read_text())}
+    theorems = report["hypothesis_report"]["details"]["theorems"]
+    (row,) = csv.DictReader(open(tmp_path / "sweep.csv"))
+    for thm in theorems:
+        column = f"margin_{thm['theorem']}"
+        if column in row:
+            margin = math.nan if thm["margin"] is None else thm["margin"]
+            assert repr(float(margin)) == row[column], column
+
+
 def test_outputs_byte_identical_across_runs(cfgfile, tmp_path):
     cfg = cfgfile(SPHERE_CFG)
-    outs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
+
+    def run_all(out):
         assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
         assert main(["check", "--config", cfg, "--out", str(out),
                      "--trajectory", str(out / "trajectory.csv")]) == 0
-        outs.append(out)
-    assert (outs[0] / "trajectory.csv").read_bytes() \
-        == (outs[1] / "trajectory.csv").read_bytes()
-    assert (outs[0] / "report.json").read_bytes() \
-        == (outs[1] / "report.json").read_bytes()
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--param", "metric_scale", "--values", "0.5,1.0,2.0"]) == 0
+        return {f: (out / f).read_bytes()
+                for f in ("trajectory.csv", "run.json", "report.json", "sweep.csv")}
+
+    first = run_all(tmp_path / "r1")
+    other = run_all(tmp_path / "r2")
+    assert run_all(tmp_path / "r1") == first     # run.json names its output path
+    for f in ("trajectory.csv", "report.json", "sweep.csv"):
+        assert other[f] == first[f], f
 
 
 def test_roundtrip_preserves_derived_to_full_precision(cfgfile, tmp_path):

@@ -364,6 +364,23 @@ def test_validate_trajectory_reports_nan(heis_traj):
     derived = {k: v.copy() for k, v in heis_traj.derived.items()}
     derived["chi"][5] = np.nan
     bad = Trajectory(model=heis_traj.model, times=heis_traj.times, mats=heis_traj.mats,
-                     scales=None, derived=derived, meta=heis_traj.meta)
+                     derived=derived, meta=heis_traj.meta)
     with pytest.raises(ValueError, match="nan"):
         validate_trajectory(bad)
+
+
+@pytest.mark.parametrize("build", ["integrate", "parabolic_rescale", "read_trajectory_csv"])
+@pytest.mark.parametrize("fixture", ["heis_traj", "prod_traj"])
+def test_row0_meta_is_derived_row0(request, tmp_path, build, fixture):
+    traj = request.getfixturevalue(fixture)
+    if build == "parabolic_rescale":
+        traj = parabolic_rescale(traj, 1.7)
+    elif build == "read_trajectory_csv":
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        traj = read_trajectory_csv(traj.model, tmp_path / "t.csv", gamma=3.0)
+    meta, n = traj.meta, traj.model.dim
+    assert meta["vol0"] == traj.derived["vol"][0]
+    assert meta["rm_n2_0"] == traj.derived["rm_n2_norm"][0]
+    assert meta["T0"] == horizon_T0(meta["gamma"], meta["vol0"], meta["cs0"], n)
+    r0 = traj.derived["scalar_R"][0]
+    assert meta["delta0"] == meta["cs0"] ** -2 + max(0.0, -r0) * meta["vol0"] ** (2.0 / n)

@@ -91,6 +91,25 @@ def test_bad_factor_types():
                      "factors": [["sphere", 3, -1.0]]})
 
 
+@pytest.mark.parametrize("spec,field", [
+    ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, 3, math.nan]]},
+     "bracket coefficient"),
+    ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, 3, math.inf]]},
+     "bracket coefficient"),
+    ({"kind": "lie_group_quotient", "dim": 3, "covolume": math.inf, "brackets": []},
+     "covolume"),
+    ({"kind": "lie_group_quotient", "dim": 3, "covolume": math.nan, "brackets": []},
+     "covolume"),
+    ({"kind": "product_of_space_forms", "factors": [["sphere", 3, math.inf]]},
+     "factor radius"),
+    ({"kind": "product_of_space_forms",
+      "factors": [["sphere", 3, 1.0], ["circle", 1, math.nan]]}, "factor radius"),
+])
+def test_non_finite_model_numbers_rejected(spec, field):
+    with pytest.raises(GeometryError, match=f"{field} must be .*finite"):
+        build_model(spec)
+
+
 # -- orthonormalize --------------------------------------------------------
 
 def test_orthonormalize_identity(heis_model):
