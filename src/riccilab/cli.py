@@ -140,6 +140,24 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _check_sweep_value(parameter: str, value: float) -> None:
+    """Reject a grid value whose square overflows or underflows.
+
+    The metric scales by value^2 under metric_scale, a factor's scale is its
+    radius^2, and curvature scales by value^2 under bracket_scale, so a
+    square outside the normal floats gives inf, NaN or a zero scale.
+    """
+    sq = value * value
+    if parameter == "bracket_scale":
+        ok = math.isfinite(sq) and (value == 0 or sq >= sys.float_info.min)
+        need = "a finite value whose square is finite and, unless 0, nonzero"
+    else:
+        ok = value > 0 and sys.float_info.min <= sq < math.inf
+        need = "a positive value whose square is finite and nonzero"
+    if not ok:
+        raise ConfigError(f"sweep parameter {parameter} needs {need}, got {value!r}")
+
+
 def _sweep_point(model_spec: dict, parameter: str, value: float):
     """Model and initial metric for one sweep grid point."""
     spec = json.loads(json.dumps(model_spec))    # deep copy
@@ -156,9 +174,14 @@ def _sweep_point(model_spec: dict, parameter: str, value: float):
     if parameter.startswith("factor_radius:"):
         if spec.get("kind") != geometry.PRODUCT_OF_SPACE_FORMS:
             raise ConfigError("factor_radius sweeps need a product model")
-        idx = int(parameter.split(":", 1)[1])
+        text = parameter.split(":", 1)[1]
+        try:
+            idx = int(text)
+        except ValueError:
+            idx = -1
         if not 0 <= idx < len(spec["factors"]):
-            raise ConfigError(f"factor index {idx} out of range")
+            raise ConfigError(f"sweep parameter {parameter} needs a factor index in "
+                              f"0..{len(spec['factors']) - 1}, got {text!r}")
         spec["factors"][idx][2] = value
         model = geometry.build_model(spec)
         return model, geometry.reference_metric(model)
@@ -170,6 +193,39 @@ _SWEEP_COLS = ("parameter", "value", "n", "vol", "diam", "rm_norm", "scalar_R",
                "ric_min", "ric_max", "sec_min", "sec_max", "rm_n2_norm",
                "cs_upper", "theta0", "margin_pinching_main",
                "margin_flow_existence", "margin_pinching_diameter")
+
+
+# columns that are finite on every valid grid point (diam is NaN on
+# quotients and a margin is NaN where its theorem does not apply)
+_SWEEP_FINITE = ("vol", "rm_norm", "scalar_R", "ric_min", "ric_max", "sec_min",
+                 "sec_max", "rm_n2_norm", "cs_upper", "theta0")
+
+
+def _sweep_row(cfg: RunConfig, parameter: str, v: float) -> dict:
+    """Static invariants and hypothesis margins at one grid point, by column."""
+    model, g = _sweep_point(cfg.model_spec, parameter, v)
+    n = model.dim
+    curv = geometry.curvature(model, g, seed=cfg.seed)
+    vol = geometry.volume(model, g)
+    ric = np.linalg.eigvalsh(curv.ric)
+    inv = checks.hypothesis_invariants(model, g, curv.rm_norm, vol, float(ric[0]),
+                                       cfg.kappa, cfg.flow.cs0, cfg.primitives)
+    chain = constants.constant_chain(cfg.primitives, n, cfg.flow.gamma,
+                                     vol, cfg.flow.cs0, inv["rm_n2"])
+    rep = checks.hypothesis_report(n, inv, chain, cfg.primitives)
+    margins = {t["theorem"]: t["margin"] for t in rep.details["theorems"]}
+    return {
+        "parameter": parameter, "value": v, "n": n, "vol": vol,
+        "diam": inv.get("diam", math.nan),
+        "rm_norm": curv.rm_norm, "scalar_R": curv.scalar,
+        "ric_min": inv["ric_min"], "ric_max": float(ric[-1]),
+        "sec_min": curv.sec_min, "sec_max": curv.sec_max,
+        "rm_n2_norm": inv["rm_n2"], "cs_upper": inv["cs_upper"],
+        "theta0": inv["rm_n2"] * inv["cs_upper"] * inv["cs_upper"],
+        "margin_pinching_main": _nan(margins.get("pinching_main")),
+        "margin_flow_existence": _nan(margins.get("flow_existence")),
+        "margin_pinching_diameter": _nan(margins.get("pinching_diameter")),
+    }
 
 
 def cmd_sweep(args) -> int:
@@ -184,32 +240,18 @@ def cmd_sweep(args) -> int:
                           "(sweep block or --param/--values)")
     rows = []
     for v in values:
-        if not math.isfinite(v) or (parameter == "metric_scale" and v <= 0):
-            need = "a positive finite" if parameter == "metric_scale" else "a finite"
-            raise ConfigError(f"sweep parameter {parameter} needs {need} value, got {v!r}")
-        model, g = _sweep_point(cfg.model_spec, parameter, v)
-        n = model.dim
-        curv = geometry.curvature(model, g, seed=cfg.seed)
-        vol = geometry.volume(model, g)
-        ric = np.linalg.eigvalsh(curv.ric)
-        inv = checks.hypothesis_invariants(model, g, curv.rm_norm, vol, float(ric[0]),
-                                           cfg.kappa, cfg.flow.cs0, cfg.primitives)
-        chain = constants.constant_chain(cfg.primitives, n, cfg.flow.gamma,
-                                         vol, cfg.flow.cs0, inv["rm_n2"])
-        rep = checks.hypothesis_report(n, inv, chain, cfg.primitives)
-        margins = {t["theorem"]: t["margin"] for t in rep.details["theorems"]}
-        rows.append({
-            "parameter": parameter, "value": v, "n": n, "vol": vol,
-            "diam": inv.get("diam", math.nan),
-            "rm_norm": curv.rm_norm, "scalar_R": curv.scalar,
-            "ric_min": inv["ric_min"], "ric_max": float(ric[-1]),
-            "sec_min": curv.sec_min, "sec_max": curv.sec_max,
-            "rm_n2_norm": inv["rm_n2"], "cs_upper": inv["cs_upper"],
-            "theta0": inv["rm_n2"] * inv["cs_upper"] * inv["cs_upper"],
-            "margin_pinching_main": _nan(margins.get("pinching_main")),
-            "margin_flow_existence": _nan(margins.get("flow_existence")),
-            "margin_pinching_diameter": _nan(margins.get("pinching_diameter")),
-        })
+        _check_sweep_value(parameter, v)
+        try:
+            # an invariant that overflows (the volume scales like value^n) is
+            # an error here, not a numpy warning followed by an inf row
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                row = _sweep_row(cfg, parameter, v)
+        except ArithmeticError:
+            row = None
+        if row is None or not all(math.isfinite(row[c]) for c in _SWEEP_FINITE):
+            raise ConfigError(f"sweep parameter {parameter} needs a value whose "
+                              f"invariants are finite, got {v!r}")
+        rows.append(row)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(_SWEEP_COLS) + "\n")

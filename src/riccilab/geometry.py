@@ -19,6 +19,13 @@ orthonormal frame ``f``.  With this choice the unit round sphere satisfies
 ``R_{ijkl} = g_{ik} g_{jl} - g_{il} g_{jk}``, sectional curvature of a
 coordinate plane is ``R_{ijij}``, and ``Ric_{jl} = sum_a R_{ajal}``.
 
+Sectional-curvature extremes are exact wherever an exact answer is known:
+when the curvature operator on bivectors is diagonal (every product of
+space forms and every diagonal quotient metric), in dimension 3 (its
+extreme eigenvalues) and in dimension 4 (Thorpe's trick).  Only quotients
+of dimension >= 5 with a non-diagonal curvature operator report sampled
+inner values.
+
 All types are immutable values and all operations are pure.
 """
 
@@ -63,6 +70,11 @@ FACTOR_FLAT_TORUS = "flat_torus"
 
 _JACOBI_TOL = 1e-12
 _DEFAULT_PLANE_SAMPLES = 10_000
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_THORPE_STEPS = 80                 # 4 * _GOLDEN ** 80 < 1e-16
+# Hodge star on the bivectors e_i ^ e_j (i < j) of R^4: *(e0^e1) = e2^e3,
+# *(e0^e2) = -e1^e3, *(e0^e3) = e1^e2, and the star is an involution
+_HODGE_STAR4 = np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[::-1]
 
 
 class GeometryError(ValueError):
@@ -154,10 +166,12 @@ class CurvatureData:
 
     ``rm[i, j, k, l] = R_{ijkl}`` with the conventions of the module
     docstring; ``ric`` is the orthonormal-frame Ricci matrix, so
-    ``trace(ric) == scalar``; ``sec_min``/``sec_max`` are extremes of the
-    sectional curvature over coordinate 2-planes plus a seeded random
-    sample of 2-planes.  They are sampled inner values, not bounds: the
-    true extremes can lie outside them (reporting only).
+    ``trace(ric) == scalar``; ``sec_min``/``sec_max`` are the extremes of
+    the sectional curvature over all 2-planes, exact up to rounding when
+    the curvature operator on bivectors is diagonal or n <= 4.  Only a
+    non-diagonal quotient with n >= 5 reports sampled inner values: the
+    extremes over coordinate planes and ``plane_samples`` seeded random
+    planes, which the true extremes can lie outside (reporting only).
     """
 
     rm: np.ndarray
@@ -434,16 +448,53 @@ def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
     return (k[:, :, None] * (block[:, None] == block))[:, :, :, None, None] * delta
 
 
-def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float, float]:
-    """Sectional curvature extremes over coordinate planes and seeded sampled planes.
+def _curvature_operator(rm: np.ndarray) -> np.ndarray:
+    """Curvature operator on bivectors in the basis e_i ^ e_j (i < j).
 
-    For orthonormal u, v, sec(u, v) = R(u, v, u, v) = w . op w with the
-    bivector w = u ^ v and op the curvature operator on the basis
-    e_i ^ e_j (i < j), so a sampled plane costs one small quadratic form.
+    ``op[a, b] = R(e_ia, e_ja, e_ib, e_jb)``, so for orthonormal u, v the
+    sectional curvature is sec(u, v) = w . op w with the bivector w = u ^ v.
     """
-    n = rm.shape[0]
+    iu, ju = np.triu_indices(rm.shape[0], 1)
+    return rm[iu[:, None], ju[:, None], iu, ju]
+
+
+def _thorpe_min(op: np.ndarray) -> float:
+    """Minimum of w . op w over unit decomposable bivectors w of R^4.
+
+    Thorpe (1972): it equals max_t lambda_min(op + t star), where star is
+    the Hodge star on the e_i ^ e_j basis and w ^ w = 0 reads w . star w = 0.
+    Each lambda_min(op + t star) is a lower bound, the function is concave
+    and 1-Lipschitz in t, and its maximum lies in |t| <= 2 |op| (Frobenius
+    norm).  Golden-section search keeps the best value seen at c or d; after
+    _THORPE_STEPS steps the bracket, and so the gap to the minimum, is below
+    1e-16 |op|.
+    """
+    def lam_min(t):
+        return np.linalg.eigvalsh(op + t * _HODGE_STAR4)[0]
+
+    b = 2.0 * float(np.linalg.norm(op))
+    a = -b
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = lam_min(c), lam_min(d)
+    for _ in range(_THORPE_STEPS):
+        if fc >= fd:            # a concave maximum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = lam_min(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = lam_min(d)
+    return float(max(fc, fd))
+
+
+def _sampled_sec_extremes(op: np.ndarray, plane_samples: int,
+                          seed: int) -> tuple[float, float]:
+    """Sectional curvature extremes over coordinate planes and seeded sampled
+    planes: inner values, not bounds.  A sampled plane costs one small
+    quadratic form on ``op``."""
+    n = (1 + math.isqrt(1 + 8 * len(op))) // 2      # len(op) = n (n - 1) / 2
     iu, ju = np.triu_indices(n, 1)
-    op = rm[iu[:, None], ju[:, None], iu, ju]      # op[a, b] = R(e_ia, e_ja, e_ib, e_jb)
     lo, hi = np.diag(op).min(), np.diag(op).max()
     if plane_samples > 0:
         rng = np.random.default_rng(seed)
@@ -459,6 +510,29 @@ def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float,
         lo = min(lo, float(k.min()))
         hi = max(hi, float(k.max()))
     return float(lo), float(hi)
+
+
+def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float, float]:
+    """Sectional curvature extremes, exact wherever an exact answer is known.
+
+    * ``op`` diagonal (products of space forms, diagonal quotient metrics):
+      coordinate planes attain the extremes of its diagonal.
+    * n = 3: every bivector is decomposable, so the extremes are the extreme
+      eigenvalues of ``op`` (Milnor 1976).
+    * n = 4: Thorpe's trick, see ``_thorpe_min``.
+    * n >= 5 with a non-diagonal ``op``: sampled inner values.
+    """
+    n = rm.shape[0]
+    op = _curvature_operator(rm)
+    diag = np.diag(op)
+    if np.array_equal(op, np.diag(diag)):
+        return float(diag.min()), float(diag.max())
+    if n == 3:
+        eigs = np.linalg.eigvalsh(op)
+        return float(eigs[0]), float(eigs[-1])
+    if n == 4:
+        return _thorpe_min(op), -_thorpe_min(-op)
+    return _sampled_sec_extremes(op, plane_samples, seed)
 
 
 class CurvatureBatch(NamedTuple):
@@ -502,7 +576,8 @@ def curvature(model: ModelGeometry, g: MetricState, *,
               plane_samples: int = _DEFAULT_PLANE_SAMPLES,
               seed: int = 0) -> CurvatureData:
     """Full orthonormal-frame curvature data of (model, g): the one-metric
-    batch plus sampled sectional-curvature extremes."""
+    batch plus sectional-curvature extremes.  ``plane_samples`` and ``seed``
+    matter only where no exact extremes are known (see ``CurvatureData``)."""
     cb = curvature_batch(model, metric_matrix(model, g))
     lo, hi = _sec_extremes(cb.rm[0], plane_samples, seed)
     return CurvatureData(rm=cb.rm[0], ric=cb.ric[0], scalar=float(cb.scalar[0]),

@@ -47,7 +47,7 @@ def report(num, label, ok):
     assert ok, f"criterion {num} ({label}) failed"
 
 
-def test_criterion_01_integrator_oracle(s3_model):
+def test_criterion_01_integrator_oracle(s3_model, heis_model):
     t0 = time.perf_counter()
     traj = integrate(s3_model, reference_metric(s3_model),
                      FlowConfig(t_end=0.2, record_every=0.2 / 512))
@@ -55,6 +55,18 @@ def test_criterion_01_integrator_oracle(s3_model):
     worst = max(abs(traj.scales[i][0] - (1.0 - 4.0 * traj.times[i]))
                 / (1.0 - 4.0 * traj.times[i]) for i in range(len(traj)))
     report(1, "shrinking-sphere closed form", worst <= 1e-8 and elapsed < 1.0)
+    # the sphere's 1 - 4t is linear; the Isenberg-Jackson Heisenberg solution
+    # g(t) = diag(u^(1/3), u^(1/3), u^(-1/3)), u = 1 + 3t, is not
+    t0 = time.perf_counter()
+    traj = integrate(heis_model, reference_metric(heis_model),
+                     FlowConfig(t_end=0.5, record_every=0.5 / 512))
+    elapsed = time.perf_counter() - t0
+    u = 1.0 + 3.0 * traj.times
+    exact = np.zeros_like(traj.mats)
+    exact[:, 0, 0] = exact[:, 1, 1] = u ** (1 / 3)
+    exact[:, 2, 2] = u ** (-1 / 3)
+    worst = float((np.abs(traj.mats - exact).max(axis=(1, 2)) / u ** (1 / 3)).max())
+    report(1, "Isenberg-Jackson Heisenberg closed form", worst <= 1e-8 and elapsed < 1.0)
 
 
 def test_criterion_02_volume_identity(s3_traj, torus_traj, heis_traj, prod_traj):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -338,15 +339,45 @@ def test_sweep_heisenberg_margin_monotone(cfgfile, tmp_path):
 @pytest.mark.parametrize("param,value", [
     ("metric_scale", "-1"), ("metric_scale", "0"), ("metric_scale", "nan"),
     ("factor_radius:1", "inf"), ("factor_radius:1", "nan"), ("bracket_scale", "-inf"),
+    # squares that overflow or underflow, and a volume (value^3) that overflows
+    ("factor_radius:0", "1e300"), ("metric_scale", "1e200"), ("metric_scale", "1e-200"),
+    ("bracket_scale", "1e200"), ("bracket_scale", "1e-200"), ("metric_scale", "1e150"),
 ])
 def test_sweep_rejects_bad_values(cfgfile, tmp_path, capsys, param, value):
     cfg = cfgfile(HEIS_CFG if param == "bracket_scale" else PROD_CFG)
-    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--param", param,
-               f"--values=0.5,{value}"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--param", param,
+                   f"--values=0.5,{value}"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and param in err and repr(float(value)) in err
+    assert f"sweep parameter {param} needs" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("index", ["x", "2", "-1"])
+def test_sweep_rejects_bad_factor_index(cfgfile, tmp_path, capsys, index):
+    rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(tmp_path),
+               "--param", f"factor_radius:{index}", "--values", "0.25"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"sweep parameter factor_radius:{index} needs a factor index in 0..1, " \
+           f"got {index!r}" in err
+
+
+def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
+    # sec_min/sec_max are exact on every shipped model, so no column reads the seed
+    for name in ("heisenberg", "sphere", "collapse_sweep"):
+        grid = [] if name == "collapse_sweep" else ["--param", "metric_scale",
+                                                    "--values", "0.5,1.0,2.0"]
+        outs = [tmp_path / name / str(seed) for seed in (0, 7)]
+        for out, seed in zip(outs, (0, 7)):
+            assert main(["sweep", "--config", str(CONFIGS / f"{name}.cfg"),
+                         "--out", str(out), "--seed", str(seed), *grid]) == 0
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+    rows = {r["value"]: r for r in csv.DictReader(open(tmp_path / "sphere" / "0" / "sweep.csv"))}
+    assert rows["1.0"]["sec_min"] == rows["1.0"]["sec_max"] == "1.0"
 
 
 def _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume", "rm_norm")):

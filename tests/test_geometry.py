@@ -21,7 +21,12 @@ from riccilab import (
     sphere_circle_model,
     volume,
 )
-from riccilab.geometry import ricci_fixed_basis, rm_norm
+from riccilab.geometry import (
+    _curvature_operator,
+    _sampled_sec_extremes,
+    ricci_fixed_basis,
+    rm_norm,
+)
 
 
 def random_spd(rng, n, shift=3.0):
@@ -150,7 +155,7 @@ def test_unit_sphere_curvature(s3_model):
     eye = np.eye(3)
     expected = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
     assert np.abs(cv.rm - expected).max() < 1e-12
-    assert abs(cv.sec_min - 1.0) < 1e-10 and abs(cv.sec_max - 1.0) < 1e-10
+    assert abs(cv.sec_min - 1.0) < 1e-14 and abs(cv.sec_max - 1.0) < 1e-14
 
 
 def test_sphere_radius_closed_form():
@@ -194,8 +199,8 @@ def test_heisenberg_fixture(heis_model):
     assert np.allclose(np.linalg.eigvalsh(cv.ric), [-0.5, -0.5, 0.5], atol=1e-13)
     assert math.isclose(cv.scalar, -0.5, abs_tol=1e-14)
     assert math.isclose(cv.rm_norm, math.sqrt(11.0) / 2.0, rel_tol=1e-14)
-    assert math.isclose(cv.sec_min, -0.75, abs_tol=1e-10)
-    assert math.isclose(cv.sec_max, 0.25, abs_tol=1e-10)
+    assert math.isclose(cv.sec_min, -0.75, abs_tol=1e-14)
+    assert math.isclose(cv.sec_max, 0.25, abs_tol=1e-14)
 
 
 FILIFORM4 = {"kind": "lie_group_quotient", "dim": 4, "covolume": 1.0,
@@ -283,17 +288,18 @@ def test_sampled_sec_matches_four_index_contraction(model_spec, n):
     for seed in range(5):
         g = (metric_from_matrix(random_spd(rng, n)) if model.kind == "lie_group_quotient"
              else reference_metric(model))
-        cv = curvature(model, g, plane_samples=2000, seed=seed)
+        rm = curvature(model, g, plane_samples=0).rm
+        lo, hi = _sampled_sec_extremes(_curvature_operator(rm), 2000, seed)
         draws = np.random.default_rng(seed)
         u, v = draws.standard_normal((2000, n)), draws.standard_normal((2000, n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         v -= np.sum(u * v, axis=1, keepdims=True) * u
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        k = np.einsum("ijkl,pi,pj,pk,pl->p", cv.rm, u, v, u, v)
-        coords = [cv.rm[i, j, i, j] for i in range(n) for j in range(i + 1, n)]
-        scale = max(1.0, np.abs(cv.rm).max())
-        assert abs(cv.sec_min - min(k.min(), *coords)) <= 1e-12 * scale
-        assert abs(cv.sec_max - max(k.max(), *coords)) <= 1e-12 * scale
+        k = np.einsum("ijkl,pi,pj,pk,pl->p", rm, u, v, u, v)
+        coords = [rm[i, j, i, j] for i in range(n) for j in range(i + 1, n)]
+        scale = max(1.0, np.abs(rm).max())
+        assert abs(lo - min(k.min(), *coords)) <= 1e-12 * scale
+        assert abs(hi - max(k.max(), *coords)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
@@ -398,11 +404,14 @@ def test_curvature_batch_matches_brute_force(model, data):
         assert math.isclose(cb.vol[m], math.sqrt(np.linalg.det(mat)), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("factors", [
+PRODUCT_FACTORS = [
     [["sphere", 3, 1.0]],
     [["sphere", 3, 1.0], ["circle", 1, 0.5]],
     [["sphere", 2, 1.0], ["flat_torus", 2, 1.0], ["sphere", 4, 2.0]],
-])
+]
+
+
+@pytest.mark.parametrize("factors", PRODUCT_FACTORS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_curvature_batch_products_match_closed_forms(factors, data):
@@ -434,3 +443,120 @@ def test_milnor_principal_ricci(lams, diag):
     expected = 2.0 * mu[[1, 0, 0]] * mu[[2, 2, 1]]
     cb = curvature_batch(milnor_model(*lams), np.diag(diag)[None])
     assert np.abs(cb.ric[0] - np.diag(expected)).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+# -- exact sectional-curvature extremes ---------------------------------------
+
+EXACT_SEC_MODELS = {
+    **{name: milnor_model(2.0 * l1, 0.5 * l2, 1.5 * l3)
+       for name, (l1, l2, l3) in MILNOR_CLASSES.items()},
+    "filiform4": build_model(FILIFORM4),
+    **{"x".join(f"{t}{d}" for t, d, _ in factors):
+       build_model({"kind": "product_of_space_forms", "factors": factors})
+       for factors in PRODUCT_FACTORS},
+}
+
+
+@st.composite
+def model_metrics(draw, model):
+    """A stack of metric matrices: SPD for quotients, factor scales for products."""
+    if model.kind == "lie_group_quotient":
+        return draw(spd_stacks(model.dim))
+    dims = [d for _, d, _ in model.factors]
+    scales = draw(arrays(float, (draw(st.integers(1, 5)), len(dims)),
+                         elements=st.floats(0.05, 20.0)))
+    return np.stack([np.diag(np.repeat(s, dims)) for s in scales])
+
+
+def sampled_plane_secs(rm, rng, count=20_000):
+    """sec of random orthonormal pairs (u, v) as the full sum R_ijkl u^i v^j u^k v^l."""
+    n = rm.shape[0]
+    u, v = rng.standard_normal((2, count, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v -= np.sum(u * v, axis=1, keepdims=True) * u
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    uv = (u[:, :, None] * v[:, None, :]).reshape(count, n * n)
+    return np.einsum("pa,pa->p", uv @ rm.reshape(n * n, n * n), uv)
+
+
+@pytest.mark.parametrize("model", EXACT_SEC_MODELS.values(), ids=EXACT_SEC_MODELS.keys())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_sec_extremes_bound_every_sampled_plane(model, data):
+    mats = data.draw(model_metrics(model))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for mat in mats:
+        cv = curvature(model, metric_from_matrix(mat))
+        k = sampled_plane_secs(cv.rm, rng)
+        slack = 1e-14 * max(1.0, np.abs(cv.rm).max())      # rounding of the sums
+        assert cv.sec_min - slack <= k.min() and k.max() <= cv.sec_max + slack
+
+
+@pytest.mark.parametrize("model", [m for m in EXACT_SEC_MODELS.values() if m.dim == 3],
+                         ids=[k for k, m in EXACT_SEC_MODELS.items() if m.dim == 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dim3_sec_extremes_are_operator_eigenvalues(model, data):
+    # every bivector in dimension 3 is decomposable (Milnor 1976)
+    for mat in data.draw(model_metrics(model)):
+        cv = curvature(model, metric_from_matrix(mat))
+        eigs = np.linalg.eigvalsh(_curvature_operator(cv.rm))
+        tol = 1e-14 * np.abs(eigs).max()
+        assert abs(cv.sec_min - eigs[0]) <= tol and abs(cv.sec_max - eigs[-1]) <= tol
+
+
+@settings(max_examples=10, deadline=None)
+@given(mats=spd_stacks(4))
+def test_thorpe_extremes_match_plane_search_on_filiform4(mats):
+    optimize = pytest.importorskip("scipy.optimize")
+    cv = curvature(build_model(FILIFORM4), metric_from_matrix(mats[0]))
+    op = _curvature_operator(cv.rm)
+    iu, ju = np.triu_indices(4, 1)
+
+    def sec_and_grad(x, sign):
+        # sec of the plane spanned by any independent pair x = (u, v), and its gradient
+        u, v = x[:4], x[4:]
+        w = np.outer(u, v)
+        w = (w - w.T)[iu, ju]
+        norm2 = w @ w
+        k = (w @ op @ w) / norm2
+        dk = np.zeros((4, 4))
+        dk[iu, ju] = 2.0 * (op @ w - k * w) / norm2
+        dk -= dk.T
+        return sign * k, sign * np.concatenate([dk @ v, -dk @ u])
+
+    rng = np.random.default_rng(11)
+    lo, hi = (sign * min(optimize.minimize(sec_and_grad, rng.standard_normal(8),
+                                           args=(sign,), jac=True, method="BFGS",
+                                           options={"gtol": 1e-10}).fun
+                         for _ in range(16))
+              for sign in (1.0, -1.0))
+    scale = max(abs(cv.sec_min), abs(cv.sec_max))
+    assert abs(cv.sec_min - lo) <= 1e-8 * scale
+    assert abs(cv.sec_max - hi) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("factors", PRODUCT_FACTORS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_sec_extremes_closed_form(factors, data):
+    model = build_model({"kind": "product_of_space_forms", "factors": factors})
+    scales = data.draw(arrays(float, len(factors), elements=st.floats(0.05, 20.0)))
+    cv = curvature(model, metric_from_scales(scales))
+    # a sphere block of scale s has curvature 1/s; a mixed plane (two factors)
+    # or a flat plane (a flat factor of dim >= 2) has curvature 0
+    secs = [1.0 / s for (ftype, _, _), s in zip(factors, scales) if ftype == "sphere"]
+    if len(factors) > 1 or any(ftype != "sphere" and d >= 2 for ftype, d, _ in factors):
+        secs.append(0.0)
+    assert (cv.sec_min, cv.sec_max) == (min(secs), max(secs))
+
+
+def test_non_diagonal_dim5_uses_seeded_sampler():
+    # no exact answer is known for n >= 5: curvature() reports the sampler's values
+    model = build_model({"kind": "lie_group_quotient", "dim": 5, "covolume": 1.0,
+                         "brackets": [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [1, 4, 5, 1.0]]})
+    g = metric_from_matrix(random_spd(np.random.default_rng(4), 5))
+    cv = curvature(model, g, plane_samples=500, seed=3)
+    op = _curvature_operator(cv.rm)
+    assert (cv.sec_min, cv.sec_max) == _sampled_sec_extremes(op, 500, 3)
+    assert (cv.sec_min, cv.sec_max) != _sampled_sec_extremes(op, 500, 4)
