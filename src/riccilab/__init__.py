@@ -8,7 +8,6 @@ reduces to a desk-scale computation with explicit oracle tests.
 from .geometry import (
     CurvatureData,
     GeometryError,
-    MetricState,
     ModelGeometry,
     build_model,
     curvature,
@@ -16,7 +15,6 @@ from .geometry import (
     diameter,
     flat_torus_model,
     heisenberg_model,
-    metric_from_matrix,
     metric_from_scales,
     orthonormalize,
     reference_metric,

@@ -563,10 +563,9 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
                                         min(max_witness_times, ok_idx.size)).astype(int))]
     fitted = 0.0
     for i in pick:
-        state = traj.state(int(i))
         envelope = math.exp(8.0 * d0 * float(t[i]) / n)
         for w in witnesses:
-            wn = sobolev.witness_norms(model, state, w, grid=grid)
+            wn = sobolev.witness_norms(model, traj.mats[i], w, grid=grid)
             rhs = envelope * (cs0 * cs0 * wn.grad_sq + wn.l2_sq)
             fitted = max(fitted, wn.lq_sq / rhs)
     if not math.isfinite(fitted):
@@ -584,7 +583,7 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
 # static hypothesis evaluation
 
 
-def hypothesis_invariants(model: geometry.ModelGeometry, g: geometry.MetricState,
+def hypothesis_invariants(model: geometry.ModelGeometry, g: np.ndarray,
                           rm_norm: float, vol: float, ric_min: float, kappa: float,
                           cs0: float, primitives: ConstantPrimitives) -> dict:
     """``hypothesis_report`` invariants of g from its |Rm|, volume and lowest Ricci eigenvalue.
@@ -731,7 +730,7 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
     if "holder" in selected:
         reports.append(holder_suite(n, p=2.0, seed=seed))
     if "diameter_bound" in selected:
-        g0 = traj.state(0)
+        g0 = traj.mats[0]
         diam = geometry.diameter(model, g0)
         if diam is None:
             reports.append(CheckReport(
@@ -747,7 +746,7 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
                                                 family=family, grid=grid))
     if "hypothesis_report" in selected:
         d = traj.derived
-        inv = hypothesis_invariants(model, traj.state(0), float(d["rm_norm"][0]),
+        inv = hypothesis_invariants(model, traj.mats[0], float(d["rm_norm"][0]),
                                     float(d["vol"][0]), float(d["ric_min"][0]),
                                     kappa, cs0, primitives)
         reports.append(hypothesis_report(n, inv, chain, primitives))

@@ -207,6 +207,8 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float) -> dict:
     n = model.dim
     curv = geometry.curvature(model, g, seed=cfg.seed)
     vol = geometry.volume(model, g)
+    if vol == 0.0:         # underflowed, so vol^(-1/n) and the n/2-norm are not finite
+        raise FloatingPointError(f"volume underflows at {parameter} = {v!r}")
     ric = np.linalg.eigvalsh(curv.ric)
     inv = checks.hypothesis_invariants(model, g, curv.rm_norm, vol, float(ric[0]),
                                        cfg.kappa, cfg.flow.cs0, cfg.primitives)

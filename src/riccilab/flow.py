@@ -31,12 +31,7 @@ import numpy as np
 
 from . import _dop853 as _dop
 from . import constants, geometry
-from .geometry import (
-    LIE_GROUP_QUOTIENT,
-    GeometryError,
-    MetricState,
-    ModelGeometry,
-)
+from .geometry import LIE_GROUP_QUOTIENT, GeometryError, ModelGeometry
 
 __all__ = [
     "FlowConfig",
@@ -132,13 +127,7 @@ class Trajectory:
         """Factor scales (M, num_factors) read off ``mats``; None for quotients."""
         if self.model.kind == LIE_GROUP_QUOTIENT:
             return None
-        return self.model.scales_of(self.mats)
-
-    def state(self, i: int) -> MetricState:
-        t = float(self.times[i])
-        if self.model.kind == LIE_GROUP_QUOTIENT:
-            return MetricState(time=t, matrix=self.mats[i])
-        return MetricState(time=t, scales=tuple(self.scales[i]))
+        return geometry.factor_scales(self.model, self.mats)
 
 
 def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
@@ -148,12 +137,12 @@ def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
     return gamma * vol0 ** (2.0 / n) * cs0 * cs0
 
 
-def ricci_rhs(model: ModelGeometry, g: MetricState) -> np.ndarray:
+def ricci_rhs(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
     """-2 Ric(g) as a symmetric matrix in the fixed basis."""
     return -2.0 * geometry.ricci_fixed_basis(model, g)
 
 
-def normalize_to_unit_volume(model: ModelGeometry, g0: MetricState) -> MetricState:
+def normalize_to_unit_volume(model: ModelGeometry, g0: np.ndarray) -> np.ndarray:
     """Scale the metric so the total volume is 1."""
     vol = geometry.volume(model, g0)
     if abs(vol - 1.0) < 1e-15:
@@ -177,26 +166,20 @@ def _tri_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _pack(model: ModelGeometry, g: MetricState) -> np.ndarray:
-    if model.kind == LIE_GROUP_QUOTIENT:
-        iu = _tri_indices(model.dim)
-        return np.asarray(g.matrix)[iu].copy()
-    return np.asarray(g.scales, dtype=float)
-
-
 def _sym_from_tri(n: int, tri: np.ndarray) -> np.ndarray:
-    """Stack of symmetric matrices (M, n, n) from upper triangles (M, n(n+1)/2)."""
+    """Symmetric matrices (..., n, n) from upper triangles (..., n(n+1)/2)."""
     rows, cols = _tri_indices(n)
-    mats = np.zeros((len(tri), n, n))
-    mats[:, rows, cols] = tri
-    mats[:, cols, rows] = tri
+    mats = np.zeros((*tri.shape[:-1], n, n))
+    mats[..., rows, cols] = tri
+    mats[..., cols, rows] = tri
     return mats
 
 
-def _unpack(model: ModelGeometry, y: np.ndarray, t: float) -> MetricState:
+def _unpack(model: ModelGeometry, y: np.ndarray) -> np.ndarray:
+    """Metric (n, n) of a packed state (k,), or a stack (M, n, n) of (M, k)."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        return MetricState(time=t, matrix=_sym_from_tri(model.dim, y[None])[0])
-    return MetricState(time=t, scales=tuple(y))
+        return _sym_from_tri(model.dim, y)
+    return geometry.metric_from_scales(model, y)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +226,7 @@ def _dense_output(f, t, y, y_new, K, h, x: np.ndarray) -> np.ndarray:
     return y + out
 
 
-def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Trajectory:
+def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajectory:
     """Integrate the flow from g0 and record on a uniform time grid.
 
     Termination is always recorded, never raised: ``horizon-reached``,
@@ -251,7 +234,7 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
     ``step-underflow``.
     """
     n = model.dim
-    row0 = geometry.curvature_batch(model, geometry.metric_matrix(model, g0))  # validates g0
+    row0 = geometry.curvature_batch(model, g0)      # validates g0
     vol0, rm0 = float(row0.vol[0]), float(row0.rm_norm[0])
     t_end = cfg.t_end if cfg.t_end is not None else horizon_T0(
         cfg.gamma, vol0, cfg.cs0, n)
@@ -265,13 +248,16 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
              "rhs_evals": 0, "dense_evals": 0}
 
     def f(t, y):
-        rhs = ricci_rhs(model, _unpack(model, y, t))
+        rhs = ricci_rhs(model, _unpack(model, y))
         stats["rhs_evals"] += 1
         if model.kind == LIE_GROUP_QUOTIENT:
             return rhs[_tri_indices(n)]
         return np.array([rhs[sl.start, sl.start] for sl in model.factor_slices()])
 
-    y = _pack(model, g0)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        y = np.asarray(g0, dtype=float)[_tri_indices(n)]
+    else:
+        y = geometry.factor_scales(model, g0)
     t = 0.0
     k0 = f(t, y)
     min_step = 1e-14 * t_end
@@ -304,7 +290,7 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
             continue
         try:
             # rm_norm validates SPD internally; one decomposition does both
-            rmn = geometry.rm_norm(model, _unpack(model, y_new, t_new))
+            rmn = geometry.rm_norm(model, _unpack(model, y_new))
             if rmn <= max_rm:
                 K[_dop.N_STAGES] = f(t_new, y_new)
         except (GeometryError, np.linalg.LinAlgError):
@@ -335,12 +321,7 @@ def integrate(model: ModelGeometry, g0: MetricState, cfg: FlowConfig) -> Traject
         h, rejected = h_eff * max(_MIN_FAC, grow), False
 
     times = record_times[:len(recorded_y)]
-    packed = np.array(recorded_y)
-    if model.kind == LIE_GROUP_QUOTIENT:
-        mats = _sym_from_tri(n, packed)
-    else:
-        dims = [d for _, d, _ in model.factors]
-        mats = np.repeat(packed, dims, axis=1)[:, :, None] * np.eye(n)
+    mats = _unpack(model, np.array(recorded_y))
     meta = {
         "model": model.describe(),
         "gamma": cfg.gamma,
@@ -467,6 +448,11 @@ def _scan_rows(lines: list[str], expected: list[str]) -> list[list[float]]:
     return rows
 
 
+def _line_numbers(lines: list[str]) -> list[int]:
+    """File line numbers of the non-blank data lines (the first is line 2)."""
+    return [ln for ln, line in enumerate(lines, start=2) if line.strip()]
+
+
 def _parse_rows(lines: list[str], expected: list[str]) -> np.ndarray:
     """The data lines as an (M, columns) array, all fields finite."""
     body = [line for line in lines if line.strip()]
@@ -484,8 +470,7 @@ def _parse_rows(lines: list[str], expected: list[str]) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
-        ln = [ln for ln, line in enumerate(lines, start=2) if line.strip()][row]
-        raise _nonfinite(ln, expected[col], float(data[row, col]))
+        raise _nonfinite(_line_numbers(lines)[row], expected[col], float(data[row, col]))
     return data
 
 
@@ -506,11 +491,13 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
                         gamma: float = 1.0) -> Trajectory:
     """Load and validate a trajectory.
 
-    Schema violations, non-finite fields and stored derived columns that
-    deviate from their recomputation (with ``cs0`` and ``c_n`` as given)
-    raise TrajectorySchemaError.  The returned trajectory is the
-    ``_assemble`` of the stored metrics, so its derived columns and row-0
-    values come from one ``curvature_batch`` over all records.
+    Schema violations, non-finite fields, stored metrics that are not
+    metrics of the model and stored derived columns that deviate from their
+    recomputation (with ``cs0`` and ``c_n`` as given) raise
+    TrajectorySchemaError, naming the first bad line where there is one.
+    The returned trajectory is the ``_assemble`` of the stored metrics, so
+    its derived columns and row-0 values come from one ``curvature_batch``
+    over all records.
     """
     n = model.dim
     text = Path(path).read_text().splitlines()
@@ -532,7 +519,8 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     if np.any(np.diff(times) <= 0):
         raise TrajectorySchemaError("column 't' must be strictly increasing")
     ntri = n * (n + 1) // 2
-    traj = _assemble(model, times, _sym_from_tri(n, data[:, 1:1 + ntri]), {
+    mats = _sym_from_tri(n, data[:, 1:1 + ntri])
+    meta = {
         "model": model.describe(),
         "gamma": gamma,
         "cs0": cs0,
@@ -540,7 +528,17 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
         "t_reached": float(times[-1]),
         "termination": "loaded-from-csv",
         "source": str(path),
-    })
+    }
+    try:
+        traj = _assemble(model, times, mats, meta)
+    except GeometryError:
+        # a stored metric is not a metric of the model: name its line
+        for ln, g in zip(_line_numbers(text[1:]), mats):
+            try:
+                geometry.curvature_batch(model, g)
+            except GeometryError as exc:
+                raise TrajectorySchemaError(f"line {ln}: {exc}") from None
+        raise
     stored = {k: data[:, 1 + ntri + j] for j, k in enumerate(DERIVED_KEYS)}
     _check_derived(stored, traj.derived, _VALIDATE_TOL)
     return traj

@@ -26,13 +26,20 @@ extreme eigenvalues) and in dimension 4 (Thorpe's trick).  Only quotients
 of dimension >= 5 with a non-diagonal curvature operator report sampled
 inner values.
 
-All types are immutable values and all operations are pure.
+A metric is an (n, n) float array in the fixed basis: SPD for quotients,
+block-scalar for products (each factor's scale times the identity on its
+block, zero off the blocks).  ``curvature_batch`` and ``factor_scales``
+also take a stack (M, n, n).  ``factor_scales`` is the one reader of a
+product metric's scales and ``metric_from_scales`` the one writer.  Models
+are immutable values and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +47,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "ModelGeometry",
-    "MetricState",
     "CurvatureData",
     "CurvatureBatch",
     "build_model",
@@ -48,8 +54,8 @@ __all__ = [
     "flat_torus_model",
     "sphere_circle_model",
     "reference_metric",
-    "metric_from_matrix",
     "metric_from_scales",
+    "factor_scales",
     "orthonormalize",
     "curvature",
     "curvature_batch",
@@ -57,7 +63,6 @@ __all__ = [
     "ricci_fixed_basis",
     "volume",
     "diameter",
-    "metric_matrix",
     "scale_metric",
 ]
 
@@ -69,6 +74,7 @@ FACTOR_CIRCLE = "circle"
 FACTOR_FLAT_TORUS = "flat_torus"
 
 _JACOBI_TOL = 1e-12
+_TINY, _HUGE = 5e-324, sys.float_info.max     # the extreme positive floats
 _DEFAULT_PLANE_SAMPLES = 10_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _THORPE_STEPS = 80                 # 4 * _GOLDEN ** 80 < 1e-16
@@ -109,11 +115,6 @@ class ModelGeometry:
             start += d
         return out
 
-    def scales_of(self, mats: np.ndarray) -> np.ndarray:
-        """Factor scales (M, num_factors) read off a stack of product metrics."""
-        starts = [sl.start for sl in self.factor_slices()]
-        return np.asarray(mats)[:, starts, starts]
-
     def describe(self) -> dict:
         """JSON-serializable description (round-trips through build_model)."""
         if self.kind == LIE_GROUP_QUOTIENT:
@@ -135,29 +136,6 @@ class ModelGeometry:
             "dim": self.dim,
             "factors": [[t, d, r] for (t, d, r) in self.factors],
         }
-
-
-@dataclass(frozen=True)
-class MetricState:
-    """Invariant metric at one flow time.
-
-    Quotient models carry the full SPD matrix in the fixed basis; products
-    carry one positive scale (squared radius) per factor.
-    """
-
-    time: float = 0.0
-    matrix: np.ndarray | None = None
-    scales: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if (self.matrix is None) == (self.scales is None):
-            raise GeometryError("metric state needs exactly one of matrix/scales")
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix", _readonly(self.matrix))
-        else:
-            object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        if self.time < 0:
-            raise GeometryError(f"flow time must be nonnegative, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -313,58 +291,84 @@ def sphere_circle_model(sphere_dim: int = 3, circle_radius: float = 1.0,
     })
 
 
-def reference_metric(model: ModelGeometry, time: float = 0.0) -> MetricState:
-    """Identity metric (quotients) or reference-radius scales (products)."""
+def reference_metric(model: ModelGeometry) -> np.ndarray:
+    """Identity metric (quotients) or the reference radii squared (products)."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        return MetricState(time=time, matrix=np.eye(model.dim))
-    return MetricState(time=time, scales=tuple(r * r for _, _, r in model.factors))
+        return np.eye(model.dim)
+    return metric_from_scales(model, [r * r for _, _, r in model.factors])
 
 
-def metric_from_matrix(matrix: np.ndarray, time: float = 0.0) -> MetricState:
-    return MetricState(time=time, matrix=np.asarray(matrix, dtype=float))
+@lru_cache(maxsize=None)
+def _block_layout(factors: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layout of a product with these factors, on n x n forms flattened to
+    n * n entries: the index of each factor block's first diagonal entry,
+    the 0/1 map (num_factors, n * n) that puts each scale on its block's
+    diagonal, and the fixed-basis Ricci form (n, n), the same at every scale."""
+    dims = [d for _, d, _ in factors]
+    n = sum(dims)
+    diag = np.arange(n) * (n + 1)
+    spread = np.zeros((len(dims), n * n))
+    spread[np.repeat(np.arange(len(dims)), dims), diag] = 1.0
+    ric = [d - 1.0 if ftype == FACTOR_SPHERE else 0.0 for ftype, d, _ in factors]
+    out = diag[np.cumsum(dims) - dims], spread, np.dot(ric, spread).reshape(n, n)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def metric_from_scales(scales: Sequence[float], time: float = 0.0) -> MetricState:
-    return MetricState(time=time, scales=tuple(scales))
+def metric_from_scales(model: ModelGeometry, scales) -> np.ndarray:
+    """Block-scalar product metric (n, n) of factor scales (num_factors,),
+    or a stack (M, n, n) of scales (M, num_factors)."""
+    scales = np.asarray(scales, dtype=float)
+    spread = _block_layout(model.factors)[1]
+    return np.dot(scales, spread).reshape(*scales.shape[:-1], model.dim, model.dim)
 
 
-def scale_metric(g: MetricState, lam_sq: float, time: float | None = None) -> MetricState:
+def scale_metric(g: np.ndarray, lam_sq: float) -> np.ndarray:
     """Return lam_sq * g (the metric scaled by lambda^2)."""
     if lam_sq <= 0:
         raise GeometryError(f"metric scale factor must be positive, got {lam_sq}")
-    t = g.time if time is None else time
-    if g.matrix is not None:
-        return MetricState(time=t, matrix=lam_sq * g.matrix)
-    return MetricState(time=t, scales=tuple(lam_sq * s for s in g.scales))
-
-
-def metric_matrix(model: ModelGeometry, g: MetricState) -> np.ndarray:
-    """Metric as a full matrix in the fixed basis (block diagonal for products)."""
-    if g.matrix is not None:
-        return np.array(g.matrix)
-    return np.diag(np.repeat(_check_scales(model, g), [d for _, d, _ in model.factors]))
+    return lam_sq * np.asarray(g, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # frames and curvature
 
 
-def _metric_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of one metric matrix or a stack, after validation.
+def _metric_array(model: ModelGeometry, g) -> np.ndarray:
+    """g as a float array of one metric (n, n) or a stack (M, n, n)."""
+    g = np.asarray(g, dtype=float)
+    n = model.dim
+    if g.ndim not in (2, 3) or g.shape[-2:] != (n, n):
+        raise GeometryError(f"metric must be an ({n}, {n}) matrix or a stack of them, "
+                            f"got shape {g.shape}")
+    return g
 
-    A non-finite entry is named by its index in ``mats``.
-    """
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim not in (2, 3) or mats.shape[-1] != mats.shape[-2]:
-        raise GeometryError(f"metric matrix must be square, got shape {mats.shape}")
-    if not np.isfinite(mats).all():
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(mats))[0])
-        raise GeometryError(f"metric entry {idx} is not finite: {float(mats[idx])!r}")
+
+def _check_finite(g: np.ndarray) -> None:
+    """Raise GeometryError naming the first non-finite entry by its index in g."""
+    if not np.isfinite(g).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(g))[0])
+        raise GeometryError(f"metric entry {idx} is not finite: {float(g[idx])!r}")
+
+
+def _first_deviation(g: np.ndarray, ref: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry of g that differs from ref by more than 1e-12
+    relative to max(1, max |g|) of its metric, or None."""
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), keepdims=True))
+    bad = np.argwhere(np.abs(g - ref) > 1e-12 * scale)
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
+
+
+def _metric_eigh(model: ModelGeometry, mats) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of one quotient metric or a stack, after validation."""
+    mats = _metric_array(model, mats)
+    _check_finite(mats)
     mats_t = np.swapaxes(mats, -1, -2)
     if not (mats == mats_t).all():            # exact equality is the hot path
-        scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1), keepdims=True))
-        if np.any(np.abs(mats - mats_t) > 1e-12 * scale):
-            raise GeometryError("metric matrix is not symmetric")
+        idx = _first_deviation(mats, mats_t)
+        if idx is not None:
+            raise GeometryError(f"metric matrix is not symmetric at entry {idx}")
     evals, vecs = np.linalg.eigh(mats)
     if evals[..., 0].min() <= 0:
         raise GeometryError("metric is not positive definite: minimum eigenvalue "
@@ -372,13 +376,35 @@ def _metric_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
-def _check_scales(model: ModelGeometry, g: MetricState) -> tuple[float, ...]:
-    if len(g.scales) != len(model.factors):
-        raise GeometryError(
-            f"expected {len(model.factors)} factor scales, got {len(g.scales)}")
-    if min(g.scales) <= 0:
-        raise GeometryError(f"factor scales must be positive, got {g.scales}")
-    return g.scales
+def factor_scales(model: ModelGeometry, g) -> np.ndarray:
+    """Factor scales of a product metric: (num_factors,) of one metric (n, n),
+    (M, num_factors) of a stack (M, n, n).
+
+    Raises GeometryError naming the first entry that breaks the block-scalar
+    layout (beyond 1e-12 relative) or a scale that is not positive.
+    """
+    g = _metric_array(model, g)
+    starts, spread, _ = _block_layout(model.factors)
+    scales = g.reshape(*g.shape[:-2], -1).take(starts, axis=-1)
+    # hot path: g equals, bit for bit, its rebuild from its scales clamped to
+    # [smallest positive float, largest float].  One comparison rules out a
+    # non-finite entry, an entry off the layout and a scale <= 0, and the
+    # clamp keeps inf * 0 out of the rebuild.
+    clamped = np.minimum(np.maximum(scales, _TINY), _HUGE)
+    if g.tobytes() == np.dot(clamped, spread).tobytes():
+        return scales
+    _check_finite(g)
+    ref = np.dot(scales, spread).reshape(g.shape)
+    idx = _first_deviation(g, ref)
+    if idx is not None:
+        raise GeometryError(f"metric entry {idx} is {float(g[idx])!r}, expected "
+                            f"{float(ref[idx])!r} in a block-scalar product metric")
+    if not (scales > 0).all():
+        *m, f = (int(i) for i in np.argwhere(~(scales > 0))[0])
+        idx = (*m, *divmod(int(starts[f]), model.dim))
+        raise GeometryError(f"metric is not positive definite: entry {idx} "
+                            f"is {float(g[idx])!r}")
+    return scales
 
 
 def _frames(model: ModelGeometry, mats: np.ndarray):
@@ -389,7 +415,7 @@ def _frames(model: ModelGeometry, mats: np.ndarray):
     constants ``ct[m, c, a, b] = Linv[m, c, k] L[m, i, a] L[m, j, b] c^k_{ij}``.
     """
     n = model.dim
-    evals, vecs = _metric_eigh(mats)
+    evals, vecs = _metric_eigh(model, mats)
     evals, vecs = evals.reshape(-1, n), vecs.reshape(-1, n, n)
     root = np.sqrt(evals)[:, None, :]
     vecs_t = np.swapaxes(vecs, 1, 2)
@@ -403,7 +429,7 @@ def _frames(model: ModelGeometry, mats: np.ndarray):
     return evals, L, Linv, ct
 
 
-def orthonormalize(model: ModelGeometry, g: MetricState) -> tuple[np.ndarray, np.ndarray]:
+def orthonormalize(model: ModelGeometry, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame change L with L^T g L = I and the transported structure constants.
 
     The new frame is ``f_a = sum_i L[i, a] e_i``; the transported constants
@@ -413,7 +439,7 @@ def orthonormalize(model: ModelGeometry, g: MetricState) -> tuple[np.ndarray, np
     """
     if model.kind != LIE_GROUP_QUOTIENT:
         raise GeometryError("orthonormalize applies to Lie group quotients only")
-    _, L, _, ct = _frames(model, g.matrix)
+    _, L, _, ct = _frames(model, g)
     return L[0], ct[0]
 
 
@@ -432,13 +458,11 @@ def _rm_from_structure(ct: np.ndarray) -> np.ndarray:
 
 
 def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
-    """Stacked rm of products at scales (M, num_factors).
+    """Stacked rm of products at positive scales (M, num_factors).
 
     On a sphere factor of scale s, R_{ijkl} = (delta_ik delta_jl -
     delta_il delta_jk) / s for i, j, k, l in its block; zero elsewhere.
     """
-    if not np.all(scales > 0):
-        raise GeometryError(f"factor scales must be positive, got {scales}")
     dims = [d for _, d, _ in model.factors]
     sphere = [ftype == FACTOR_SPHERE for ftype, _, _ in model.factors]
     k = np.repeat(np.where(sphere, 1.0 / scales, 0.0), dims, axis=1)   # per direction
@@ -549,66 +573,64 @@ class CurvatureBatch(NamedTuple):
 def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
     """Curvature tensor, Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack.
 
-    ``mats`` has shape (M, n, n), or (n, n) for M = 1: metrics in the fixed
-    basis, block diagonal for products (whose factor scales are read off the
-    diagonal).  Quotients share one stacked eigendecomposition for frames
-    and volume.  No plane sampling.
+    ``mats`` has shape (M, n, n), or (n, n) for M = 1.  Quotients share one
+    stacked eigendecomposition for frames and volume.  No plane sampling.
+    A row whose sum of squares of R_{ijkl} is not a normal float takes |Rm|
+    from ``np.hypot``, which neither under- nor overflows.
     """
-    mats = np.asarray(mats, dtype=float)
     if model.kind == LIE_GROUP_QUOTIENT:
         evals, _, _, ct = _frames(model, mats)
         rm = _rm_from_structure(ct)
         vol = np.sqrt(np.prod(evals, axis=1)) * model.covolume
     else:
-        scales = model.scales_of(mats.reshape(-1, model.dim, model.dim))
+        scales = factor_scales(model, mats).reshape(-1, len(model.factors))
         rm = _rm_product(model, scales)
         vol = np.prod([_factor_volume(ftype, d, scales[:, f])
                        for f, (ftype, d, _) in enumerate(model.factors)], axis=0)
     ric = np.trace(rm, axis1=1, axis2=3)
     ric = 0.5 * (ric + np.swapaxes(ric, 1, 2))
     flat = rm.reshape(len(rm), -1)
+    sq = np.einsum("ij,ij->i", flat, flat)
+    norm = np.sqrt(sq)
+    odd = ~((sq >= sys.float_info.min) & (sq < math.inf))    # the sum under- or overflowed
+    norm[odd] = np.hypot.reduce(flat[odd], axis=1)
     return CurvatureBatch(rm=rm, ric=ric, scalar=np.trace(ric, axis1=1, axis2=2),
-                          rm_norm=np.sqrt(np.einsum("ij,ij->i", flat, flat)),
-                          ric_eigs=np.linalg.eigvalsh(ric), vol=vol)
+                          rm_norm=norm, ric_eigs=np.linalg.eigvalsh(ric), vol=vol)
 
 
-def curvature(model: ModelGeometry, g: MetricState, *,
+def curvature(model: ModelGeometry, g: np.ndarray, *,
               plane_samples: int = _DEFAULT_PLANE_SAMPLES,
               seed: int = 0) -> CurvatureData:
     """Full orthonormal-frame curvature data of (model, g): the one-metric
     batch plus sectional-curvature extremes.  ``plane_samples`` and ``seed``
     matter only where no exact extremes are known (see ``CurvatureData``)."""
-    cb = curvature_batch(model, metric_matrix(model, g))
+    cb = curvature_batch(model, g)
     lo, hi = _sec_extremes(cb.rm[0], plane_samples, seed)
     return CurvatureData(rm=cb.rm[0], ric=cb.ric[0], scalar=float(cb.scalar[0]),
                          rm_norm=float(cb.rm_norm[0]), sec_min=lo, sec_max=hi)
 
 
-def rm_norm(model: ModelGeometry, g: MetricState) -> float:
+def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
     """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator)."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        rm = _rm_from_structure(_frames(model, g.matrix)[3])
+        rm = _rm_from_structure(_frames(model, g)[3])
         return float(np.sqrt(np.sum(rm * rm)))
     total = 0.0
-    for (ftype, d, _), s in zip(model.factors, _check_scales(model, g)):
+    for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
         if ftype == FACTOR_SPHERE:
             total += 2.0 * d * (d - 1) / (s * s)
     return math.sqrt(total)
 
 
-def ricci_fixed_basis(model: ModelGeometry, g: MetricState) -> np.ndarray:
+def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
     """Ricci tensor as a bilinear form in the fixed basis."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        _, _, Linv, ct = _frames(model, g.matrix)
+        _, _, Linv, ct = _frames(model, g)
         ric = np.trace(_rm_from_structure(ct)[0], axis1=0, axis2=2)
         out = Linv[0].T @ ric @ Linv[0]
         return 0.5 * (out + out.T)
-    _check_scales(model, g)
-    diag = np.concatenate([
-        np.full(d, float(d - 1) if ftype == FACTOR_SPHERE else 0.0)
-        for (ftype, d, _) in model.factors
-    ])
-    return np.diag(diag)
+    factor_scales(model, g)
+    return _block_layout(model.factors)[2]      # d - 1 on a d-sphere's block, else 0
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +655,13 @@ def _factor_volume(ftype: str, d: int, s):
     return (2.0 * math.pi * s ** 0.5) ** d
 
 
-def volume(model: ModelGeometry, g: MetricState) -> float:
+def volume(model: ModelGeometry, g: np.ndarray) -> float:
     """Total volume: sqrt(det g) * covolume, or the product of factor volumes."""
     if model.kind == LIE_GROUP_QUOTIENT:
-        evals, _ = _metric_eigh(g.matrix)
+        evals, _ = _metric_eigh(model, g)
         return float(math.sqrt(np.prod(evals)) * model.covolume)
     vol = 1.0
-    for (ftype, d, _), s in zip(model.factors, _check_scales(model, g)):
+    for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
         vol *= _factor_volume(ftype, d, s)
     return float(vol)
 
@@ -657,12 +679,12 @@ def sphere_circle_note(model: ModelGeometry) -> str | None:
     return None
 
 
-def diameter(model: ModelGeometry, g: MetricState) -> float | None:
-    """Exact diameter for products; None (declared unavailable) for quotients."""
+def diameter(model: ModelGeometry, g: np.ndarray) -> float | None:
+    """Exact diameter for products; None (declared unavailable, g unread) for quotients."""
     if model.kind == LIE_GROUP_QUOTIENT:
         return None
     total = 0.0
-    for (ftype, d, _), s in zip(model.factors, _check_scales(model, g)):
+    for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
         if ftype == FACTOR_SPHERE or ftype == FACTOR_CIRCLE:
             dm = math.pi * math.sqrt(s)
         else:

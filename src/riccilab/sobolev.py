@@ -26,9 +26,9 @@ from .geometry import (
     LIE_GROUP_QUOTIENT,
     CurvatureData,
     GeometryError,
-    MetricState,
     ModelGeometry,
     _factor_volume,
+    factor_scales,
     unit_sphere_volume,
     volume,
 )
@@ -256,7 +256,7 @@ def _segment_nodes(length: float, breaks: Sequence[float], grid: int) -> list[np
     return segments
 
 
-def _factor_integrals(model: ModelGeometry, g: MetricState, w: Witness,
+def _factor_integrals(model: ModelGeometry, g: np.ndarray, w: Witness,
                       exponents: Sequence[float], grid: int) -> list[float]:
     """Trapezoid integrals of |u|^e over the whole manifold plus |grad u|^2.
 
@@ -265,9 +265,10 @@ def _factor_integrals(model: ModelGeometry, g: MetricState, w: Witness,
     converge at second order.
     """
     ftype, d, _ = model.factors[w.factor_index]
-    s = g.scales[w.factor_index]
+    scales = factor_scales(model, g).tolist()
+    s = scales[w.factor_index]
     rest = 1.0
-    for idx, ((ft, fd, _), fs) in enumerate(zip(model.factors, g.scales)):
+    for idx, ((ft, fd, _), fs) in enumerate(zip(model.factors, scales)):
         if idx != w.factor_index:
             rest *= _factor_volume(ft, fd, fs)
     length = math.pi if ftype == FACTOR_SPHERE else 2.0 * math.pi
@@ -293,7 +294,7 @@ def _factor_integrals(model: ModelGeometry, g: MetricState, w: Witness,
     return out
 
 
-def witness_norms(model: ModelGeometry, g: MetricState, w: Witness,
+def witness_norms(model: ModelGeometry, g: np.ndarray, w: Witness,
                   grid: int = 512) -> WitnessNorms:
     """Norms of one witness, grid-refined until two resolutions agree to 1e-6."""
     n = model.dim
@@ -333,7 +334,7 @@ class LowerBound:
     norms: tuple[WitnessNorms, ...]
 
 
-def sobolev_lower(model: ModelGeometry, g: MetricState,
+def sobolev_lower(model: ModelGeometry, g: np.ndarray,
                   family: str | Sequence[Witness] = "eigenfunction",
                   grid: int = 512) -> LowerBound:
     """Best lower bound on the Sobolev constant over a witness family.
@@ -361,7 +362,7 @@ def sobolev_lower(model: ModelGeometry, g: MetricState,
                       skipped=tuple(skipped), norms=tuple(norms))
 
 
-def sobolev_estimate(model: ModelGeometry, g: MetricState, *,
+def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
                      kappa: float = 0.0,
                      c_strategy: GallotConstant = DEFAULT_GALLOT,
                      family: str = "eigenfunction",

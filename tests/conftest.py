@@ -7,7 +7,6 @@ from riccilab import (
     flat_torus_model,
     heisenberg_model,
     integrate,
-    metric_from_matrix,
     normalize_to_unit_volume,
     reference_metric,
     sphere_circle_model,
@@ -63,6 +62,6 @@ def prod_traj(prod_model):
 def almost_flat_heis_traj(heis_model):
     # fiber shrunk to delta = 0.05 and volume normalized: the smallness
     # hypothesis holds under default primitives, horizon T0 = 1
-    g0 = metric_from_matrix(np.diag([1.0, 1.0, 0.05 ** 2]))
+    g0 = np.diag([1.0, 1.0, 0.05 ** 2])
     g0 = normalize_to_unit_volume(heis_model, g0)
     return integrate(heis_model, g0, FlowConfig(t_end=1.0, record_every=1.0 / 512))

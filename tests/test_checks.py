@@ -413,7 +413,7 @@ def test_hypothesis_report_threshold_monotone(torus_traj):
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
 def test_hypothesis_ricci_deficit_is_integral_deficit(heis_traj, kappa):
     from riccilab import curvature, integral_ricci_deficit, volume
-    g0 = heis_traj.state(0)
+    g0 = heis_traj.mats[0]
     reports = run_suite(heis_traj, chain_for(heis_traj), P, kappa=kappa,
                         checks=["hypothesis_report"])
     thm = {t["theorem"]: t for t in reports[0].details["theorems"]}

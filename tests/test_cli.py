@@ -215,40 +215,51 @@ def _non_finite(ln, col, value):
 
 # every message names the first bad file line, as a line-by-line scan would
 MALFORMED_CSV = [
-    pytest.param([_field(4, "g_0_1", "abc")],
+    pytest.param(HEIS_CFG, [_field(4, "g_0_1", "abc")],
                  "line 4: could not convert string to float: 'abc'", id="unparsable"),
-    pytest.param([_short(5)], "line 5: expected 16 fields, got 15", id="short-row"),
-    pytest.param([_field(6, "t", "nan")], _non_finite(6, "t", "nan"), id="nan-t"),
-    pytest.param([_field(6, "t", "-inf")], _non_finite(6, "t", "-inf"), id="neg-inf-t"),
-    pytest.param([_field(7, "g_0_0", "nan")], _non_finite(7, "g_0_0", "nan"), id="nan-g00"),
-    pytest.param([_field(7, "g_0_0", "-inf")], _non_finite(7, "g_0_0", "-inf"),
+    pytest.param(HEIS_CFG, [_short(5)], "line 5: expected 16 fields, got 15",
+                 id="short-row"),
+    pytest.param(HEIS_CFG, [_field(6, "t", "nan")], _non_finite(6, "t", "nan"), id="nan-t"),
+    pytest.param(HEIS_CFG, [_field(6, "t", "-inf")], _non_finite(6, "t", "-inf"),
+                 id="neg-inf-t"),
+    pytest.param(HEIS_CFG, [_field(7, "g_0_0", "nan")], _non_finite(7, "g_0_0", "nan"),
+                 id="nan-g00"),
+    pytest.param(HEIS_CFG, [_field(7, "g_0_0", "-inf")], _non_finite(7, "g_0_0", "-inf"),
                  id="neg-inf-g00"),
-    pytest.param([_blank(3)], None, id="blank-line-skipped"),
-    pytest.param([_blank(3), _field(6, "g_0_1", "abc")],
+    pytest.param(HEIS_CFG, [_blank(3)], None, id="blank-line-skipped"),
+    pytest.param(HEIS_CFG, [_blank(3), _field(6, "g_0_1", "abc")],
                  "line 6: could not convert string to float: 'abc'", id="blank-keeps-line"),
-    pytest.param([_field(4, "rm_norm", "inf"), _field(9, "g_0_1", "abc")],
+    pytest.param(HEIS_CFG, [_field(4, "rm_norm", "inf"), _field(9, "g_0_1", "abc")],
                  _non_finite(4, "rm_norm", "inf"), id="non-finite-first"),
-    pytest.param([_field(5, "g_1_1", "x1"), _short(8)],
+    pytest.param(HEIS_CFG, [_field(5, "g_1_1", "x1"), _short(8)],
                  "line 5: could not convert string to float: 'x1'", id="unparsable-first"),
-    pytest.param([_short(5), _field(8, "t", "nan")],
+    pytest.param(HEIS_CFG, [_short(5), _field(8, "t", "nan")],
                  "line 5: expected 16 fields, got 15", id="short-row-first"),
+    # stored metrics that are not metrics of the model
+    pytest.param(HEIS_CFG, [_field(7, "g_2_2", "-1.0")],
+                 "line 7: metric is not positive definite: minimum eigenvalue "
+                 "-1.000000e+00", id="non-spd-quotient"),
+    pytest.param(PROD_CFG, [_field(7, "g_1_1", "5.0"), _field(7, "g_0_1", "0.3")],
+                 "line 7: metric entry (0, 1) is 0.3, expected 0.0 in a block-scalar "
+                 "product metric", id="non-block-scalar-product"),
 ]
 
 
-@pytest.mark.parametrize("edits,message", MALFORMED_CSV)
-def test_malformed_csv_names_first_bad_line(cfgfile, tmp_path, capsys, edits, message):
+@pytest.mark.parametrize("cfg_text,edits,message", MALFORMED_CSV)
+def test_malformed_csv_names_first_bad_line(cfgfile, tmp_path, capsys, cfg_text, edits,
+                                            message):
     from riccilab import build_model, read_trajectory_csv
+    from riccilab.config import load_config
     from riccilab.flow import TrajectorySchemaError
-    out = tmp_path / "heis"
-    cfg = cfgfile(HEIS_CFG)
+    out = tmp_path / "run"
+    cfg = cfgfile(cfg_text)
     assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
     for edit in edits:
         edit(lines)
     bad = tmp_path / "malformed.csv"
     bad.write_text("\n".join(lines) + "\n")
-    model = build_model({"kind": "lie_group_quotient", "dim": 3,
-                         "covolume": 1.0, "brackets": [[1, 2, 3, 1.0]]})
+    model = build_model(load_config(cfg).model_spec)
     capsys.readouterr()
     rc = main(["check", "--config", cfg, "--out", str(out), "--trajectory", str(bad)])
     if message is None:
@@ -342,9 +353,12 @@ def test_sweep_heisenberg_margin_monotone(cfgfile, tmp_path):
     # squares that overflow or underflow, and a volume (value^3) that overflows
     ("factor_radius:0", "1e300"), ("metric_scale", "1e200"), ("metric_scale", "1e-200"),
     ("bracket_scale", "1e200"), ("bracket_scale", "1e-200"), ("metric_scale", "1e150"),
+    # on the Heisenberg quotient, a volume (value^3) that underflows to 0
+    ("metric_scale", "1e-150"),
 ])
 def test_sweep_rejects_bad_values(cfgfile, tmp_path, capsys, param, value):
-    cfg = cfgfile(HEIS_CFG if param == "bracket_scale" else PROD_CFG)
+    heis = param == "bracket_scale" or value == "1e-150"
+    cfg = cfgfile(HEIS_CFG if heis else PROD_CFG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--param", param,
@@ -378,6 +392,19 @@ def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
     rows = {r["value"]: r for r in csv.DictReader(open(tmp_path / "sphere" / "0" / "sweep.csv"))}
     assert rows["1.0"]["sec_min"] == rows["1.0"]["sec_max"] == "1.0"
+
+
+def test_sweep_tiny_curvature_keeps_its_norm(tmp_path):
+    # a sphere of radius 1e100 has |Rm| = sqrt(12) 1e-200, whose square underflows
+    assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"),
+                 "--out", str(tmp_path), "--param", "factor_radius:0",
+                 "--values", "1e100"]) == 0
+    row = {k: float(v) for k, v in next(csv.DictReader(open(tmp_path / "sweep.csv"))).items()
+           if k != "parameter"}
+    assert math.isclose(row["rm_norm"], math.sqrt(12.0) * 1e-200, rel_tol=1e-15)
+    assert math.isclose(row["rm_n2_norm"], row["rm_norm"] * math.sqrt(row["vol"]),
+                        rel_tol=1e-15)
+    assert row["theta0"] == row["rm_n2_norm"] * row["cs_upper"] * row["cs_upper"] > 0.0
 
 
 def _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume", "rm_norm")):

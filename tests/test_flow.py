@@ -14,7 +14,6 @@ from riccilab import (
     flat_torus_model,
     horizon_T0,
     integrate,
-    metric_from_matrix,
     normalize_to_unit_volume,
     parabolic_rescale,
     read_trajectory_csv,
@@ -104,7 +103,7 @@ def test_spd_preserved_along_heisenberg(heis_traj):
 
 def test_non_spd_initial_metric_rejected(heis_model):
     with pytest.raises(GeometryError):
-        integrate(heis_model, metric_from_matrix(np.diag([1.0, -1.0, 1.0])),
+        integrate(heis_model, np.diag([1.0, -1.0, 1.0]),
                   FlowConfig(t_end=0.1))
 
 
@@ -223,7 +222,7 @@ def test_non_diagonal_initial_metric(heis_model):
     # full matrix ODE: identities must hold off the diagonal ansatz too
     rng = np.random.default_rng(11)
     a = rng.standard_normal((3, 3))
-    g0 = metric_from_matrix(a @ a.T + 2.0 * np.eye(3))
+    g0 = a @ a.T + 2.0 * np.eye(3)
     traj = integrate(heis_model, g0, FlowConfig(t_end=0.2, record_every=0.2 / 256))
     assert traj.meta["termination"] == TERM_HORIZON
     from riccilab import check_scalar_identity, check_volume_identity
@@ -296,14 +295,14 @@ def test_rescale_domain_error(s3_traj):
 def test_normalize_noop_at_unit_volume(torus_model):
     g = reference_metric(torus_model)
     gn = normalize_to_unit_volume(torus_model, g)
-    assert np.array_equal(gn.matrix, g.matrix)
+    assert np.array_equal(gn, g)
 
 
 def test_normalize_unit_sphere(s3_model):
     from riccilab import volume
     gn = normalize_to_unit_volume(s3_model, reference_metric(s3_model))
     assert abs(volume(s3_model, gn) - 1.0) < 1e-12
-    assert math.isclose(gn.scales[0], (2.0 * math.pi ** 2) ** (-2.0 / 3.0),
+    assert math.isclose(gn[0, 0], (2.0 * math.pi ** 2) ** (-2.0 / 3.0),
                         rel_tol=1e-14)
 
 
@@ -312,7 +311,7 @@ def test_normalize_torus_covolume_8():
     m = flat_torus_model(dim=3, covolume=8.0)
     gn = normalize_to_unit_volume(m, reference_metric(m))
     assert abs(volume(m, gn) - 1.0) < 1e-12
-    assert np.allclose(gn.matrix, 0.25 * np.eye(3), atol=1e-15)
+    assert np.allclose(gn, 0.25 * np.eye(3), atol=1e-15)
 
 
 # -- persistence ---------------------------------------------------------------

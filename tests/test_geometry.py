@@ -13,7 +13,6 @@ from riccilab import (
     curvature_batch,
     diameter,
     heisenberg_model,
-    metric_from_matrix,
     metric_from_scales,
     orthonormalize,
     reference_metric,
@@ -24,6 +23,7 @@ from riccilab import (
 from riccilab.geometry import (
     _curvature_operator,
     _sampled_sec_extremes,
+    factor_scales,
     ricci_fixed_basis,
     rm_norm,
 )
@@ -71,11 +71,72 @@ def test_non_finite_metric_entry_is_named(heis_model):
     mat[0, 2] = mat[2, 0] = np.nan
     for fn in (volume, curvature, ricci_fixed_basis):
         with pytest.raises(GeometryError, match=r"entry \(0, 2\) is not finite: nan"):
-            fn(heis_model, metric_from_matrix(mat))
+            fn(heis_model, mat)
     stack = np.stack([np.eye(3)] * 4)
     stack[2, 1, 1] = np.inf
     with pytest.raises(GeometryError, match=r"entry \(2, 1, 1\) is not finite: inf"):
         curvature_batch(heis_model, stack)
+
+
+def _with_entries(mat, entries):
+    mat = np.array(mat, dtype=float)
+    for (i, j), v in entries.items():
+        mat[i, j] = mat[j, i] = v
+    return mat
+
+
+PROD_G = np.diag([1.0, 1.0, 1.0, 0.25])          # the S^3 x S^1 of prod_model
+BAD_METRICS = {
+    "quotient": [
+        ("non-square", np.ones((3, 4)), r"got shape \(3, 4\)"),
+        ("non-finite", _with_entries(np.eye(3), {(0, 2): np.nan}),
+         r"entry \(0, 2\) is not finite"),
+        ("non-spd", np.diag([1.0, -2.0, 1.0]), r"not positive definite: minimum eigenvalue"),
+    ],
+    "product": [
+        ("non-square", np.ones((4, 3)), r"got shape \(4, 3\)"),
+        ("non-finite", _with_entries(PROD_G, {(3, 3): np.inf}), r"entry \(3, 3\) is not finite"),
+        ("non-spd", _with_entries(PROD_G, {(3, 3): -0.25}),
+         r"not positive definite: entry \(3, 3\) is -0.25"),
+        ("off-block", _with_entries(PROD_G, {(0, 3): 0.1}),
+         r"entry \(0, 3\) is 0.1, expected 0.0"),
+        ("unequal-diagonal", _with_entries(PROD_G, {(1, 1): 5.0}),
+         r"entry \(1, 1\) is 5.0, expected 1.0 in a block-scalar"),
+    ],
+}
+METRIC_FUNCTIONS = {"curvature": curvature, "curvature_batch": curvature_batch,
+                    "rm_norm": rm_norm, "ricci_fixed_basis": ricci_fixed_basis,
+                    "volume": volume, "diameter": diameter,
+                    "orthonormalize": orthonormalize, "factor_scales": factor_scales}
+# diameter reads no metric on a quotient: it is declared unavailable there
+ONLY_FOR = {"orthonormalize": "quotient", "factor_scales": "product", "diameter": "product"}
+
+
+@pytest.mark.parametrize("name,kind,mat,match", [
+    pytest.param(name, kind, mat, match, id=f"{name}-{kind}-{case}")
+    for name in METRIC_FUNCTIONS for kind, cases in BAD_METRICS.items()
+    for case, mat, match in cases if ONLY_FOR.get(name, kind) == kind])
+def test_metric_functions_reject_non_metrics(heis_model, prod_model, name, kind, mat, match):
+    model = heis_model if kind == "quotient" else prod_model
+    with pytest.raises(GeometryError, match=match):
+        METRIC_FUNCTIONS[name](model, mat)
+
+
+def test_product_layout_tolerance_and_stack_index(prod_model):
+    # entries within 1e-12 relative of the block-scalar layout pass
+    near = _with_entries(PROD_G, {(0, 1): 1e-13, (2, 2): 1.0 + 1e-13})
+    assert factor_scales(prod_model, near).tolist() == [1.0, 0.25]
+    stack = np.stack([PROD_G] * 3)
+    stack[2, 1, 0] = 0.3
+    with pytest.raises(GeometryError, match=r"entry \(2, 1, 0\) is 0.3"):
+        curvature_batch(prod_model, stack)
+
+
+def test_no_metric_wrapper_type_is_exported():
+    # a metric is its (n, n) array: no *State value type wraps it
+    import riccilab
+    for module in (riccilab, riccilab.geometry):
+        assert not [name for name in dir(module) if name.endswith("State")]
 
 
 def test_dimension_error():
@@ -125,7 +186,7 @@ def test_orthonormalize_identity(heis_model):
 
 def test_orthonormalize_scaling_law(heis_model):
     # g = 4 I: frame change is I/2 and the bracket coefficient halves
-    L, ct = orthonormalize(heis_model, metric_from_matrix(4.0 * np.eye(3)))
+    L, ct = orthonormalize(heis_model, 4.0 * np.eye(3))
     assert np.allclose(L, 0.5 * np.eye(3))
     assert math.isclose(ct[2, 0, 1], 0.5, rel_tol=0, abs_tol=1e-15)
 
@@ -133,14 +194,14 @@ def test_orthonormalize_scaling_law(heis_model):
 @pytest.mark.parametrize("seed", range(20))
 def test_orthonormalize_random_spd(heis_model, seed):
     rng = np.random.default_rng(seed)
-    g = metric_from_matrix(random_spd(rng, 3))
+    g = random_spd(rng, 3)
     L, _ = orthonormalize(heis_model, g)
-    assert np.abs(L.T @ g.matrix @ L - np.eye(3)).max() < 1e-12
+    assert np.abs(L.T @ g @ L - np.eye(3)).max() < 1e-12
 
 
 def test_orthonormalize_rejects_non_spd(heis_model):
     with pytest.raises(GeometryError, match="minimum eigenvalue"):
-        orthonormalize(heis_model, metric_from_matrix(np.diag([1.0, -2.0, 1.0])))
+        orthonormalize(heis_model, np.diag([1.0, -2.0, 1.0]))
 
 
 # -- curvature oracles -----------------------------------------------------
@@ -214,7 +275,7 @@ def brute_force_curvature(model, g):
     this path shares nothing with the production pipeline beyond the inputs.
     """
     c = model.structure_constants
-    gm = np.asarray(g.matrix)
+    gm = np.asarray(g)
     ginv = np.linalg.inv(gm)
     n = model.dim
     # 2 <nabla_i e_j, e_k> = c^m_ij g_mk - c^m_jk g_mi + c^m_ki g_mj
@@ -242,7 +303,7 @@ def test_curvature_against_brute_force_koszul(spec, n):
     model = build_model(spec)
     rng = np.random.default_rng(99)
     for _ in range(25):
-        g = metric_from_matrix(random_spd(rng, n))
+        g = random_spd(rng, n)
         rlow, rm_n = brute_force_curvature(model, g)
         cv = curvature(model, g, plane_samples=0)
         L, _ = orthonormalize(model, g)
@@ -260,7 +321,7 @@ def test_tensor_symmetries_random_metrics(model_spec, n):
     model = build_model(model_spec)
     rng = np.random.default_rng(12345)
     for _ in range(500):
-        cv = curvature(model, metric_from_matrix(random_spd(rng, n)),
+        cv = curvature(model, random_spd(rng, n),
                        plane_samples=0)
         rm = cv.rm
         scale = max(1.0, np.abs(rm).max())
@@ -286,7 +347,7 @@ def test_sampled_sec_matches_four_index_contraction(model_spec, n):
     model = build_model(model_spec)
     rng = np.random.default_rng(5)
     for seed in range(5):
-        g = (metric_from_matrix(random_spd(rng, n)) if model.kind == "lie_group_quotient"
+        g = (random_spd(rng, n) if model.kind == "lie_group_quotient"
              else reference_metric(model))
         rm = curvature(model, g, plane_samples=0).rm
         lo, hi = _sampled_sec_extremes(_curvature_operator(rm), 2000, seed)
@@ -305,7 +366,7 @@ def test_sampled_sec_matches_four_index_contraction(model_spec, n):
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
 def test_scaling_covariance(heis_model, lam):
     rng = np.random.default_rng(7)
-    g = metric_from_matrix(random_spd(rng, 3))
+    g = random_spd(rng, 3)
     cv = curvature(heis_model, g, plane_samples=0)
     gl = scale_metric(g, lam * lam)
     cvl = curvature(heis_model, gl, plane_samples=0)
@@ -340,7 +401,7 @@ def test_diameter_values(s3_model, heis_model):
 def test_volume_requires_positive_scales(prod_model):
     from riccilab import metric_from_scales
     with pytest.raises(GeometryError):
-        volume(prod_model, metric_from_scales([1.0, -0.1]))
+        volume(prod_model, metric_from_scales(prod_model, [1.0, -0.1]))
 
 
 def test_ricci_fixed_basis_matches_rhs_expectations(heis_model, s3_model):
@@ -352,7 +413,7 @@ def test_ricci_fixed_basis_matches_rhs_expectations(heis_model, s3_model):
 
 def test_rm_norm_fast_path_matches_curvature(heis_model, prod_model):
     rng = np.random.default_rng(3)
-    g = metric_from_matrix(random_spd(rng, 3))
+    g = random_spd(rng, 3)
     assert math.isclose(rm_norm(heis_model, g),
                         curvature(heis_model, g, plane_samples=0).rm_norm,
                         rel_tol=1e-14)
@@ -392,7 +453,7 @@ def test_curvature_batch_matches_brute_force(model, data):
     mats = data.draw(spd_stacks(model.dim))
     cb = curvature_batch(model, mats)
     for m, mat in enumerate(mats):
-        rlow, rm_n = brute_force_curvature(model, metric_from_matrix(mat))
+        rlow, rm_n = brute_force_curvature(model, mat)
         ginv = np.linalg.inv(mat)
         ric = np.einsum("ik,ijkl->jl", ginv, rlow)          # fixed-basis Ricci
         eigs = np.sort(np.linalg.eigvals(ginv @ ric).real)
@@ -421,7 +482,7 @@ def test_curvature_batch_products_match_closed_forms(factors, data):
     dims = [d for _, d, _ in factors]
     cb = curvature_batch(model, np.stack([np.diag(np.repeat(s, dims)) for s in scales]))
     for m, s in enumerate(scales):
-        g = metric_from_scales(s)
+        g = metric_from_scales(model, s)
         # Ric = (d - 1) / s on each sphere direction in an orthonormal frame
         ric = np.diag(ricci_fixed_basis(model, g)) / np.repeat(s, dims)
         scale = max(1.0, rm_norm(model, g))
@@ -486,7 +547,7 @@ def test_exact_sec_extremes_bound_every_sampled_plane(model, data):
     mats = data.draw(model_metrics(model))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     for mat in mats:
-        cv = curvature(model, metric_from_matrix(mat))
+        cv = curvature(model, mat)
         k = sampled_plane_secs(cv.rm, rng)
         slack = 1e-14 * max(1.0, np.abs(cv.rm).max())      # rounding of the sums
         assert cv.sec_min - slack <= k.min() and k.max() <= cv.sec_max + slack
@@ -499,7 +560,7 @@ def test_exact_sec_extremes_bound_every_sampled_plane(model, data):
 def test_dim3_sec_extremes_are_operator_eigenvalues(model, data):
     # every bivector in dimension 3 is decomposable (Milnor 1976)
     for mat in data.draw(model_metrics(model)):
-        cv = curvature(model, metric_from_matrix(mat))
+        cv = curvature(model, mat)
         eigs = np.linalg.eigvalsh(_curvature_operator(cv.rm))
         tol = 1e-14 * np.abs(eigs).max()
         assert abs(cv.sec_min - eigs[0]) <= tol and abs(cv.sec_max - eigs[-1]) <= tol
@@ -509,7 +570,7 @@ def test_dim3_sec_extremes_are_operator_eigenvalues(model, data):
 @given(mats=spd_stacks(4))
 def test_thorpe_extremes_match_plane_search_on_filiform4(mats):
     optimize = pytest.importorskip("scipy.optimize")
-    cv = curvature(build_model(FILIFORM4), metric_from_matrix(mats[0]))
+    cv = curvature(build_model(FILIFORM4), mats[0])
     op = _curvature_operator(cv.rm)
     iu, ju = np.triu_indices(4, 1)
 
@@ -542,7 +603,7 @@ def test_thorpe_extremes_match_plane_search_on_filiform4(mats):
 def test_product_sec_extremes_closed_form(factors, data):
     model = build_model({"kind": "product_of_space_forms", "factors": factors})
     scales = data.draw(arrays(float, len(factors), elements=st.floats(0.05, 20.0)))
-    cv = curvature(model, metric_from_scales(scales))
+    cv = curvature(model, metric_from_scales(model, scales))
     # a sphere block of scale s has curvature 1/s; a mixed plane (two factors)
     # or a flat plane (a flat factor of dim >= 2) has curvature 0
     secs = [1.0 / s for (ftype, _, _), s in zip(factors, scales) if ftype == "sphere"]
@@ -555,7 +616,7 @@ def test_non_diagonal_dim5_uses_seeded_sampler():
     # no exact answer is known for n >= 5: curvature() reports the sampler's values
     model = build_model({"kind": "lie_group_quotient", "dim": 5, "covolume": 1.0,
                          "brackets": [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [1, 4, 5, 1.0]]})
-    g = metric_from_matrix(random_spd(np.random.default_rng(4), 5))
+    g = random_spd(np.random.default_rng(4), 5)
     cv = curvature(model, g, plane_samples=500, seed=3)
     op = _curvature_operator(cv.rm)
     assert (cv.sec_min, cv.sec_max) == _sampled_sec_extremes(op, 500, 3)
