@@ -17,7 +17,6 @@ central differences when the grid is not uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,18 +55,20 @@ UNAVAILABLE = "unavailable"
 _REL_SLACK = 1e-12
 
 
-@dataclass
 class CheckReport:
-    """One check outcome; ``details`` carries the worst offenders."""
+    """One check outcome, a slot class; ``details`` carries the worst offenders."""
 
-    name: str
-    status: str
-    sup_ratio: float | None = None
-    fitted_constant: float | None = None
-    samples: int = 0
-    details: dict = field(default_factory=dict)
-    primitives_echo: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+    __slots__ = ("name", "status", "sup_ratio", "fitted_constant", "samples", "details",
+                 "primitives_echo", "notes")
+
+    def __init__(self, name: str, status: str, sup_ratio: float | None = None,
+                 fitted_constant: float | None = None, samples: int = 0,
+                 details: dict | None = None, primitives_echo: dict | None = None,
+                 notes: tuple[str, ...] = ()):
+        self.name, self.status, self.sup_ratio = name, status, sup_ratio
+        self.fitted_constant, self.samples, self.notes = fitted_constant, samples, notes
+        self.details = {} if details is None else details
+        self.primitives_echo = {} if primitives_echo is None else primitives_echo
 
     def to_jsonable(self) -> dict:
         return {

@@ -13,8 +13,8 @@ parses and validated against the same schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .constants import ConstantPrimitives
 from .flow import FlowConfig
@@ -31,8 +31,7 @@ class ConfigError(ValueError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(NamedTuple):
     kind: str            # float|int|str|enum|entries|floats|optfloat
     default: object = None
     choices: tuple[str, ...] = ()
@@ -89,28 +88,24 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
 }
 
 
-@dataclass
 class RunConfig:
-    model_spec: dict | None
-    flow: FlowConfig
-    primitives: ConstantPrimitives
-    constants_n: int | None
-    vol0: float
-    rm_n2_0: float
-    t_prime: float
-    moser_k: int
-    family: str
-    grid: int
-    a_const: float
-    b_const: float
-    kappa: float
-    out_dir: str | None
-    out_format: str
-    stride: int
-    seed: int
-    sweep_parameter: str | None
-    sweep_values: tuple[float, ...]
-    sections: frozenset[str] = field(default_factory=frozenset)
+    """The typed run configuration, a slot class: ``cli`` overrides ``seed``
+    and ``out_format`` in place."""
+
+    __slots__ = ("model_spec", "flow", "primitives", "constants_n", "vol0", "rm_n2_0",
+                 "t_prime", "moser_k", "family", "grid", "a_const", "b_const", "kappa",
+                 "out_dir", "out_format", "stride", "seed", "sweep_parameter",
+                 "sweep_values", "sections")
+
+    def __init__(self, model_spec: dict | None, flow: FlowConfig,
+                 primitives: ConstantPrimitives, constants_n: int | None, vol0: float,
+                 rm_n2_0: float, t_prime: float, moser_k: int, family: str, grid: int,
+                 a_const: float, b_const: float, kappa: float, out_dir: str | None,
+                 out_format: str, stride: int, seed: int, sweep_parameter: str | None,
+                 sweep_values: tuple[float, ...], sections: frozenset[str] = frozenset()):
+        values = locals()
+        for name in self.__slots__:
+            setattr(self, name, values[name])
 
     def require_section(self, name: str) -> None:
         if name not in self.sections:

@@ -22,14 +22,16 @@ The smallness condition traced along trajectories uses
 whose unique root feeds the threshold chain; the Moser schedule fields are
 kept in exact rational arithmetic so the limit identities
 ``sum 1/q_{k+1} = (n-2)/n`` and ``sum 1/q_k = 1 - 4/n^2`` are checked
-without floating error.
+without floating error.  ``ConstantChain`` and ``MoserSchedule`` are
+``typing.NamedTuple`` records with tuple semantics; ``ConstantPrimitives``
+is a slot class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .sobolev import DEFAULT_GALLOT, GallotConstant
 
@@ -46,23 +48,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ConstantPrimitives:
-    """Configured universal constants; every report echoes these."""
+    """Configured universal constants, a slot class validated at
+    construction; every report echoes these."""
 
-    c_n: float = 1.0
-    a_n: float = 1.0
-    c3: float = 1.0
-    gallot: GallotConstant = DEFAULT_GALLOT
-    gromov_ruh_eps: float = 1.0
+    __slots__ = ("c_n", "a_n", "c3", "gallot", "gromov_ruh_eps")
 
-    def __post_init__(self):
-        if self.c_n <= 0 or self.c3 <= 0:
+    def __init__(self, c_n: float = 1.0, a_n: float = 1.0, c3: float = 1.0,
+                 gallot: GallotConstant = DEFAULT_GALLOT, gromov_ruh_eps: float = 1.0):
+        if c_n <= 0 or c3 <= 0:
             raise ValueError("c_n and c3 must be positive")
-        if self.a_n < 1.0:
-            raise ValueError(f"a_n must be >= 1, got {self.a_n}")
-        if not (0.0 < self.gromov_ruh_eps <= 1.0):
-            raise ValueError(f"gromov_ruh_eps must lie in (0, 1], got {self.gromov_ruh_eps}")
+        if a_n < 1.0:
+            raise ValueError(f"a_n must be >= 1, got {a_n}")
+        if not (0.0 < gromov_ruh_eps <= 1.0):
+            raise ValueError(f"gromov_ruh_eps must lie in (0, 1], got {gromov_ruh_eps}")
+        self.c_n, self.a_n, self.c3 = c_n, a_n, c3
+        self.gallot, self.gromov_ruh_eps = gallot, gromov_ruh_eps
 
     @property
     def condition_c(self) -> float:
@@ -131,8 +132,7 @@ def solve_c_n_gamma(primitives: ConstantPrimitives, n: int, gamma: float) -> flo
     return x
 
 
-@dataclass(frozen=True)
-class ConstantChain:
+class ConstantChain(NamedTuple):
     """Every derived threshold, a deterministic function of the primitives."""
 
     n: int
@@ -148,7 +148,7 @@ class ConstantChain:
     eps_n_main: float
     T0: float
     T1: float
-    primitives: dict = field(default_factory=dict)
+    primitives: dict
 
     def describe(self) -> dict:
         return {
@@ -215,8 +215,7 @@ def theorem_c_threshold(chain: ConstantChain, primitives: ConstantPrimitives,
     return chain.eps_n_main / (c * c)
 
 
-@dataclass(frozen=True)
-class MoserSchedule:
+class MoserSchedule(NamedTuple):
     """Exponent and time ladders of the iteration, with exact rational sums.
 
     ``q[k] = q0 * mu^k`` with mu = 1 + 2/n and q0 = n^2 / (2(n-2));

@@ -23,7 +23,6 @@ whose row 0 also gives ``vol0``, ``rm_n2_0``, ``delta0`` and ``T0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -67,9 +66,8 @@ class TrajectorySchemaError(ValueError):
     """Trajectory file does not match the mandated CSV schema."""
 
 
-@dataclass(frozen=True)
 class FlowConfig:
-    """Integration settings.
+    """Integration settings, a slot class validated at construction.
 
     ``t_end=None`` derives the horizon gamma * vol^(2/n) * cs0^2 from the
     initial data; ``max_rm=None`` defaults to 1e6 * max(1, |Rm|(0)).
@@ -78,46 +76,48 @@ class FlowConfig:
     columns and are echoed into the run metadata.
     """
 
-    gamma: float = 1.0
-    t_end: float | None = None
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_rm: float | None = None
-    record_every: float | None = None
-    cs0: float = 1.0
-    c_n: float = 1.0
+    __slots__ = ("gamma", "t_end", "rel_tol", "abs_tol", "max_rm", "record_every",
+                 "cs0", "c_n")
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0) or not (0.0 < self.abs_tol < 1.0):
+    def __init__(self, gamma: float = 1.0, t_end: float | None = None,
+                 rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+                 max_rm: float | None = None, record_every: float | None = None,
+                 cs0: float = 1.0, c_n: float = 1.0):
+        if not (0.0 < rel_tol < 1.0) or not (0.0 < abs_tol < 1.0):
             raise ValueError("integrator tolerances must lie in (0, 1)")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.record_every is not None and self.record_every <= 0:
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        if t_end is not None and t_end <= 0:
+            raise ValueError(f"t_end must be positive, got {t_end}")
+        if record_every is not None and record_every <= 0:
             raise ValueError("record_every must be positive")
-        if self.cs0 <= 0 or self.c_n <= 0:
+        if cs0 <= 0 or c_n <= 0:
             raise ValueError("cs0 and c_n must be positive")
+        self.gamma, self.t_end, self.rel_tol, self.abs_tol = gamma, t_end, rel_tol, abs_tol
+        self.max_rm, self.record_every, self.cs0, self.c_n = max_rm, record_every, cs0, c_n
 
 
-@dataclass
 class Trajectory:
-    """Time-ordered recorded states with derived invariants and run metadata."""
+    """Time-ordered recorded states with derived invariants and run metadata.
 
-    model: ModelGeometry
-    times: np.ndarray
-    mats: np.ndarray                    # (M, n, n) metric in the fixed basis
-    derived: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
+    A slot class.  ``times`` (M,), ``mats`` (M, n, n), the metric in the
+    fixed basis, and every ``derived`` column become read-only float arrays
+    at construction.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+    __slots__ = ("model", "times", "mats", "derived", "meta")
+
+    def __init__(self, model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
+                 derived: dict[str, np.ndarray], meta: dict | None = None):
+        self.model, self.meta = model, {} if meta is None else meta
+        self.times = np.asarray(times, dtype=float)
         self.times.setflags(write=False)
-        self.mats = np.asarray(self.mats, dtype=float)
+        self.mats = np.asarray(mats, dtype=float)
         self.mats.setflags(write=False)
-        for k in self.derived:
-            self.derived[k] = np.asarray(self.derived[k], dtype=float)
-            self.derived[k].setflags(write=False)
+        for k in derived:
+            derived[k] = np.asarray(derived[k], dtype=float)
+            derived[k].setflags(write=False)
+        self.derived = derived
 
     def __len__(self) -> int:
         return len(self.times)

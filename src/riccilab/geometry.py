@@ -30,15 +30,16 @@ A metric is an (n, n) float array in the fixed basis: SPD for quotients,
 block-scalar for products (each factor's scale times the identity on its
 block, zero off the blocks).  ``curvature_batch`` and ``factor_scales``
 also take a stack (M, n, n).  ``factor_scales`` is the one reader of a
-product metric's scales and ``metric_from_scales`` the one writer.  Models
-are immutable values and all operations are pure.
+product metric's scales and ``metric_from_scales`` the one writer.  The
+value types ``ModelGeometry``, ``CurvatureData`` and ``CurvatureBatch`` are
+``typing.NamedTuple`` records, with tuple semantics (``==`` compares them as
+tuples), and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -93,8 +94,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ModelGeometry:
+class ModelGeometry(NamedTuple):
     """Descriptor of a homogeneous model space.
 
     ``structure_constants`` is stored as ``c[k, i, j] = c^k_{ij}`` for
@@ -138,8 +138,7 @@ class ModelGeometry:
         }
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(NamedTuple):
     """Orthonormal-frame curvature of one metric.
 
     ``rm[i, j, k, l] = R_{ijkl}`` with the conventions of the module
@@ -150,6 +149,7 @@ class CurvatureData:
     non-diagonal quotient with n >= 5 reports sampled inner values: the
     extremes over coordinate planes and ``plane_samples`` seeded random
     planes, which the true extremes can lie outside (reporting only).
+    ``curvature``, the one builder, makes ``rm`` and ``ric`` read-only.
     """
 
     rm: np.ndarray
@@ -158,10 +158,6 @@ class CurvatureData:
     rm_norm: float
     sec_min: float
     sec_max: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rm", _readonly(self.rm))
-        object.__setattr__(self, "ric", _readonly(self.ric))
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +602,9 @@ def curvature(model: ModelGeometry, g: np.ndarray, *,
     matter only where no exact extremes are known (see ``CurvatureData``)."""
     cb = curvature_batch(model, g)
     lo, hi = _sec_extremes(cb.rm[0], plane_samples, seed)
-    return CurvatureData(rm=cb.rm[0], ric=cb.ric[0], scalar=float(cb.scalar[0]),
-                         rm_norm=float(cb.rm_norm[0]), sec_min=lo, sec_max=hi)
+    return CurvatureData(rm=_readonly(cb.rm[0]), ric=_readonly(cb.ric[0]),
+                         scalar=float(cb.scalar[0]), rm_norm=float(cb.rm_norm[0]),
+                         sec_min=lo, sec_max=hi)
 
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:

@@ -9,14 +9,15 @@ which is invariant under metric scaling.  It is never computed exactly:
 ``c(n, kappa) * diam / vol^{1/n}`` and ``sobolev_lower`` extracts a lower
 bound from explicit test functions (any single u bounds the defining sup
 from below).  On homogeneous models every integrand is constant, so the
-curvature norms reduce to closed forms.
+curvature norms reduce to closed forms.  ``GallotConstant``,
+``SobolevEstimate``, ``Witness``, ``WitnessNorms`` and ``LowerBound`` are
+``typing.NamedTuple`` records with tuple semantics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +57,7 @@ FAMILY_NAMES = ("eigenfunction", "bump", "cap")
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-@dataclass(frozen=True)
-class GallotConstant:
+class GallotConstant(NamedTuple):
     """Configurable constant c(n, kappa) for the diameter/volume Sobolev bound.
 
     The default grows like exp(sqrt(kappa)) from a flat table value at
@@ -84,8 +84,7 @@ class GallotConstant:
 DEFAULT_GALLOT = GallotConstant()
 
 
-@dataclass(frozen=True)
-class SobolevEstimate:
+class SobolevEstimate(NamedTuple):
     """Two-sided estimate; either side may be absent (None)."""
 
     upper: float | None
@@ -143,8 +142,7 @@ def integral_ricci_deficit(curv: CurvatureData, vol: float, p: float,
 # test-function witnesses (1D profiles on a sphere/circle factor of a product)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Piecewise-smooth profile on one factor, with analytic derivative.
 
     ``breakpoints`` lists interior coordinates where the profile is not
@@ -159,8 +157,7 @@ class Witness:
     breakpoints: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class WitnessNorms:
+class WitnessNorms(NamedTuple):
     name: str
     l2_sq: float
     lq_sq: float      # ||u||_q^2 with q = 2n/(n-2)
@@ -325,8 +322,7 @@ def witness_norms(model: ModelGeometry, g: np.ndarray, w: Witness,
                         quotient=quot, grid_used=grid, converged=converged)
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class LowerBound(NamedTuple):
     value: float
     witness: str | None
     clamped: bool
