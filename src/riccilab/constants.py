@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise ValueError naming the setting unless 0 < value < inf (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class ConstantPrimitives:
     """Configured universal constants, a slot class validated at
     construction; every report echoes these."""
@@ -56,10 +62,10 @@ class ConstantPrimitives:
 
     def __init__(self, c_n: float = 1.0, a_n: float = 1.0, c3: float = 1.0,
                  gallot: GallotConstant = DEFAULT_GALLOT, gromov_ruh_eps: float = 1.0):
-        if c_n <= 0 or c3 <= 0:
-            raise ValueError("c_n and c3 must be positive")
-        if a_n < 1.0:
-            raise ValueError(f"a_n must be >= 1, got {a_n}")
+        _require_positive("c_n", c_n)
+        _require_positive("c3", c3)
+        if not 1.0 <= a_n < math.inf:
+            raise ValueError(f"a_n must be >= 1 and finite, got {a_n}")
         if not (0.0 < gromov_ruh_eps <= 1.0):
             raise ValueError(f"gromov_ruh_eps must lie in (0, 1], got {gromov_ruh_eps}")
         self.c_n, self.a_n, self.c3 = c_n, a_n, c3

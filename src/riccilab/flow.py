@@ -73,7 +73,8 @@ class FlowConfig:
     initial data; ``max_rm=None`` defaults to 1e6 * max(1, |Rm|(0)).
     ``record_every`` is the spacing of the uniform record grid (None picks
     t_end / 1024).  ``cs0`` and ``c_n`` feed the recorded theta and chi
-    columns and are echoed into the run metadata.
+    columns and are echoed into the run metadata.  Every value given must be
+    positive and finite, and the tolerances below 1.
     """
 
     __slots__ = ("gamma", "t_end", "rel_tol", "abs_tol", "max_rm", "record_every",
@@ -83,16 +84,15 @@ class FlowConfig:
                  rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                  max_rm: float | None = None, record_every: float | None = None,
                  cs0: float = 1.0, c_n: float = 1.0):
-        if not (0.0 < rel_tol < 1.0) or not (0.0 < abs_tol < 1.0):
-            raise ValueError("integrator tolerances must lie in (0, 1)")
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        if t_end is not None and t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {t_end}")
-        if record_every is not None and record_every <= 0:
-            raise ValueError("record_every must be positive")
-        if cs0 <= 0 or c_n <= 0:
-            raise ValueError("cs0 and c_n must be positive")
+        for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+            if not 0.0 < tol < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {tol}")
+        for name, value in (("gamma", gamma), ("cs0", cs0), ("c_n", c_n)):
+            constants._require_positive(name, value)
+        for name, value in (("t_end", t_end), ("max_rm", max_rm),
+                            ("record_every", record_every)):
+            if value is not None:
+                constants._require_positive(name, value)
         self.gamma, self.t_end, self.rel_tol, self.abs_tol = gamma, t_end, rel_tol, abs_tol
         self.max_rm, self.record_every, self.cs0, self.c_n = max_rm, record_every, cs0, c_n
 

@@ -331,13 +331,14 @@ def scale_metric(g: np.ndarray, lam_sq: float) -> np.ndarray:
 # frames and curvature
 
 
-def _metric_array(model: ModelGeometry, g) -> np.ndarray:
-    """g as a float array of one metric (n, n) or a stack (M, n, n)."""
+def _metric_array(model: ModelGeometry, g, stack: bool = True) -> np.ndarray:
+    """g as a float array of one metric (n, n), or with ``stack`` also of a
+    stack (M, n, n)."""
     g = np.asarray(g, dtype=float)
     n = model.dim
-    if g.ndim not in (2, 3) or g.shape[-2:] != (n, n):
-        raise GeometryError(f"metric must be an ({n}, {n}) matrix or a stack of them, "
-                            f"got shape {g.shape}")
+    if g.ndim not in ((2, 3) if stack else (2,)) or g.shape[-2:] != (n, n):
+        raise GeometryError(f"metric must be an ({n}, {n}) matrix"
+                            f"{' or a stack of them' if stack else ''}, got shape {g.shape}")
     return g
 
 
@@ -356,9 +357,9 @@ def _first_deviation(g: np.ndarray, ref: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 
-def _metric_eigh(model: ModelGeometry, mats) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of one quotient metric or a stack, after validation."""
-    mats = _metric_array(model, mats)
+def _metric_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of one quotient metric or a stack from
+    ``_metric_array``, after validation."""
     _check_finite(mats)
     mats_t = np.swapaxes(mats, -1, -2)
     if not (mats == mats_t).all():            # exact equality is the hot path
@@ -404,14 +405,15 @@ def factor_scales(model: ModelGeometry, g) -> np.ndarray:
 
 
 def _frames(model: ModelGeometry, mats: np.ndarray):
-    """Milnor frames of one metric (n, n) or a stack (M, n, n), as a stack.
+    """Milnor frames of one metric (n, n) or a stack (M, n, n) from
+    ``_metric_array``, as a stack.
 
     Returns the eigenvalues of each metric, the frame change L (symmetric
     inverse square root), its inverse, and the transported structure
     constants ``ct[m, c, a, b] = Linv[m, c, k] L[m, i, a] L[m, j, b] c^k_{ij}``.
     """
     n = model.dim
-    evals, vecs = _metric_eigh(model, mats)
+    evals, vecs = _metric_eigh(mats)
     evals, vecs = evals.reshape(-1, n), vecs.reshape(-1, n, n)
     root = np.sqrt(evals)[:, None, :]
     vecs_t = np.swapaxes(vecs, 1, 2)
@@ -435,7 +437,7 @@ def orthonormalize(model: ModelGeometry, g: np.ndarray) -> tuple[np.ndarray, np.
     """
     if model.kind != LIE_GROUP_QUOTIENT:
         raise GeometryError("orthonormalize applies to Lie group quotients only")
-    _, L, _, ct = _frames(model, g)
+    _, L, _, ct = _frames(model, _metric_array(model, g, stack=False))
     return L[0], ct[0]
 
 
@@ -575,7 +577,7 @@ def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
     from ``np.hypot``, which neither under- nor overflows.
     """
     if model.kind == LIE_GROUP_QUOTIENT:
-        evals, _, _, ct = _frames(model, mats)
+        evals, _, _, ct = _frames(model, _metric_array(model, mats))
         rm = _rm_from_structure(ct)
         vol = np.sqrt(np.prod(evals, axis=1)) * model.covolume
     else:
@@ -600,7 +602,7 @@ def curvature(model: ModelGeometry, g: np.ndarray, *,
     """Full orthonormal-frame curvature data of (model, g): the one-metric
     batch plus sectional-curvature extremes.  ``plane_samples`` and ``seed``
     matter only where no exact extremes are known (see ``CurvatureData``)."""
-    cb = curvature_batch(model, g)
+    cb = curvature_batch(model, _metric_array(model, g, stack=False))
     lo, hi = _sec_extremes(cb.rm[0], plane_samples, seed)
     return CurvatureData(rm=_readonly(cb.rm[0]), ric=_readonly(cb.ric[0]),
                          scalar=float(cb.scalar[0]), rm_norm=float(cb.rm_norm[0]),
@@ -609,6 +611,7 @@ def curvature(model: ModelGeometry, g: np.ndarray, *,
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
     """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator)."""
+    g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
         rm = _rm_from_structure(_frames(model, g)[3])
         return float(np.sqrt(np.sum(rm * rm)))
@@ -621,6 +624,7 @@ def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
 
 def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
     """Ricci tensor as a bilinear form in the fixed basis."""
+    g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
         _, _, Linv, ct = _frames(model, g)
         ric = np.trace(_rm_from_structure(ct)[0], axis1=0, axis2=2)
@@ -654,8 +658,9 @@ def _factor_volume(ftype: str, d: int, s):
 
 def volume(model: ModelGeometry, g: np.ndarray) -> float:
     """Total volume: sqrt(det g) * covolume, or the product of factor volumes."""
+    g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
-        evals, _ = _metric_eigh(model, g)
+        evals, _ = _metric_eigh(g)
         return float(math.sqrt(np.prod(evals)) * model.covolume)
     vol = 1.0
     for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
@@ -680,6 +685,7 @@ def diameter(model: ModelGeometry, g: np.ndarray) -> float | None:
     """Exact diameter for products; None (declared unavailable, g unread) for quotients."""
     if model.kind == LIE_GROUP_QUOTIENT:
         return None
+    g = _metric_array(model, g, stack=False)
     total = 0.0
     for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
         if ftype == FACTOR_SPHERE or ftype == FACTOR_CIRCLE:

@@ -29,6 +29,7 @@ from .geometry import (
     GeometryError,
     ModelGeometry,
     _factor_volume,
+    diameter,
     factor_scales,
     unit_sphere_volume,
     volume,
@@ -371,8 +372,6 @@ def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
     configured strategy can make lower exceed upper; that is flagged, not
     raised.
     """
-    from .geometry import diameter  # local import keeps module load order simple
-
     n = model.dim
     vol = volume(model, g)
     diam = diameter(model, g)

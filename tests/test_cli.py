@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import signal
 import warnings
 from pathlib import Path
 
@@ -50,6 +51,10 @@ record_every = 0.00078125
 parameter = factor_radius:1
 values = 0.5 0.25 0.125 0.0625 0.03125 0.015625 0.0078125 0.00390625
 """
+
+
+def _csv_rows(path: Path) -> list[dict]:
+    return list(csv.DictReader(path.read_text().splitlines()))
 
 
 @pytest.fixture
@@ -309,11 +314,34 @@ def test_constants_rejects_nonpositive_primitive(cfgfile, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", [
+    "flow.gamma", "flow.t_end", "flow.rel_tol", "flow.abs_tol", "flow.max_rm",
+    "flow.record_every", "flow.cs0", "constants.c_n", "constants.a_n", "constants.c3",
+    "constants.gromov_ruh_eps"])
+def test_flow_rejects_non_finite_setting(tmp_path, capsys, key, value):
+    def expire(signum, frame):
+        pytest.fail(f"flow with {key}={value} ran past 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)            # a NaN max_rm once made the integrator spin forever
+    try:
+        rc = main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"),
+                   "--out", str(tmp_path), "--override", f"{key}={value}"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key.split('.')[1]} must" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_sweep_product_scaling_slope(cfgfile, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    rows = _csv_rows(out / "sweep.csv")
     assert len(rows) == 8
     eps = np.array([float(r["value"]) for r in rows])
     rm = np.array([float(r["rm_n2_norm"]) for r in rows])
@@ -326,7 +354,7 @@ def test_sweep_single_point(cfgfile, tmp_path):
     rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(out),
                "--values", "0.25"])
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    rows = _csv_rows(out / "sweep.csv")
     assert len(rows) == 1
 
 
@@ -342,7 +370,7 @@ def test_sweep_heisenberg_margin_monotone(cfgfile, tmp_path):
                "--param", "bracket_scale",
                "--values", "1.0,0.5,0.25,0.125"])
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    rows = _csv_rows(out / "sweep.csv")
     margins = [float(r["margin_pinching_main"]) for r in rows]
     assert margins == sorted(margins)    # shrinking bracket raises the margin
 
@@ -390,7 +418,7 @@ def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
             assert main(["sweep", "--config", str(CONFIGS / f"{name}.cfg"),
                          "--out", str(out), "--seed", str(seed), *grid]) == 0
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
-    rows = {r["value"]: r for r in csv.DictReader(open(tmp_path / "sphere" / "0" / "sweep.csv"))}
+    rows = {r["value"]: r for r in _csv_rows(tmp_path / "sphere" / "0" / "sweep.csv")}
     assert rows["1.0"]["sec_min"] == rows["1.0"]["sec_max"] == "1.0"
 
 
@@ -399,7 +427,7 @@ def test_sweep_tiny_curvature_keeps_its_norm(tmp_path):
     assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"),
                  "--out", str(tmp_path), "--param", "factor_radius:0",
                  "--values", "1e100"]) == 0
-    row = {k: float(v) for k, v in next(csv.DictReader(open(tmp_path / "sweep.csv"))).items()
+    row = {k: float(v) for k, v in _csv_rows(tmp_path / "sweep.csv")[0].items()
            if k != "parameter"}
     assert math.isclose(row["rm_norm"], math.sqrt(12.0) * 1e-200, rel_tol=1e-15)
     assert math.isclose(row["rm_n2_norm"], row["rm_norm"] * math.sqrt(row["vol"]),
@@ -446,7 +474,7 @@ def test_check_hypothesis_margins_match_sweep_at_scale_one(tmp_path, name):
                  "--param", "metric_scale", "--values", "1.0"]) == 0
     report = {r["name"]: r for r in json.loads((tmp_path / "report.json").read_text())}
     theorems = report["hypothesis_report"]["details"]["theorems"]
-    (row,) = csv.DictReader(open(tmp_path / "sweep.csv"))
+    (row,) = _csv_rows(tmp_path / "sweep.csv")
     for thm in theorems:
         column = f"margin_{thm['theorem']}"
         if column in row:

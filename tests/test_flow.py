@@ -207,6 +207,27 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+# Every module `import riccilab.cli` loads after numpy.  One that goes missing
+# was deferred into a function body: the benchmark's in-process runs would
+# stop timing it, while every CLI call still pays for it.
+CLI_MODULES = (
+    "__future__", "_decimal", "_json", "argparse", "decimal", "fractions", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner", "riccilab",
+    "riccilab._dop853", "riccilab.checks", "riccilab.cli", "riccilab.config",
+    "riccilab.constants", "riccilab.flow", "riccilab.geometry", "riccilab.sobolev")
+
+
+def test_cli_import_builds_no_dataclass_and_defers_nothing():
+    code = "import sys, numpy, riccilab.cli; print(' '.join(sys.modules))"
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    loaded = set(out.stdout.split())
+    assert "dataclasses" not in loaded
+    assert [name for name in CLI_MODULES if name not in loaded] == []
+
+
 # -- horizon -----------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma,vol0,cs0,n,expected", [
