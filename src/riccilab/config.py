@@ -13,6 +13,7 @@ parses and validated against the same schema.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -252,6 +253,9 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
             gallot=GallotConstant(c0=g("constants", "gallot_c0"),
                                   growth=g("constants", "gallot_growth")),
             gromov_ruh_eps=g("constants", "gromov_ruh_eps"))
+        kappa = g("sobolev", "kappa")
+        if not 0.0 <= kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     except ValueError as exc:
         raise ConfigError(str(exc), source) from None
 
@@ -268,7 +272,7 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
         grid=g("sobolev", "grid"),
         a_const=g("sobolev", "a_const"),
         b_const=g("sobolev", "b_const"),
-        kappa=g("sobolev", "kappa"),
+        kappa=kappa,
         out_dir=g("output", "dir"),
         out_format=g("output", "format"),
         stride=g("output", "stride"),

@@ -64,6 +64,7 @@ class ConstantPrimitives:
                  gallot: GallotConstant = DEFAULT_GALLOT, gromov_ruh_eps: float = 1.0):
         _require_positive("c_n", c_n)
         _require_positive("c3", c3)
+        _require_positive("gallot_c0", gallot.c0)
         if not 1.0 <= a_n < math.inf:
             raise ValueError(f"a_n must be >= 1 and finite, got {a_n}")
         if not (0.0 < gromov_ruh_eps <= 1.0):

@@ -166,13 +166,19 @@ def _tri_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
+@lru_cache(maxsize=None)
+def _tri_gather(n: int) -> np.ndarray:
+    """(n, n) map from each matrix entry to its position in the upper triangle."""
+    rows, cols = _tri_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    pos.setflags(write=False)
+    return pos
+
+
 def _sym_from_tri(n: int, tri: np.ndarray) -> np.ndarray:
     """Symmetric matrices (..., n, n) from upper triangles (..., n(n+1)/2)."""
-    rows, cols = _tri_indices(n)
-    mats = np.zeros((*tri.shape[:-1], n, n))
-    mats[..., rows, cols] = tri
-    mats[..., cols, rows] = tri
-    return mats
+    return tri[..., _tri_gather(n)]
 
 
 def _unpack(model: ModelGeometry, y: np.ndarray) -> np.ndarray:
@@ -289,7 +295,8 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
             rejected = True
             continue
         try:
-            # rm_norm validates SPD internally; one decomposition does both
+            # rm_norm (the step's one frame transport) and the RHS at y_new
+            # each validate y_new: an SPD failure in either rejects the step
             rmn = geometry.rm_norm(model, _unpack(model, y_new))
             if rmn <= max_rm:
                 K[_dop.N_STAGES] = f(t_new, y_new)
@@ -368,7 +375,7 @@ def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
         "rm_norm": curv.rm_norm,
         "scalar_R": curv.scalar,
         "rm_n2_norm": rm_n2,
-        "J": curv.rm_norm ** (n / 2.0) * curv.vol,
+        "J": rm_n2 ** (n / 2.0),           # = |Rm|^(n/2) vol, without its overflow
         "theta": rm_n2 * cs0 * cs0,
         "chi": chi,
         "ric_min": curv.ric_eigs[:, 0],

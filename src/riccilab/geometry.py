@@ -5,10 +5,15 @@ Two families of models are supported:
 * ``LieGroupQuotient`` -- a compact quotient of a Lie group carrying a
   left-invariant metric, described by structure constants ``c^k_{ij}``
   (``[e_i, e_j] = c^k_{ij} e_k``) in a fixed basis plus the volume of a
-  fundamental domain of that basis ("covolume").  Curvature is computed in
-  a Milnor frame: orthonormalize the basis, transport the structure
-  constants, and apply the closed-form connection coefficients
-  ``G^k_{ij} = (c~^k_{ij} - c~^i_{jk} + c~^j_{ki}) / 2``.
+  fundamental domain of that basis ("covolume").  The curvature tensor is
+  computed in a Milnor frame: orthonormalize the basis, transport the
+  structure constants, and apply the closed-form connection coefficients
+  ``G^k_{ij} = (c~^k_{ij} - c~^i_{jk} + c~^j_{ki}) / 2``.  The Ricci form
+  that drives the flow needs no frame: on a unimodular algebra it is a
+  closed form in the fixed basis (Milnor 1976; Besse, Einstein Manifolds
+  7.38), ``Ric_ab = -1/2 g^{ij} g_{kl} c^k_{ai} c^l_{bj} - 1/2 B_ab
+  + 1/4 g^{ip} g^{jq} g_{ak} g_{bl} c^k_{ij} c^l_{pq}`` with the Killing
+  form ``B_ab = c^k_{ai} c^i_{bk}``.
 * ``ProductOfSpaceForms`` -- a product of round spheres, circles and flat
   tori, where each factor contributes its constant-curvature block.
 
@@ -76,6 +81,7 @@ FACTOR_FLAT_TORUS = "flat_torus"
 
 _JACOBI_TOL = 1e-12
 _TINY, _HUGE = 5e-324, sys.float_info.max     # the extreme positive floats
+_NORMAL_MIN = sys.float_info.min                # the smallest normal float
 _DEFAULT_PLANE_SAMPLES = 10_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _THORPE_STEPS = 80                 # 4 * _GOLDEN ** 80 < 1e-16
@@ -99,7 +105,10 @@ class ModelGeometry(NamedTuple):
 
     ``structure_constants`` is stored as ``c[k, i, j] = c^k_{ij}`` for
     quotient models; ``factors`` is a tuple of ``(type, dim, radius)`` for
-    products.
+    products.  ``ricci_terms``, set by ``build_model`` for quotients, holds
+    the read-only constants of the fixed-basis Ricci closed form:
+    ``ad[a, k, i] = c^k_{ai}``, its (n, n * n) reshape, the (n, n * n)
+    reshape of ``c`` and the Killing form ``B``.
     """
 
     kind: str
@@ -107,6 +116,7 @@ class ModelGeometry(NamedTuple):
     structure_constants: np.ndarray | None = None
     covolume: float | None = None
     factors: tuple[tuple[str, int, float], ...] | None = None
+    ricci_terms: tuple[np.ndarray, ...] | None = None
 
     def factor_slices(self) -> list[slice]:
         out, start = [], 0
@@ -237,7 +247,7 @@ def build_model(spec: dict) -> ModelGeometry:
             raise GeometryError(f"covolume must be positive and finite, got {covolume}")
         c = _validate_brackets(n, spec.get("brackets", ()))
         return ModelGeometry(kind=kind, dim=n, structure_constants=_readonly(c),
-                             covolume=covolume)
+                             covolume=covolume, ricci_terms=_ricci_terms(c))
     if kind == PRODUCT_OF_SPACE_FORMS:
         raw = spec.get("factors", ())
         if not raw:
@@ -261,6 +271,19 @@ def build_model(spec: dict) -> ModelGeometry:
             raise GeometryError(f"total dimension must be >= 3, got {n}")
         return ModelGeometry(kind=kind, dim=n, factors=tuple(factors))
     raise GeometryError(f"unknown model kind {kind!r}")
+
+
+def _ricci_terms(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-model constants of ``ricci_fixed_basis``: ad, ad and c reshaped
+    to (n, n * n), and the Killing form B_ab = c^k_{ai} c^i_{bk}."""
+    n = len(c)
+    ad = c.transpose(1, 0, 2).copy()                       # ad[a, k, i] = c^k_{ai}
+    ad_flat = ad.reshape(n, n * n)
+    terms = (ad, ad_flat, c.reshape(n, n * n),
+             ad_flat @ ad.transpose(0, 2, 1).reshape(n, n * n).T)
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
 def heisenberg_model(covolume: float = 1.0, bracket: float = 1.0) -> ModelGeometry:
@@ -557,6 +580,19 @@ def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float,
     return _sampled_sec_extremes(op, plane_samples, seed)
 
 
+def _rm_norms(rm: np.ndarray) -> np.ndarray:
+    """|Rm| of each tensor in a stack (M, n, n, n, n).  A row whose sum of
+    squares is not a normal float takes its norm from ``np.hypot``, which
+    neither under- nor overflows."""
+    flat = rm.reshape(len(rm), -1)
+    sq = np.einsum("ij,ij->i", flat, flat)
+    norm = np.sqrt(sq)
+    odd = ~((sq >= _NORMAL_MIN) & (sq < math.inf))          # the sum under- or overflowed
+    if odd.any():
+        norm[odd] = np.hypot.reduce(flat[odd], axis=1)
+    return norm
+
+
 class CurvatureBatch(NamedTuple):
     """Curvature of a stack of M metrics, one row per metric."""
 
@@ -573,8 +609,7 @@ def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
 
     ``mats`` has shape (M, n, n), or (n, n) for M = 1.  Quotients share one
     stacked eigendecomposition for frames and volume.  No plane sampling.
-    A row whose sum of squares of R_{ijkl} is not a normal float takes |Rm|
-    from ``np.hypot``, which neither under- nor overflows.
+    |Rm| comes from ``_rm_norms``.
     """
     if model.kind == LIE_GROUP_QUOTIENT:
         evals, _, _, ct = _frames(model, _metric_array(model, mats))
@@ -587,13 +622,8 @@ def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
                        for f, (ftype, d, _) in enumerate(model.factors)], axis=0)
     ric = np.trace(rm, axis1=1, axis2=3)
     ric = 0.5 * (ric + np.swapaxes(ric, 1, 2))
-    flat = rm.reshape(len(rm), -1)
-    sq = np.einsum("ij,ij->i", flat, flat)
-    norm = np.sqrt(sq)
-    odd = ~((sq >= sys.float_info.min) & (sq < math.inf))    # the sum under- or overflowed
-    norm[odd] = np.hypot.reduce(flat[odd], axis=1)
     return CurvatureBatch(rm=rm, ric=ric, scalar=np.trace(ric, axis1=1, axis2=2),
-                          rm_norm=norm, ric_eigs=np.linalg.eigvalsh(ric), vol=vol)
+                          rm_norm=_rm_norms(rm), ric_eigs=np.linalg.eigvalsh(ric), vol=vol)
 
 
 def curvature(model: ModelGeometry, g: np.ndarray, *,
@@ -610,26 +640,37 @@ def curvature(model: ModelGeometry, g: np.ndarray, *,
 
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
-    """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator)."""
+    """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator),
+    free of under- and overflow like ``curvature_batch``'s."""
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
-        rm = _rm_from_structure(_frames(model, g)[3])
-        return float(np.sqrt(np.sum(rm * rm)))
-    total = 0.0
-    for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
-        if ftype == FACTOR_SPHERE:
-            total += 2.0 * d * (d - 1) / (s * s)
-    return math.sqrt(total)
+        return float(_rm_norms(_rm_from_structure(_frames(model, g)[3]))[0])
+    # a d-sphere of scale s contributes sqrt(2 d (d - 1)) / s
+    return math.hypot(*(math.sqrt(2.0 * d * (d - 1)) / s
+                        for (ftype, d, _), s in zip(model.factors,
+                                                    factor_scales(model, g).tolist())
+                        if ftype == FACTOR_SPHERE))
 
 
 def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
-    """Ricci tensor as a bilinear form in the fixed basis."""
+    """Ricci tensor as a bilinear form in the fixed basis.
+
+    Quotients use the closed form of the module docstring: no frame and no
+    rank-4 tensor, only g^-1 from the one validating eigendecomposition.
+    """
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
-        _, _, Linv, ct = _frames(model, g)
-        ric = np.trace(_rm_from_structure(ct)[0], axis1=0, axis2=2)
-        out = Linv[0].T @ ric @ Linv[0]
-        return 0.5 * (out + out.T)
+        n = model.dim
+        ad, ad_flat, c_flat, killing = model.ricci_terms
+        evals, vecs = _metric_eigh(g)
+        ginv = (vecs / evals) @ vecs.T
+        # g^{ij} g_{kl} c^k_{ai} c^l_{bj}: ad_a against (g ad_b g^-1)
+        t1 = ad_flat @ (g @ ad @ ginv).reshape(n, n * n).T
+        # the lowered constants low[a, i, j] = g_{ak} c^k_{ij}, against g^-1 low_b g^-1
+        low = g @ c_flat
+        t3 = low @ (ginv @ low.reshape(n, n, n) @ ginv).reshape(n, n * n).T
+        out = 0.125 * t3 - 0.25 * (t1 + killing)       # half of Ric, up to rounding
+        return out + out.T
     factor_scales(model, g)
     return _block_layout(model.factors)[2]      # d - 1 on a d-sphere's block, else 0
 

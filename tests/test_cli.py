@@ -318,7 +318,7 @@ def test_constants_rejects_nonpositive_primitive(cfgfile, tmp_path):
 @pytest.mark.parametrize("key", [
     "flow.gamma", "flow.t_end", "flow.rel_tol", "flow.abs_tol", "flow.max_rm",
     "flow.record_every", "flow.cs0", "constants.c_n", "constants.a_n", "constants.c3",
-    "constants.gromov_ruh_eps"])
+    "constants.gromov_ruh_eps", "constants.gallot_c0", "sobolev.kappa"])
 def test_flow_rejects_non_finite_setting(tmp_path, capsys, key, value):
     def expire(signum, frame):
         pytest.fail(f"flow with {key}={value} ran past 30 s")
@@ -335,6 +335,23 @@ def test_flow_rejects_non_finite_setting(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{key.split('.')[1]} must" in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "constants.gallot_c0=nan", "constants.gallot_c0=0", "sobolev.kappa=nan",
+    "sobolev.kappa=-0.5"])
+def test_check_rejects_bad_gallot_c0_and_kappa(tmp_path, capsys, setting):
+    # a NaN here once gave NaN margins under a passing hypothesis_report
+    cfg = str(CONFIGS / "sphere.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rc = main(["check", "--config", cfg, "--out", str(tmp_path),
+               "--trajectory", str(tmp_path / "trajectory.csv"), "--override", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    key = setting.split("=")[0].split(".")[1]
+    assert err.startswith("config error: ") and f"{key} must" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_sweep_product_scaling_slope(cfgfile, tmp_path):

@@ -22,6 +22,7 @@ from riccilab import (
     scale_metric,
     write_trajectory_csv,
 )
+from riccilab import geometry
 from riccilab.config import load_config
 from riccilab.flow import (
     TERM_BLOWUP,
@@ -29,10 +30,14 @@ from riccilab.flow import (
     TERM_UNDERFLOW,
     Trajectory,
     TrajectorySchemaError,
+    _sym_from_tri,
+    _tri_indices,
     csv_columns,
     trajectory_table,
     validate_trajectory,
 )
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 # -- right-hand side ---------------------------------------------------------
@@ -157,12 +162,50 @@ def test_halved_tolerances_change_trajectory(heis_model, heis_traj):
 
 
 def test_heisenberg_cfg_rhs_budget(heis_model):
-    cfg = load_config(Path(__file__).parent.parent / "configs" / "heisenberg.cfg")
+    cfg = load_config(CONFIGS / "heisenberg.cfg")
     traj = integrate(heis_model, reference_metric(heis_model), cfg.flow)
     stats = traj.meta["integrator"]
     assert len(traj) == 513
     assert stats["rhs_evals"] <= 200
     assert stats["accepted"] < len(traj) // 10
+
+
+def test_heisenberg_cfg_one_frame_transport_per_accepted_step(heis_model, monkeypatch):
+    # every RHS is the frame-free closed form; frames are built only by row 0,
+    # the blow-up test at each accepted step and the assembly
+    calls = {"ricci_fixed_basis": 0, "_frames": 0}
+    for name in calls:
+        def count(*args, _fn=getattr(geometry, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, count)
+    cfg = load_config(CONFIGS / "heisenberg.cfg")
+    stats = integrate(heis_model, reference_metric(heis_model), cfg.flow).meta["integrator"]
+    assert calls["ricci_fixed_basis"] == stats["rhs_evals"] == 118
+    assert calls["_frames"] == stats["accepted"] + 2
+
+
+def test_sym_from_tri_matches_scatter():
+    tri = np.random.default_rng(5).standard_normal((7, 10))
+    rows, cols = _tri_indices(4)
+    ref = np.zeros((7, 4, 4))
+    ref[:, rows, cols] = ref[:, cols, rows] = tri
+    assert np.array_equal(_sym_from_tri(4, tri), ref)
+    assert np.array_equal(_sym_from_tri(4, tri[3]), ref[3])
+
+
+def test_tiny_sphere_neither_overflows_nor_stops():
+    # |Rm| ~ 3.5e160 squares past the largest float, and |Rm|^2 vol is finite
+    cfg = load_config(None, text="[model]\nkind = product_of_space_forms\n"
+                                 "factors = sphere 3 1e-80 ; circle 1 0.5\n"
+                                 "[flow]\nt_end = 1e-161\n")
+    model = build_model(cfg.model_spec)
+    traj = integrate(model, reference_metric(model), cfg.flow)
+    assert traj.meta["termination"] == TERM_HORIZON and len(traj) == 1025
+    assert np.all(np.isfinite(traj.derived["J"]))
+    rm = [geometry.rm_norm(model, g) for g in traj.mats]
+    assert np.allclose(rm, geometry.curvature_batch(model, traj.mats).rm_norm,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_integrator_telemetry(heis_traj):

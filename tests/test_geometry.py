@@ -22,6 +22,8 @@ from riccilab import (
 )
 from riccilab.geometry import (
     _curvature_operator,
+    _frames,
+    _rm_from_structure,
     _sampled_sec_extremes,
     factor_scales,
     ricci_fixed_basis,
@@ -442,6 +444,13 @@ MILNOR_CLASSES = {"su2": (1.0, 1.0, 1.0), "sl2r": (1.0, 1.0, -1.0),
                   "nil": (0.0, 0.0, 1.0), "abelian": (0.0, 0.0, 0.0)}
 
 
+QUOTIENT_MODELS = {
+    **{name: milnor_model(2.0 * l1, 0.5 * l2, 1.5 * l3)
+       for name, (l1, l2, l3) in MILNOR_CLASSES.items()},
+    "filiform4": build_model(FILIFORM4),
+}
+
+
 @st.composite
 def spd_stacks(draw, n):
     a = draw(arrays(float, (draw(st.integers(1, 5)), n, n),
@@ -449,10 +458,7 @@ def spd_stacks(draw, n):
     return a @ a.transpose(0, 2, 1) + draw(st.floats(0.5, 3.0)) * np.eye(n)
 
 
-@pytest.mark.parametrize("model", [
-    *(milnor_model(2.0 * l1, 0.5 * l2, 1.5 * l3) for l1, l2, l3 in MILNOR_CLASSES.values()),
-    build_model(FILIFORM4),
-], ids=[*MILNOR_CLASSES, "filiform4"])
+@pytest.mark.parametrize("model", QUOTIENT_MODELS.values(), ids=QUOTIENT_MODELS.keys())
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_curvature_batch_matches_brute_force(model, data):
@@ -469,6 +475,39 @@ def test_curvature_batch_matches_brute_force(model, data):
         assert abs(cb.scalar[m] - eigs.sum()) <= 1e-12 * scale
         assert abs(np.trace(cb.ric[m]) - cb.scalar[m]) <= 1e-12 * scale
         assert math.isclose(cb.vol[m], math.sqrt(np.linalg.det(mat)), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("model", QUOTIENT_MODELS.values(), ids=QUOTIENT_MODELS.keys())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ricci_fixed_basis_closed_form_matches_frame_route(model, data):
+    mats = data.draw(spd_stacks(model.dim))
+    _, _, Linv, ct = _frames(model, mats)
+    ric = np.trace(_rm_from_structure(ct), axis1=1, axis2=3)      # frame Ricci
+    for m, mat in enumerate(mats):
+        ref = Linv[m].T @ ric[m] @ Linv[m]
+        out = ricci_fixed_basis(model, mat)
+        assert np.array_equal(out, out.T)
+        assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_ricci_terms_are_read_only_model_constants(heis_model, prod_model):
+    ad, ad_flat, c_flat, killing = heis_model.ricci_terms
+    c = heis_model.structure_constants
+    assert np.array_equal(ad, np.einsum("kai->aki", c))
+    assert np.array_equal(ad_flat, ad.reshape(3, 9)) and np.array_equal(c_flat, c.reshape(3, 9))
+    assert np.array_equal(killing, np.einsum("kai,ibk->ab", c, c))
+    assert not any(a.flags.writeable for a in heis_model.ricci_terms)
+    assert prod_model.ricci_terms is None
+
+
+@pytest.mark.parametrize("b", [1e-170, 1e170])
+def test_rm_norm_neither_under_nor_overflows(heis_model, b):
+    # |Rm| of diag(1, 1, b) is sqrt(11) b / 2, whose square is not a normal float
+    g = np.diag([1.0, 1.0, b])
+    expected = math.sqrt(11.0) * b / 2.0
+    assert math.isclose(rm_norm(heis_model, g), expected, rel_tol=1e-12)
+    assert rm_norm(heis_model, g) == curvature_batch(heis_model, g).rm_norm[0]
 
 
 PRODUCT_FACTORS = [
@@ -515,9 +554,7 @@ def test_milnor_principal_ricci(lams, diag):
 # -- exact sectional-curvature extremes ---------------------------------------
 
 EXACT_SEC_MODELS = {
-    **{name: milnor_model(2.0 * l1, 0.5 * l2, 1.5 * l3)
-       for name, (l1, l2, l3) in MILNOR_CLASSES.items()},
-    "filiform4": build_model(FILIFORM4),
+    **QUOTIENT_MODELS,
     **{"x".join(f"{t}{d}" for t, d, _ in factors):
        build_model({"kind": "product_of_space_forms", "factors": factors})
        for factors in PRODUCT_FACTORS},
