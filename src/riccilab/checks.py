@@ -148,9 +148,13 @@ def check_volume_identity(traj: Trajectory, tol: float = 1e-7) -> CheckReport:
     resid = np.abs(dvol + R[idx] * vol[idx]) / (np.abs(R[idx]) * vol[idx] + 1.0)
     ok = bool(np.max(resid) <= tol)
 
-    # scalar-norm variant: exact equality at homogeneity
-    lhs = np.abs(R) * vol
-    rhs = (np.abs(R) ** (n / 2.0) * vol) ** (2.0 / n) * vol ** ((n - 2.0) / n)
+    # scalar-norm variant: exact equality at homogeneity; |R| is divided by
+    # its maximum before the n/2 power, which overflows on tiny spheres
+    abs_r = np.abs(R)
+    r_max = float(abs_r.max()) or 1.0
+    lhs = abs_r * vol
+    rhs = r_max * ((abs_r / r_max) ** (n / 2.0) * vol) ** (2.0 / n) \
+        * vol ** ((n - 2.0) / n)
     norm_gap = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))
     ok = ok and norm_gap <= 1e-10
 

@@ -6,7 +6,9 @@ metric matrix in the fixed basis (quotients) or one scale per factor
 Norsett & Wanner, Solving ODEs I, Sec. II.5-6) whose step size is set only
 by its embedded 5th/3rd-order error estimate; a step is rejected and halved
 if it would leave the SPD cone, and the run stops early when |Rm| crosses
-the blowup threshold or the step size underflows.
+the blowup threshold or the step size underflows.  The first step comes from
+the same error scale, by the starting-step rule of Sec. II.4 (one extra RHS
+evaluation), not from the horizon or the record grid.
 
 States are recorded on a uniform time grid (spacing ``record_every``), so
 the finite-difference identity checks downstream see a regular grid.  The
@@ -232,6 +234,34 @@ def _dense_output(f, t, y, y_new, K, h, x: np.ndarray) -> np.ndarray:
     return y + out
 
 
+def _rms(v: np.ndarray) -> float:
+    return math.sqrt(float(v @ v) / len(v))
+
+
+def _starting_step(f, y0, f0, t_end: float, scale: np.ndarray) -> float:
+    """The first step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4.
+
+    ``scale`` is the controller's abs_tol + rel_tol |y0|.  One explicit-Euler
+    probe f(h_probe, y0 + h_probe f0) estimates the second derivative; the
+    step is then min(100 h_probe, (0.01 / max(d1, d2))^(1/8), t_end), where
+    1/8 suits DOP853's order-7 error estimate.  Every fallback is relative to
+    t_end: a tiny horizon must not meet an absolute floor.
+    """
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h_probe = 1e-6 * t_end
+    else:
+        h_probe = min(0.01 * d0 / d1, t_end)
+    try:
+        f1 = f(h_probe, y0 + h_probe * f0)
+    except (GeometryError, np.linalg.LinAlgError):
+        return h_probe                       # the probe left the SPD cone
+    d2 = _rms((f1 - f0) / scale) / h_probe
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return t_end                         # the flow does not move (flat models)
+    return min(100.0 * h_probe, (0.01 / max(d1, d2)) ** (-_ERR_EXP), t_end)
+
+
 def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajectory:
     """Integrate the flow from g0 and record on a uniform time grid.
 
@@ -253,21 +283,25 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
     stats = {"accepted": 0, "rejected_err": 0, "rejected_spd": 0,
              "rhs_evals": 0, "dense_evals": 0}
 
+    # the packed state's entries of a symmetric matrix: the upper triangle of
+    # a quotient metric, or one diagonal entry per product factor
+    if model.kind == LIE_GROUP_QUOTIENT:
+        packed = _tri_indices(n)
+        y = np.asarray(g0, dtype=float)[packed]
+    else:
+        starts = np.array([sl.start for sl in model.factor_slices()])
+        packed = (starts, starts)
+        y = geometry.factor_scales(model, g0)
+
     def f(t, y):
         rhs = ricci_rhs(model, _unpack(model, y))
         stats["rhs_evals"] += 1
-        if model.kind == LIE_GROUP_QUOTIENT:
-            return rhs[_tri_indices(n)]
-        return np.array([rhs[sl.start, sl.start] for sl in model.factor_slices()])
+        return rhs[packed]
 
-    if model.kind == LIE_GROUP_QUOTIENT:
-        y = np.asarray(g0, dtype=float)[_tri_indices(n)]
-    else:
-        y = geometry.factor_scales(model, g0)
     t = 0.0
     k0 = f(t, y)
     min_step = 1e-14 * t_end
-    h = t_end / 1000.0
+    h = h0 = _starting_step(f, y, k0, t_end, cfg.abs_tol + cfg.rel_tol * np.abs(y))
     steps, err_norms = [], []
     termination = TERM_HORIZON
     recorded_y = [y.copy()]
@@ -344,6 +378,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
         "integrator": {
             "method": "dop853",
             **stats,
+            "h0": h0,
             "h_min": min(steps, default=None),
             "h_max": max(steps, default=None),
             "h_median": float(np.median(steps)) if steps else None,

@@ -614,7 +614,7 @@ def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
     if model.kind == LIE_GROUP_QUOTIENT:
         evals, _, _, ct = _frames(model, _metric_array(model, mats))
         rm = _rm_from_structure(ct)
-        vol = np.sqrt(np.prod(evals, axis=1)) * model.covolume
+        vol = np.prod(np.sqrt(evals), axis=1) * model.covolume   # det g may overflow
     else:
         scales = factor_scales(model, mats).reshape(-1, len(model.factors))
         rm = _rm_product(model, scales)
@@ -702,7 +702,7 @@ def volume(model: ModelGeometry, g: np.ndarray) -> float:
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
         evals, _ = _metric_eigh(g)
-        return float(math.sqrt(np.prod(evals)) * model.covolume)
+        return float(np.prod(np.sqrt(evals)) * model.covolume)
     vol = 1.0
     for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
         vol *= _factor_volume(ftype, d, s)

@@ -59,6 +59,14 @@ def prod_traj(prod_model):
 
 
 @pytest.fixture(scope="session")
+def tiny_sphere_traj():
+    # |Rm| ~ 3.5e160 squares past the largest float, and |Rm|^2 vol is finite
+    model = build_model({"kind": "product_of_space_forms",
+                         "factors": [["sphere", 3, 1e-80], ["circle", 1, 0.5]]})
+    return integrate(model, reference_metric(model), FlowConfig(t_end=1e-161))
+
+
+@pytest.fixture(scope="session")
 def almost_flat_heis_traj(heis_model):
     # fiber shrunk to delta = 0.05 and volume normalized: the smallness
     # hypothesis holds under default primitives, horizon T0 = 1

@@ -75,6 +75,14 @@ def test_volume_identity_sphere(s3_traj):
     assert math.isclose(rep.fitted_constant, math.sqrt(3.0), rel_tol=1e-12)
 
 
+def test_volume_identity_tiny_sphere(tiny_sphere_traj):
+    # |R| ~ 6e160: the R-norm variant's |R|^(n/2) would overflow unscaled;
+    # warnings are errors here
+    rep = check_volume_identity(tiny_sphere_traj)
+    assert rep.status == PASS
+    assert math.isfinite(rep.details["r_norm_variant_gap"])
+
+
 def test_volume_identity_needs_states(s3_model):
     traj = integrate(s3_model, reference_metric(s3_model),
                      FlowConfig(t_end=0.01, record_every=0.01))

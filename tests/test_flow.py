@@ -88,6 +88,13 @@ def test_flat_torus_is_fixed_point(torus_traj):
     assert torus_traj.meta["termination"] == TERM_HORIZON
 
 
+def test_flat_torus_takes_one_step(torus_traj):
+    # f vanishes at y0 and at the probe, so the first step is the horizon
+    stats = torus_traj.meta["integrator"]
+    assert stats["h0"] == 0.5
+    assert stats["accepted"] == 1 and stats["rejected_err"] == stats["rejected_spd"] == 0
+
+
 def test_sphere_blowup_before_extinction(s3_model):
     traj = integrate(s3_model, reference_metric(s3_model), FlowConfig(t_end=0.3))
     assert traj.meta["termination"] == TERM_BLOWUP
@@ -181,8 +188,57 @@ def test_heisenberg_cfg_one_frame_transport_per_accepted_step(heis_model, monkey
         monkeypatch.setattr(geometry, name, count)
     cfg = load_config(CONFIGS / "heisenberg.cfg")
     stats = integrate(heis_model, reference_metric(heis_model), cfg.flow).meta["integrator"]
-    assert calls["ricci_fixed_basis"] == stats["rhs_evals"] == 118
+    assert calls["ricci_fixed_basis"] == stats["rhs_evals"] == 92
     assert calls["_frames"] == stats["accepted"] + 2
+
+
+@pytest.mark.parametrize("name,max_accepted", [
+    ("heisenberg", 6), ("sphere", 2), ("collapse_sweep", 2)])
+def test_shipped_configs_start_from_error_based_step(name, max_accepted, monkeypatch):
+    # every RHS evaluation, the starting-step probe included, is one
+    # ricci_fixed_basis call
+    calls = []
+    real = geometry.ricci_fixed_basis
+    monkeypatch.setattr(geometry, "ricci_fixed_basis",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    model = build_model(cfg.model_spec)
+    stats = integrate(model, reference_metric(model), cfg.flow).meta["integrator"]
+    assert len(calls) == stats["rhs_evals"]
+    assert stats["accepted"] <= max_accepted
+    assert stats["rejected_err"] == stats["rejected_spd"] == 0
+
+
+def test_starting_step_matches_scipy_rule(heis_model):
+    # the Hairer-Norsett-Wanner rule as scipy implements it, order 7
+    pytest.importorskip("scipy")
+    from scipy.integrate._ivp.common import select_initial_step
+
+    from riccilab.flow import _starting_step
+    g0 = np.diag([1.0, 2.0, 0.5])
+    y0 = g0[_tri_indices(3)]
+
+    def f(t, y):
+        return ricci_rhs(heis_model, _sym_from_tri(3, y))[_tri_indices(3)]
+
+    f0 = f(0.0, y0)
+    for t_end, rel_tol, abs_tol in ((0.5, 1e-9, 1e-12), (1e-4, 1e-6, 1e-8), (3.0, 1e-3, 1e-6)):
+        want = select_initial_step(f, 0.0, y0, t_end, np.inf, f0, 1.0, 7, rel_tol, abs_tol)
+        got = _starting_step(f, y0, f0, t_end, abs_tol + rel_tol * np.abs(y0))
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_starting_step_falls_back_when_probe_leaves_cone():
+    from riccilab.flow import _starting_step
+
+    def f(t, y):
+        if t > 0.0:
+            raise GeometryError("metric is not positive definite")
+        return -y
+
+    y0 = np.ones(3)
+    got = _starting_step(f, y0, f(0.0, y0), 2.0, 1e-12 + 1e-9 * y0)
+    assert got == 0.01      # the probe step 0.01 d0 / d1
 
 
 def test_sym_from_tri_matches_scatter():
@@ -194,14 +250,10 @@ def test_sym_from_tri_matches_scatter():
     assert np.array_equal(_sym_from_tri(4, tri[3]), ref[3])
 
 
-def test_tiny_sphere_neither_overflows_nor_stops():
-    # |Rm| ~ 3.5e160 squares past the largest float, and |Rm|^2 vol is finite
-    cfg = load_config(None, text="[model]\nkind = product_of_space_forms\n"
-                                 "factors = sphere 3 1e-80 ; circle 1 0.5\n"
-                                 "[flow]\nt_end = 1e-161\n")
-    model = build_model(cfg.model_spec)
-    traj = integrate(model, reference_metric(model), cfg.flow)
+def test_tiny_sphere_neither_overflows_nor_stops(tiny_sphere_traj):
+    traj, model = tiny_sphere_traj, tiny_sphere_traj.model
     assert traj.meta["termination"] == TERM_HORIZON and len(traj) == 1025
+    assert 0.0 < traj.meta["integrator"]["h0"] <= traj.meta["t_end_requested"] == 1e-161
     assert np.all(np.isfinite(traj.derived["J"]))
     rm = [geometry.rm_norm(model, g) for g in traj.mats]
     assert np.allclose(rm, geometry.curvature_batch(model, traj.mats).rm_norm,
@@ -211,13 +263,15 @@ def test_tiny_sphere_neither_overflows_nor_stops():
 def test_integrator_telemetry(heis_traj):
     stats = heis_traj.meta["integrator"]
     assert stats["method"] == "dop853"
+    assert 0.0 < stats["h0"] <= 0.5
     assert 0.0 < stats["h_min"] <= stats["h_median"] <= stats["h_max"] <= 0.5
     assert stats["rhs_evals_per_record"] == stats["rhs_evals"] / len(heis_traj)
     assert 0.0 <= stats["max_err_norm"] <= 1.0
     # 3 interpolant stages per step holding an interior record
     assert 0 < stats["dense_evals"] <= 3 * stats["accepted"]
     assert stats["dense_evals"] % 3 == 0
-    assert stats["rhs_evals"] == (1 + 12 * (stats["accepted"] + stats["rejected_err"])
+    # f(0, y0), the starting-step probe, then 12 stages per step tried
+    assert stats["rhs_evals"] == (2 + 12 * (stats["accepted"] + stats["rejected_err"])
                                   + stats["dense_evals"])
 
 
@@ -228,7 +282,7 @@ def test_record_on_step_end_needs_no_interpolant(heis_model):
     stats = traj.meta["integrator"]
     assert traj.times.tolist() == [0.0, 0.5]
     assert stats["dense_evals"] == 0
-    assert stats["rhs_evals"] == 1 + 12 * stats["accepted"]
+    assert stats["rhs_evals"] == 2 + 12 * stats["accepted"]
     assert _isenberg_jackson_error(traj) <= 1e-8
 
 

@@ -396,6 +396,14 @@ def test_volume_values(s3_model, torus_model):
                         2.0 * math.pi ** 2 * 2.0 * math.pi * eps, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("b,expected", [(1e170, 1e255), (1e-170, 1e-255)])
+def test_quotient_volume_neither_over_nor_underflows(heis_model, b, expected):
+    # det g = b^3 is not a float, vol = b^(3/2) is; warnings are errors here
+    g = b * np.eye(3)
+    assert math.isclose(volume(heis_model, g), expected, rel_tol=1e-14)
+    assert math.isclose(curvature_batch(heis_model, g).vol[0], expected, rel_tol=1e-14)
+
+
 def test_diameter_values(s3_model, heis_model):
     assert math.isclose(diameter(s3_model, reference_metric(s3_model)), math.pi)
     eps = 0.3
