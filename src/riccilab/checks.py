@@ -362,8 +362,11 @@ def _holder_sides(f: np.ndarray, w: np.ndarray, p: float, n: int,
     """Both sides of every inequality on T measures at once, one column each.
 
     ``f`` and ``w`` are (T, A) atom values and weights; a measure with fewer
-    atoms is padded with value 0 and weight 0, which adds nothing because
-    every exponent is positive.  The epsilon split takes one column per grid
+    atoms is padded with value 0 and weight 0.  Powers are taken of the value
+    where the weight is positive and of 1 elsewhere: a padded atom then adds
+    0 * 1 = +0.0, exactly as 0 * 0^e did, but no zero base is ever raised to
+    a power, which numpy's ``pow`` does several times slower.  A live atom of
+    value 0 still gives 0^e = 0.  The epsilon split takes one column per grid
     value.  Returns the column names and (T, C) arrays lhs, rhs, the relative
     margin (inf where lhs == 0) and the failure flags.
     """
@@ -373,7 +376,8 @@ def _holder_sides(f: np.ndarray, w: np.ndarray, p: float, n: int,
             p0 / (p0 - 2.0), 1.0, n / (n - 2.0))
     distinct = tuple(dict.fromkeys(exps))
     ms = dict(zip(distinct,
-                  np.einsum("ta,tka->kt", w, f[:, None, :] ** np.array(distinct)[:, None])))
+                  np.einsum("ta,tka->kt", w, np.where(w > 0.0, f, 1.0)[:, None, :]
+                            ** np.array(distinct)[:, None])))
     eps = np.asarray(eps_grid, dtype=float)
     e1 = -((n - 2.0) / n) ** 2
     e2 = 2.0 * (n - 2.0) / (n * n)
@@ -401,6 +405,25 @@ _DEFAULT_EPS_GRID = np.logspace(-3, 3, 13)
 _MAX_ATOMS = 20            # holder_suite draws 1 to 20 atoms per measure
 
 
+def _holder_args(n: int, p: float, eps_grid: Sequence[float], count: int = 1) -> np.ndarray:
+    """Reject arguments outside the inequalities' domain; returns the epsilon grid.
+
+    The critical exponent n/(n-2) needs n >= 3, the splittings need a finite
+    p >= 1, and the split's eps^(-((n-2)/n)^2) needs every epsilon positive
+    and finite.  ``count`` (measures to check) must be at least 1.
+    """
+    if not n >= 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not count >= 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    eps = np.asarray(eps_grid, dtype=float)
+    if eps.ndim != 1 or not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise ValueError(f"eps_grid/epsilon entries must be positive and finite, got {eps_grid}")
+    return eps
+
+
 def check_holder(samples: Sequence[tuple[float, float]], p: float, n: int,
                  epsilon: float | None = None,
                  eps_grid: Sequence[float] | None = None) -> CheckReport:
@@ -408,24 +431,22 @@ def check_holder(samples: Sequence[tuple[float, float]], p: float, n: int,
 
     ``samples`` is a list of (value, weight) atoms defining the measure.
     The split inequality is swept over ``eps_grid`` (or the single
-    ``epsilon``); near-equality at the optimal epsilon is flagged.
+    ``epsilon``); near-equality at the optimal epsilon is flagged.  Raises
+    ``ValueError`` unless n >= 3, p is finite and >= 1, every epsilon is
+    positive and finite, every value finite and >= 0 and every weight
+    finite and > 0.
     """
     if not samples:
         raise ValueError("need a nonempty sample list")
-    if p < 1.0:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
-    if n < 3:
-        raise ValueError(f"dimension must be >= 3, got {n}")
+    if eps_grid is None:
+        eps_grid = _DEFAULT_EPS_GRID if epsilon is None else [epsilon]
+    eps_grid = _holder_args(n, p, eps_grid)
     f = np.array([s[0] for s in samples], dtype=float)
     w = np.array([s[1] for s in samples], dtype=float)
-    if np.any(f < 0.0):
-        raise ValueError("sample values must be nonnegative")
-    if np.any(w <= 0.0):
-        raise ValueError("sample weights must be positive")
-    if epsilon is not None and eps_grid is None:
-        eps_grid = [epsilon]
-    if eps_grid is None:
-        eps_grid = _DEFAULT_EPS_GRID
+    if not np.all(np.isfinite(f) & (f >= 0.0)):
+        raise ValueError("sample values must be finite and nonnegative")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("sample weights must be finite and positive")
     names, (lhs,), (rhs,), (margin,), (failed,) = _holder_sides(f[None], w[None], p, n,
                                                                  eps_grid)
     margins: dict[str, float] = {}
@@ -454,11 +475,13 @@ def holder_suite(n: int, p: float = 2.0, seed: int = 0, count: int = 1000,
     counts uniform on 1..20; then |N(0, 1)| values, shape (count, 20),
     each row times its own 10^U(-2, 2); then weights U(0.1, 2.0), shape
     (count, 20).  Atoms at or beyond a measure's count get value and
-    weight 0, which ``_holder_sides`` ignores.  All measures are checked at
-    once; the reported failure entries are rebuilt with ``check_holder``
-    on the failing measures.
+    weight 0.  ``_holder_sides`` evaluates them at base 1 with weight 0, so
+    they add nothing and no zero base is raised to a power (numpy's slow
+    path).  All measures are checked at once; the reported failure entries
+    are rebuilt with ``check_holder`` on the failing measures.  ``n``,
+    ``p``, ``count`` and ``eps_grid`` are validated as in ``check_holder``.
     """
-    eps_grid = _DEFAULT_EPS_GRID if eps_grid is None else eps_grid
+    eps_grid = _holder_args(n, p, _DEFAULT_EPS_GRID if eps_grid is None else eps_grid, count)
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, _MAX_ATOMS + 1, count)
     f = np.abs(rng.standard_normal((count, _MAX_ATOMS))) \

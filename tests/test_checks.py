@@ -221,6 +221,75 @@ def test_holder_domain_errors():
         check_holder([(1.0, 0.0)], 2.0, 4)
 
 
+@pytest.mark.parametrize("samples,kwargs,match", [
+    ([(math.nan, 1.0)], {}, "values"),
+    ([(math.inf, 1.0)], {}, "values"),
+    ([(1.0, math.nan)], {}, "weights"),
+    ([(1.0, math.inf)], {}, "weights"),
+    ([(1.0, 1.0)], {"epsilon": 0.0}, "epsilon"),
+    ([(1.0, 1.0)], {"epsilon": -1.0}, "epsilon"),
+    ([(1.0, 1.0)], {"epsilon": math.nan}, "epsilon"),
+    ([(1.0, 1.0)], {"eps_grid": [1.0, math.inf]}, "eps_grid"),
+    ([(1.0, 1.0)], {"eps_grid": [0.0, 1.0]}, "eps_grid"),
+    ([(1.0, 1.0)], {"p": math.nan}, "p must"),
+    ([(1.0, 1.0)], {"p": 0.5}, "p must"),
+    ([(1.0, 1.0)], {"n": 2}, "n must"),
+])
+def test_holder_rejects_out_of_domain_input(samples, kwargs, match):
+    args = {"p": 2.0, "n": 3, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        check_holder(samples, **args)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"p": 0.5}, "p must"),
+    ({"p": math.nan}, "p must"),
+    ({"p": math.inf}, "p must"),
+    ({"n": 2}, "n must"),
+    ({"count": 0}, "count must"),
+    ({"eps_grid": [0.0]}, "eps_grid"),
+    ({"eps_grid": [math.nan]}, "eps_grid"),
+])
+def test_holder_suite_rejects_out_of_domain_arguments(kwargs, match):
+    args = {"n": 3, "p": 2.0, "count": 10, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        holder_suite(**args)
+
+
+def test_holder_sides_live_zero_atoms_match_unpadded():
+    # live atoms of value 0 must still count as 0^e = 0; only weight-0 padding is skipped
+    measures = [[(0.0, 1.0), (2.0, 1.5)], [(0.0, 0.7)], [(3.0, 0.2), (0.0, 1.9), (0.5, 1.0)]]
+    f, w = np.zeros((len(measures), 4)), np.zeros((len(measures), 4))
+    for t, atoms in enumerate(measures):
+        f[t, :len(atoms)], w[t, :len(atoms)] = zip(*atoms)
+    names, lhs, _, margin, failed = checks_module._holder_sides(f, w, 2.0, 4,
+                                                               checks_module._DEFAULT_EPS_GRID)
+    assert not failed.any()
+    for t, atoms in enumerate(measures):
+        margins = check_holder(atoms, 2.0, 4).details["min_margins"]
+        for name in margins:
+            got = margin[t][[c for c, m in enumerate(names) if m == name]].min()
+            assert got == margins[name] or \
+                abs(got - margins[name]) <= 1e-12 * max(1.0, abs(margins[name]))
+    # the all-zero live measure keeps lhs == 0, hence an infinite margin
+    assert np.all(lhs[1] == 0.0) and np.all(margin[1] == math.inf)
+    rep = check_holder(measures[1], 2.0, 4)
+    assert rep.status == PASS
+    assert all(m == math.inf for m in rep.details["min_margins"].values())
+
+
+@pytest.mark.parametrize("n,seed,worst", [
+    (3, 0, "-0x1.f2edcf219d6a1p-51"),
+    (3, 2024, "-0x1.668d87e951a04p-50"),
+    (4, 0, "-0x1.76325b59360f8p-51"),
+    (4, 2024, "-0x1.0b9b1879e948dp-51"),
+])
+def test_holder_suite_worst_margin_pinned(n, seed, worst):
+    # exact values: skipping the zero-weight padding must not move a single bit
+    rep = holder_suite(n, 2.0, seed=seed)
+    assert float.hex(rep.details["worst_margin"]) == worst
+
+
 def _holder_suite_loop(n, p, seed, count):
     """Reference: the suite's seeded draw layout, one check_holder call per measure."""
     rng = np.random.default_rng(seed)
