@@ -53,6 +53,9 @@ HYP_NOT_MET = "hypothesis-not-met"
 UNAVAILABLE = "unavailable"
 
 _REL_SLACK = 1e-12
+_IDENTITY_TOL = 1e-7          # residual tolerance of the two exact identities
+_WORST_TOP = 3                # worst residuals listed per identity report
+_MAX_WITNESS_TIMES = 17       # record times at which Sobolev witnesses are evaluated
 
 
 class CheckReport:
@@ -118,9 +121,8 @@ def grid_derivative(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     return idx, deriv, 4
 
 
-def _worst(idx: np.ndarray, times: np.ndarray, residuals: np.ndarray,
-           top: int = 3) -> list[dict]:
-    order = np.argsort(residuals)[::-1][:top]
+def _worst(idx: np.ndarray, times: np.ndarray, residuals: np.ndarray) -> list[dict]:
+    order = np.argsort(residuals)[::-1][:_WORST_TOP]
     return [{"t": float(times[idx[i]]), "residual": float(residuals[i])}
             for i in order]
 
@@ -129,7 +131,7 @@ def _worst(idx: np.ndarray, times: np.ndarray, residuals: np.ndarray,
 # trajectory checks
 
 
-def check_volume_identity(traj: Trajectory, tol: float = 1e-7) -> CheckReport:
+def check_volume_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> CheckReport:
     """dvol/dt = -R vol as an explicit identity, plus the norm-bound variants.
 
     The scalar-norm variant |R| vol <= (|R|^{n/2} vol)^{2/n} vol^{(n-2)/n}
@@ -186,7 +188,7 @@ def check_volume_identity(traj: Trajectory, tol: float = 1e-7) -> CheckReport:
     )
 
 
-def check_scalar_identity(traj: Trajectory, tol: float = 1e-7) -> CheckReport:
+def check_scalar_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> CheckReport:
     """dR/dt = 2 |Ric|^2, the homogeneous reduction of the scalar evolution.
 
     |Ric|^2 is the sum of the squared Ricci eigenvalues stored per record.
@@ -541,8 +543,7 @@ def check_diameter_bound(A: float, B: float, n: int, diam: float, vol: float,
 def check_sobolev_along_flow(traj: Trajectory, cs0: float,
                              primitives: ConstantPrimitives,
                              family: str = "eigenfunction",
-                             grid: int = 512,
-                             max_witness_times: int = 17) -> CheckReport:
+                             grid: int = 512) -> CheckReport:
     """Trace the flow-time Sobolev condition; fit the inequality's constant.
 
     The condition a_n ||Rm||_{n/2}(t) cs0^2 e^{8 delta0 t / n} <= 1/(n(n-1))
@@ -588,7 +589,7 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
                            notes=tuple(notes))
     witnesses = sobolev.witness_family(model, family)
     pick = ok_idx[np.unique(np.linspace(0, ok_idx.size - 1,
-                                        min(max_witness_times, ok_idx.size)).astype(int))]
+                                        min(_MAX_WITNESS_TIMES, ok_idx.size)).astype(int))]
     fitted = 0.0
     for i in pick:
         envelope = math.exp(8.0 * d0 * float(t[i]) / n)
@@ -726,8 +727,7 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
               a_const: float = 1.0, b_const: float = 1.0,
               family: str = "eigenfunction", grid: int = 512,
               kappa: float = 0.0, seed: int = 0,
-              checks: Sequence[str] | None = None,
-              identity_tol: float = 1e-7) -> list[CheckReport]:
+              checks: Sequence[str] | None = None) -> list[CheckReport]:
     """Run the named checks (default all) and return reports sorted by name."""
     model = traj.model
     n = model.dim
@@ -740,9 +740,9 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
     reports: list[CheckReport] = []
 
     if "volume_identity" in selected:
-        reports.append(check_volume_identity(traj, tol=identity_tol))
+        reports.append(check_volume_identity(traj))
     if "scalar_identity" in selected:
-        reports.append(check_scalar_identity(traj, tol=identity_tol))
+        reports.append(check_scalar_identity(traj))
     if "n2_bound" in selected:
         reports.append(check_n2_bound(traj, chain))
     if "c0_bound" in selected:

@@ -33,7 +33,7 @@ class ConfigError(ValueError):
 
 
 class _Field(NamedTuple):
-    kind: str            # float|int|str|enum|entries|floats|optfloat
+    kind: str            # float|int|posint|str|enum|entries|floats|optfloat
     default: object = None
     choices: tuple[str, ...] = ()
     listlike: bool = False
@@ -71,7 +71,7 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     },
     "sobolev": {
         "family": _Field("enum", "eigenfunction", FAMILY_NAMES),
-        "grid": _Field("int", 512),
+        "grid": _Field("posint", 512),
         "a_const": _Field("float", 1.0),
         "b_const": _Field("float", 1.0),
         "kappa": _Field("float", 0.0),
@@ -79,7 +79,7 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     "output": {
         "dir": _Field("str", None),
         "format": _Field("enum", "csv", ("csv", "json")),
-        "stride": _Field("int", 1),
+        "stride": _Field("posint", 1),
         "seed": _Field("int", 0),
     },
     "sweep": {
@@ -153,8 +153,11 @@ def _coerce(section: str, key: str, text: str, source: str, line: int | None):
             return float(text)
         if spec.kind == "optfloat":
             return None if text.lower() in ("auto", "none") else float(text)
-        if spec.kind == "int":
-            return int(text)
+        if spec.kind in ("int", "posint"):
+            val = int(text)
+            if spec.kind == "posint" and val < 1:
+                raise ValueError(f"must be >= 1, got {val}")
+            return val
         if spec.kind == "str":
             return text
         if spec.kind == "enum":
@@ -231,15 +234,11 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
                 raise ConfigError("model.dim is required for quotient models", source)
             model_spec["dim"] = g("model", "dim")
             model_spec["covolume"] = g("model", "covolume")
-            model_spec["brackets"] = [
-                [int(e[0]), int(e[1]), int(e[2]), float(e[3])] if len(e) == 4
-                else _bad_entry(source, e, "brackets")
-                for e in g("model", "brackets")]
+            model_spec["brackets"] = [_model_entry(source, e, "brackets", (int, int, int, float))
+                                      for e in g("model", "brackets")]
         else:
-            model_spec["factors"] = [
-                [e[0], int(e[1]), float(e[2])] if len(e) == 3
-                else _bad_entry(source, e, "factors")
-                for e in g("model", "factors")]
+            model_spec["factors"] = [_model_entry(source, e, "factors", (str, int, float))
+                                     for e in g("model", "factors")]
 
     try:
         flow = FlowConfig(
@@ -283,5 +282,10 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
     )
 
 
-def _bad_entry(source: str, entry, key: str):
-    raise ConfigError(f"malformed model.{key} entry {' '.join(entry)!r}", source)
+def _model_entry(source: str, entry, key: str, types: tuple) -> list:
+    """One model.brackets or model.factors entry, converted token by token."""
+    try:           # a wrong token count fails the strict zip with ValueError too
+        return [t(token) for t, token in zip(types, entry, strict=True)]
+    except ValueError:
+        raise ConfigError(f"malformed model.{key} entry {' '.join(entry)!r}",
+                          source) from None

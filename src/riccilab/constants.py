@@ -18,18 +18,19 @@ invented silently:
 The smallness condition traced along trajectories uses
 ``max(a_n, c_n)``; one run has a single effective dimensional constant.
 
-``solve_c_n_gamma`` solves exp(2 c e^{(8/n)(gamma + n(n-1) x)} x) = 2^n,
-whose unique root feeds the threshold chain; the Moser schedule fields are
-kept in exact rational arithmetic so the limit identities
-``sum 1/q_{k+1} = (n-2)/n`` and ``sum 1/q_k = 1 - 4/n^2`` are checked
-without floating error.  ``ConstantChain`` and ``MoserSchedule`` are
-``typing.NamedTuple`` records with tuple semantics; ``ConstantPrimitives``
-is a slot class.
+``solve_c_n_gamma`` bisects exp(2 c e^{(8/n)(gamma + n(n-1) x)} x) = 2^n
+on a closed-form bracket down to float resolution; the unique root feeds
+the threshold chain.  The Moser schedule fields are kept in exact rational
+arithmetic so the limit identities ``sum 1/q_{k+1} = (n-2)/n`` and
+``sum 1/q_k = 1 - 4/n^2`` are checked without floating error.
+``ConstantChain`` and ``MoserSchedule`` are ``typing.NamedTuple`` records
+with tuple semantics; ``ConstantPrimitives`` is a slot class.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -107,34 +108,32 @@ def _doubling_lhs(c: float, n: int, gamma: float, x: float) -> float:
 def solve_c_n_gamma(primitives: ConstantPrimitives, n: int, gamma: float) -> float:
     """Unique root x of exp(2 c e^{(8/n)(gamma + n(n-1) x)} x) = 2^n.
 
-    The left side is 1 at x = 0 and strictly increasing, so bracketing
-    bisection is robust against the double exponential.  Relative residual
-    of the returned root is at most 1e-12.
+    Taking logs twice gives x e^{8(n-1)x} = K = n ln2 e^{-8 gamma/n} / (2c),
+    so the root lies in (0, K] and [0, 2K] brackets it (the left side is
+    >= 4^n at 2K).  Bisection stops when no float lies between the ends,
+    after about 60 halvings.  gamma may reach about 88.5 n, where
+    e^{-8 gamma/n} leaves the normal floats; beyond that, or when K does,
+    ValueError names n and gamma.  The relative residual is at most 1e-12.
     """
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     c = primitives.condition_c
+    e = math.exp(-8.0 * gamma / n)
+    k = n * math.log(2.0) * e / (2.0 * c)
+    if not min(k, e) >= sys.float_info.min:
+        raise ValueError(f"gamma = {gamma} is too large for n = {n}: the doubling "
+                         f"equation's root is not representable in floating point")
     target = 2.0 ** n
-    hi = 1e-6
-    while _doubling_lhs(c, n, gamma, hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError(
-                f"failed to bracket the root below 1e12 (lhs at {hi} is "
-                f"{_doubling_lhs(c, n, gamma, hi)})")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _doubling_lhs(c, n, gamma, mid) < target:
-            lo = mid
+    lo, x, hi = 0.0, k, 2.0 * k
+    while lo < x < hi:
+        if _doubling_lhs(c, n, gamma, x) < target:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    x = 0.5 * (lo + hi)
-    if abs(_doubling_lhs(c, n, gamma, x) - target) > 1e-12 * target:
+            hi = x
+        x = 0.5 * (lo + hi)
+    if not abs(_doubling_lhs(c, n, gamma, x) - target) <= 1e-12 * target:
         raise ArithmeticError(f"root residual too large at x = {x}")
     return x
 

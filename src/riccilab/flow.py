@@ -315,28 +315,23 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
             break
         t_new = t_end if last else t + h_eff
         try:
+            # a stage leaving the SPD cone, or y_new failing validation in rm_norm
+            # (the step's one frame transport) or the RHS at y_new, rejects the step
             K, y_new = _dop853_stages(f, t, y, k0, h_eff)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            enorm = _error_norm(K, h_eff, scale)
+            if not enorm > 1.0:             # a NaN norm still reaches the validation
+                rmn = geometry.rm_norm(model, _unpack(model, y_new))
+                if rmn <= max_rm:
+                    K[_dop.N_STAGES] = f(t_new, y_new)
         except (GeometryError, np.linalg.LinAlgError):
-            # a stage left the SPD cone: reject exactly like an SPD failure
             stats["rejected_spd"] += 1
             h, rejected = 0.5 * h_eff, True
             continue
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        enorm = _error_norm(K, h_eff, scale)
         if enorm > 1.0:
             stats["rejected_err"] += 1
             h = h_eff * max(_MIN_FAC, _SAFETY * enorm ** _ERR_EXP)
             rejected = True
-            continue
-        try:
-            # rm_norm (the step's one frame transport) and the RHS at y_new
-            # each validate y_new: an SPD failure in either rejects the step
-            rmn = geometry.rm_norm(model, _unpack(model, y_new))
-            if rmn <= max_rm:
-                K[_dop.N_STAGES] = f(t_new, y_new)
-        except (GeometryError, np.linalg.LinAlgError):
-            stats["rejected_spd"] += 1
-            h, rejected = 0.5 * h_eff, True
             continue
         stats["accepted"] += 1
         steps.append(h_eff)

@@ -354,6 +354,36 @@ def test_check_rejects_bad_gallot_c0_and_kappa(tmp_path, capsys, setting):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",
+                                     "sobolev.grid=0"])
+def test_flow_rejects_stride_and_grid_below_one(tmp_path, capsys, setting):
+    rc = main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"),
+               "--out", str(tmp_path), "--override", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert err.startswith("config error: ") and f"bad value for {key}: must be >= 1" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("gamma,rc_want", [(50, 0), (1000, 2)])
+def test_large_gamma_check_and_sweep(tmp_path, capsys, gamma, rc_want):
+    # gamma = 50 puts the doubling root near 1e-58; gamma = 1000 puts it below
+    # the normal floats, which must be blamed on gamma, not on the grid value
+    cfg = str(CONFIGS / "heisenberg.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    gamma_override = ["--override", f"flow.gamma={gamma}"]
+    runs = (["check", "--trajectory", str(tmp_path / "trajectory.csv")],
+            ["sweep", "--param", "metric_scale", "--values", "1.0"])
+    for run in runs:
+        capsys.readouterr()
+        assert main([run[0], "--config", cfg, "--out", str(tmp_path), *run[1:],
+                     *gamma_override]) == rc_want
+        err = capsys.readouterr().err
+        if rc_want:
+            assert "gamma = 1000.0" in err and "sweep parameter" not in err
+
+
 def test_sweep_product_scaling_slope(cfgfile, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(out)])

@@ -67,6 +67,17 @@ brackets = 1 2 3
 """)
 
 
+@pytest.mark.parametrize("key,entry", [("brackets", "1 2 x 1.0"),
+                                       ("factors", "sphere three 1.0")])
+def test_malformed_entry_token_names_file_key_and_entry(tmp_path, key, entry):
+    kind = "lie_group_quotient\ndim = 3" if key == "brackets" else "product_of_space_forms"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[model]\nkind = {kind}\n{key} = {entry}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: malformed model.{key} entry {entry!r}"
+
+
 def test_enum_validation():
     with pytest.raises(ConfigError, match="one of"):
         load_config(None, text="[sobolev]\nfamily = wavelet\n")

@@ -90,6 +90,48 @@ def test_root_residual_over_parameter_grid(n, gamma, c_n):
         <= 1e-12 * 2.0 ** n
 
 
+@pytest.mark.parametrize("n,gamma,root_hex", [
+    (3, 1.0, "0x1.3e02b2d15abe8p-5"),
+    (4, 1.0, "0x1.b0aac2189c06cp-5"),
+    (3, 0.5, "0x1.40b877bb028f8p-4"),
+    (9, 2.0, "0x1.496628586a4e8p-5"),
+])
+def test_root_pinned_bits(n, gamma, root_hex):
+    assert solve_c_n_gamma(DEFAULTS, n, gamma).hex() == root_hex
+
+
+@pytest.mark.parametrize("n,gamma", [(3, 1.0), (4, 1e-3), (9, 10.0), (40, 0.5)])
+def test_root_bisection_call_budget(monkeypatch, n, gamma):
+    # the closed-form bracket [0, 2K] leaves about 60 halvings to float resolution
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _doubling_lhs(*args)
+
+    monkeypatch.setattr("riccilab.constants._doubling_lhs", counted)
+    solve_c_n_gamma(DEFAULTS, n, gamma)
+    assert len(calls) <= 70
+
+
+def test_root_tiny_for_large_gamma():
+    x = solve_c_n_gamma(DEFAULTS, 3, 50.0)
+    assert 0.0 < x < 1e-57
+    assert abs(_doubling_lhs(1.0, 3, 50.0, x) - 8.0) <= 1e-12 * 8.0
+
+
+def test_root_below_normal_floats_rejected():
+    with pytest.raises(ValueError, match=r"gamma = 1000.0 .* n = 3"):
+        solve_c_n_gamma(DEFAULTS, 3, 1000.0)
+
+
+def test_nan_residual_rejected(monkeypatch):
+    # a NaN left side must fail the residual test, not pass as a zero root
+    monkeypatch.setattr("riccilab.constants._doubling_lhs", lambda *args: math.nan)
+    with pytest.raises(ArithmeticError, match="residual"):
+        solve_c_n_gamma(DEFAULTS, 3, 1.0)
+
+
 # -- the threshold chain ---------------------------------------------------------
 
 def test_chain_zero_curvature_gives_full_horizon():

@@ -286,6 +286,20 @@ def test_record_on_step_end_needs_no_interpolant(heis_model):
     assert _isenberg_jackson_error(traj) <= 1e-8
 
 
+def test_berger_su2_blowup_pins_rejection_counters():
+    # a squashed Berger metric on su(2) blows up before t_end with both
+    # error and SPD rejections, the paths no shipped config reaches
+    model = build_model({"kind": "lie_group_quotient", "dim": 3,
+                         "covolume": 2.0 * math.pi ** 2,
+                         "brackets": [[1, 2, 3, 2.0], [2, 3, 1, 2.0], [3, 1, 2, 2.0]]})
+    traj = integrate(model, np.diag([1.0, 1.0, 0.25]), FlowConfig(t_end=0.5))
+    stats = traj.meta["integrator"]
+    assert traj.meta["termination"] == TERM_BLOWUP
+    assert math.isclose(traj.meta["t_reached"], 0.17252157685013825, rel_tol=1e-12)
+    assert (stats["accepted"], stats["rejected_err"], stats["rejected_spd"]) == (32, 23, 10)
+    assert (stats["rhs_evals"], stats["dense_evals"]) == (786, 72)
+
+
 def test_dop853_tableau_matches_scipy():
     pytest.importorskip("scipy")
     from scipy.integrate._ivp import dop853_coefficients as ref
