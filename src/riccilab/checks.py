@@ -543,7 +543,7 @@ def check_diameter_bound(A: float, B: float, n: int, diam: float, vol: float,
 def check_sobolev_along_flow(traj: Trajectory, cs0: float,
                              primitives: ConstantPrimitives,
                              family: str = "eigenfunction",
-                             grid: int = 512) -> CheckReport:
+                             grid: int = sobolev.MIN_GRID) -> CheckReport:
     """Trace the flow-time Sobolev condition; fit the inequality's constant.
 
     The condition a_n ||Rm||_{n/2}(t) cs0^2 e^{8 delta0 t / n} <= 1/(n(n-1))
@@ -725,7 +725,7 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
               primitives: ConstantPrimitives, *,
               cs0: float | None = None,
               a_const: float = 1.0, b_const: float = 1.0,
-              family: str = "eigenfunction", grid: int = 512,
+              family: str = "eigenfunction", grid: int = sobolev.MIN_GRID,
               kappa: float = 0.0, seed: int = 0,
               checks: Sequence[str] | None = None) -> list[CheckReport]:
     """Run the named checks (default all) and return reports sorted by name."""

@@ -92,7 +92,7 @@ def _thin(traj: flow.Trajectory, stride: int) -> flow.Trajectory:
 
 def _trajectory_rows(traj: flow.Trajectory) -> list[dict]:
     cols = flow.csv_columns(traj.model.dim)
-    return [dict(zip(cols, map(float, row))) for row in flow.trajectory_table(traj)]
+    return [dict(zip(cols, row)) for row in flow.trajectory_table(traj).tolist()]
 
 
 def cmd_check(args) -> int:

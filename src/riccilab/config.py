@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .constants import ConstantPrimitives
 from .flow import FlowConfig
-from .sobolev import FAMILY_NAMES, GallotConstant
+from .sobolev import FAMILY_NAMES, MIN_GRID, GallotConstant
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_text"]
 
@@ -37,6 +37,7 @@ class _Field(NamedTuple):
     default: object = None
     choices: tuple[str, ...] = ()
     listlike: bool = False
+    minimum: int = 1     # posint only
 
 
 _SCHEMA: dict[str, dict[str, _Field]] = {
@@ -67,11 +68,11 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "vol0": _Field("float", 1.0),
         "rm_n2_0": _Field("float", 0.0),
         "t_prime": _Field("float", 1.0),
-        "moser_k": _Field("int", 64),
+        "moser_k": _Field("posint", 64),
     },
     "sobolev": {
         "family": _Field("enum", "eigenfunction", FAMILY_NAMES),
-        "grid": _Field("posint", 512),
+        "grid": _Field("posint", MIN_GRID, minimum=MIN_GRID),
         "a_const": _Field("float", 1.0),
         "b_const": _Field("float", 1.0),
         "kappa": _Field("float", 0.0),
@@ -155,8 +156,8 @@ def _coerce(section: str, key: str, text: str, source: str, line: int | None):
             return None if text.lower() in ("auto", "none") else float(text)
         if spec.kind in ("int", "posint"):
             val = int(text)
-            if spec.kind == "posint" and val < 1:
-                raise ValueError(f"must be >= 1, got {val}")
+            if spec.kind == "posint" and val < spec.minimum:
+                raise ValueError(f"must be >= {spec.minimum}, got {val}")
             return val
         if spec.kind == "str":
             return text

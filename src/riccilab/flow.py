@@ -450,8 +450,18 @@ def trajectory_table(traj: Trajectory) -> np.ndarray:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    """Write ``trajectory_table(traj)`` under a ``csv_columns`` header.
+
+    Each field is ``repr`` of the float, byte for byte.  Most values repeat
+    (a block-scalar metric, zero off-diagonals, θ = ‖Rm‖_{n/2} at cs0 = 1),
+    so each distinct value is formatted once.  Values are told apart by
+    their bits, not by float equality, which would merge 0.0 with -0.0.
+    """
+    table = np.ascontiguousarray(trajectory_table(traj))
+    keys, where = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
     lines = [",".join(csv_columns(traj.model.dim))]
-    lines += [",".join(map(repr, row)) for row in trajectory_table(traj).tolist()]
+    lines += [",".join(row) for row in text[where.reshape(table.shape)].tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -53,6 +53,7 @@ __all__ = [
 
 _REFINE_TOL = 1e-6
 _MAX_GRID = 1 << 17
+MIN_GRID = 512                 # starting resolution of witness_norms' refinement
 FAMILY_NAMES = ("eigenfunction", "bump", "cap")
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -292,15 +293,25 @@ def _factor_integrals(model: ModelGeometry, g: np.ndarray, w: Witness,
     return out
 
 
+def _require_grid(grid: int) -> None:
+    if not grid >= MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}, got {grid}")
+
+
 def witness_norms(model: ModelGeometry, g: np.ndarray, w: Witness,
-                  grid: int = 512) -> WitnessNorms:
-    """Norms of one witness, grid-refined until two resolutions agree to 1e-6."""
+                  grid: int = MIN_GRID) -> WitnessNorms:
+    """Norms of one witness, grid-refined until two resolutions agree to 1e-6.
+
+    ``grid`` is the starting number of quadrature intervals; it doubles until
+    the norms converge or reach 2**17.  It must be at least ``MIN_GRID``.
+    """
+    _require_grid(grid)
+    grid = int(grid)
     n = model.dim
     if n < 3:
         raise GeometryError(f"Sobolev norms need dim >= 3, got {n}")
     q = 2.0 * n / (n - 2.0)
     vol = volume(model, g)
-    grid = max(512, int(grid))
     prev = None
     converged = False
     while True:
@@ -333,7 +344,7 @@ class LowerBound(NamedTuple):
 
 def sobolev_lower(model: ModelGeometry, g: np.ndarray,
                   family: str | Sequence[Witness] = "eigenfunction",
-                  grid: int = 512) -> LowerBound:
+                  grid: int = MIN_GRID) -> LowerBound:
     """Best lower bound on the Sobolev constant over a witness family.
 
     Witnesses with vanishing gradient norm are skipped; a negative best
@@ -363,7 +374,7 @@ def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
                      kappa: float = 0.0,
                      c_strategy: GallotConstant = DEFAULT_GALLOT,
                      family: str = "eigenfunction",
-                     grid: int = 512,
+                     grid: int = MIN_GRID,
                      diam_bound: float | None = None) -> SobolevEstimate:
     """Combine upper and lower estimates; either side degrades to None.
 
@@ -372,6 +383,7 @@ def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
     configured strategy can make lower exceed upper; that is flagged, not
     raised.
     """
+    _require_grid(grid)      # raised here, not swallowed with the lower bound
     n = model.dim
     vol = volume(model, g)
     diam = diameter(model, g)

@@ -355,14 +355,18 @@ def test_check_rejects_bad_gallot_c0_and_kappa(tmp_path, capsys, setting):
 
 
 @pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",
-                                     "sobolev.grid=0"])
+                                     "sobolev.grid=0", "sobolev.grid=511",
+                                     "constants.moser_k=0"])
 def test_flow_rejects_stride_and_grid_below_one(tmp_path, capsys, setting):
+    # [sobolev] grid starts the witness-norm refinement, at 512 intervals or more
     rc = main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"),
                "--out", str(tmp_path), "--override", setting])
     assert rc == 2
     err = capsys.readouterr().err
     key = setting.split("=")[0]
-    assert err.startswith("config error: ") and f"bad value for {key}: must be >= 1" in err
+    minimum = 512 if key == "sobolev.grid" else 1
+    assert err.startswith("config error: ")
+    assert f"bad value for {key}: must be >= {minimum}" in err
     assert not (tmp_path / "trajectory.csv").exists()
 
 

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riccilab import (
     FlowConfig,
@@ -25,6 +28,7 @@ from riccilab import (
 from riccilab import geometry
 from riccilab.config import load_config
 from riccilab.flow import (
+    DERIVED_KEYS,
     TERM_BLOWUP,
     TERM_HORIZON,
     TERM_UNDERFLOW,
@@ -473,6 +477,56 @@ def test_csv_bytes_match_per_value_repr(name, tmp_path, monkeypatch):
     lines = [",".join(csv_columns(traj.model.dim))]
     lines += [",".join(repr(float(v)) for v in row) for row in trajectory_table(traj)]
     assert (tmp_path / "trajectory.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _table_trajectory(model, table):
+    """A Trajectory whose ``trajectory_table`` is ``table``, bit for bit."""
+    n = model.dim
+    rows, cols = _tri_indices(n)
+    mats = np.zeros((len(table), n, n))
+    mats[:, rows, cols] = table[:, 1:1 + len(rows)]
+    derived = table[:, 1 + len(rows):]
+    return Trajectory(model, table[:, 0], mats,
+                      {k: derived[:, i] for i, k in enumerate(DERIVED_KEYS)})
+
+
+def _assert_csv_is_per_value_repr(traj, path):
+    write_trajectory_csv(traj, path)
+    lines = [",".join(csv_columns(traj.model.dim))]
+    lines += [",".join(repr(float(v)) for v in row) for row in trajectory_table(traj)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writer_keeps_every_bit_pattern(heis_model, tmp_path):
+    # the writer formats each distinct value once; these are the values a
+    # dedup on float equality, or a wrong notation switch, would get wrong
+    sub = 5e-324
+    edge = [0.0, -0.0, math.inf, -math.inf, math.nan, sub, 3 * sub, 2.2e-308,
+            1e16, 9999999999999998.0, 1e-5, 9.999999999999999e-05, 1.0,
+            math.nextafter(1.0, 2.0), -0.0, 0.0]
+    width = len(csv_columns(heis_model.dim))
+    table = np.resize(np.array(edge), (len(edge), width))
+    table[:, 1] = np.tile([0.0, -0.0], len(edge) // 2)
+    traj = _table_trajectory(heis_model, table)
+    assert np.array_equal(trajectory_table(traj).view(np.int64), table.view(np.int64))
+    _assert_csv_is_per_value_repr(traj, tmp_path / "edge.csv")
+
+
+_SIGNED_ZEROS_NAN = np.array([0.0, -0.0, math.nan, -math.nan]).view(np.int64).tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_csv_writer_matches_per_value_repr_on_bit_patterns(heis_model, tmp_path_factory,
+                                                           data):
+    # a small pool of arbitrary bit patterns, drawn with repeats, as in a real table
+    pool = np.array(data.draw(st.lists(
+        st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_SIGNED_ZEROS_NAN)),
+        min_size=1, max_size=8)), dtype=np.int64)
+    shape = (data.draw(st.integers(1, 6)), len(csv_columns(heis_model.dim)))
+    pick = data.draw(arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
+    traj = _table_trajectory(heis_model, pool[pick].view(np.float64))
+    _assert_csv_is_per_value_repr(traj, tmp_path_factory.mktemp("bits") / "t.csv")
 
 
 def test_csv_schema_errors(heis_traj, heis_model, tmp_path):

@@ -153,6 +153,16 @@ def test_lower_bound_two_resolution_agreement(s3_model):
     assert all(wn.converged for wn in coarse.norms)
 
 
+@pytest.mark.parametrize("grid", [0, 100, 511, math.nan])
+def test_grid_below_refinement_start_is_error(s3_model, grid):
+    g = reference_metric(s3_model)
+    w = witness_family(s3_model, "cap")[0]
+    with pytest.raises(ValueError, match="grid must be >= 512"):
+        witness_norms(s3_model, g, w, grid=grid)
+    with pytest.raises(ValueError, match="grid must be >= 512"):
+        sobolev_estimate(s3_model, g, grid=grid)
+
+
 @pytest.mark.parametrize("family", ["eigenfunction", "bump", "cap"])
 def test_lower_bound_scale_invariant(prod_model, family):
     g = reference_metric(prod_model)
