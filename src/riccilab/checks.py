@@ -74,16 +74,9 @@ class CheckReport:
         self.primitives_echo = {} if primitives_echo is None else primitives_echo
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "sup_ratio": self.sup_ratio,
-            "fitted_constant": self.fitted_constant,
-            "samples": self.samples,
-            "details": self.details,
-            "primitives_echo": self.primitives_echo,
-            "notes": list(self.notes),
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["notes"] = list(self.notes)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +256,8 @@ def _intermediate_time_readout(traj: Trajectory, t_ref: float) -> dict | None:
     n = traj.model.dim
     p = n * n / (2.0 * (n - 2.0))           # p0 / 2
     t = traj.times
-    window = (t >= t_ref / 3.0 - 1e-15) & (t <= t_ref / 2.0 + 1e-15)
+    slack = _REL_SLACK * t_ref      # relative, so the window scales with the flow
+    window = (t >= t_ref / 3.0 - slack) & (t <= t_ref / 2.0 + slack)
     if not np.any(window):
         return None
     norms = traj.derived["rm_norm"][window] * traj.derived["vol"][window] ** (1.0 / p)
@@ -723,15 +717,14 @@ SUITE_CHECKS = ("volume_identity", "scalar_identity", "n2_bound", "c0_bound",
 
 def run_suite(traj: Trajectory, chain: ConstantChain,
               primitives: ConstantPrimitives, *,
-              cs0: float | None = None,
               a_const: float = 1.0, b_const: float = 1.0,
               family: str = "eigenfunction", grid: int = sobolev.MIN_GRID,
               kappa: float = 0.0, seed: int = 0,
               checks: Sequence[str] | None = None) -> list[CheckReport]:
-    """Run the named checks (default all) and return reports sorted by name."""
+    """Run the named checks (default all) at ``chain.cs0``; reports sorted by name."""
     model = traj.model
     n = model.dim
-    cs0 = chain.cs0 if cs0 is None else cs0
+    cs0 = chain.cs0
     selected = set(SUITE_CHECKS if checks is None else checks)
     unknown = selected - set(SUITE_CHECKS)
     if unknown:

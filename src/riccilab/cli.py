@@ -4,8 +4,10 @@ Exit codes: 0 success (including recorded blowup/underflow terminations),
 1 when an explicit-constant check failed, 2 for configuration errors,
 3 for trajectory files that do not match the mandated CSV schema.
 Artifacts are deterministic byte-for-byte for a fixed (config, seed).
-The default output directory comes from --out, then the config, then the
-RICCILAB_OUTDIR environment variable, then the working directory.
+--seed, --format, --out, --param and --values stand for the output.seed,
+output.format, output.dir, sweep.parameter and sweep.values overrides and
+are applied after every --override; without an output directory there,
+RICCILAB_OUTDIR is used, then the working directory.
 """
 
 from __future__ import annotations
@@ -25,25 +27,25 @@ from .flow import TrajectorySchemaError
 
 OUTDIR_ENV = "RICCILAB_OUTDIR"
 
+# an empty flag value falls back to the config
+_FLAG_KEYS = (("seed", "output.seed"), ("format", "output.format"), ("out", "output.dir"),
+              ("param", "sweep.parameter"), ("values", "sweep.values"))
+
 
 def _json_bytes(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = args.out or cfg.out_dir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
+def _out_dir(cfg: RunConfig) -> Path:
+    path = Path(cfg.out_dir or os.environ.get(OUTDIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config, overrides=tuple(args.override or ()))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.format is not None:
-        cfg.out_format = args.format
-    return cfg
+    flags = tuple((f"--{name}", key, str(value)) for name, key in _FLAG_KEYS
+                  if (value := getattr(args, name, None)) is not None and value != "")
+    return load_config(args.config, overrides=tuple(args.override or ()), flags=flags)
 
 
 def _build_model(cfg: RunConfig) -> geometry.ModelGeometry:
@@ -51,13 +53,13 @@ def _build_model(cfg: RunConfig) -> geometry.ModelGeometry:
     try:
         return geometry.build_model(cfg.model_spec)
     except geometry.GeometryError as exc:
-        raise ConfigError(f"invalid model: {exc}") from None
+        raise ConfigError(f"invalid model: {exc}", cfg.source) from None
 
 
 def cmd_flow(args) -> int:
     cfg = _load(args)
     model = _build_model(cfg)
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     g0 = geometry.reference_metric(model)
     traj = flow.integrate(model, g0, cfg.flow)
     if cfg.stride > 1:
@@ -98,7 +100,7 @@ def _trajectory_rows(traj: flow.Trajectory) -> list[dict]:
 def cmd_check(args) -> int:
     cfg = _load(args)
     model = _build_model(cfg)
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     # loading also validates the stored derived columns
     traj = flow.read_trajectory_csv(model, args.trajectory, cs0=cfg.flow.cs0,
                                     c_n=cfg.flow.c_n, gamma=cfg.flow.gamma)
@@ -107,7 +109,7 @@ def cmd_check(args) -> int:
         cfg.flow.cs0, traj.meta["rm_n2_0"])
     selected = args.checks.split(",") if args.checks else None
     reports = checks.run_suite(
-        traj, chain, cfg.primitives, cs0=cfg.flow.cs0, a_const=cfg.a_const,
+        traj, chain, cfg.primitives, a_const=cfg.a_const,
         b_const=cfg.b_const, family=cfg.family, grid=cfg.grid,
         kappa=cfg.kappa, seed=cfg.seed, checks=selected)
     payload = [r.to_jsonable() for r in reports]
@@ -124,7 +126,8 @@ def cmd_constants(args) -> int:
     if n is None and cfg.model_spec is not None:
         n = _build_model(cfg).dim
     if n is None:
-        raise ConfigError("constants.n is required when no model block is given")
+        raise ConfigError("constants.n is required when no model block is given",
+                          cfg.source)
     chain = constants.constant_chain(cfg.primitives, n, cfg.flow.gamma,
                                      cfg.vol0, cfg.flow.cs0, cfg.rm_n2_0)
     schedule = constants.moser_schedule(n, cfg.t_prime, cfg.moser_k)
@@ -134,7 +137,7 @@ def cmd_constants(args) -> int:
         "primitives": cfg.primitives.describe(),
     }
     text = _json_bytes(payload)
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     (out / "constants.json").write_text(text)
     sys.stdout.write(text)
     return 0
@@ -232,11 +235,9 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     cfg.require_section("model")
-    parameter = args.param or cfg.sweep_parameter
-    values = tuple(float(v) for v in args.values.split(",")) if args.values \
-        else cfg.sweep_values
+    parameter, values = cfg.sweep_parameter, cfg.sweep_values
     if parameter is None or not values:
         raise ConfigError("sweep needs a parameter and a nonempty value grid "
                           "(sweep block or --param/--values)")

@@ -7,8 +7,13 @@ invalidate inequality verdicts.  List-valued keys (brackets, factors,
 values) take semicolon-separated entries and may be repeated to
 accumulate.
 
-Overrides of the form ``section.key=value`` are applied after the file
-parses and validated against the same schema.
+``_SCHEMA`` is the one list of settings; ``RunConfig``'s slots and
+construction derive from it, except the composites ``model_spec``,
+``flow`` and ``primitives``.
+
+Overrides of the form ``section.key=value``, then the CLI flags that stand
+for one key each, are applied after the file parses and validated against
+the same schema.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ class _Field(NamedTuple):
     choices: tuple[str, ...] = ()
     listlike: bool = False
     minimum: int = 1     # posint only
+    attr: str | None = None   # RunConfig attribute of a plain key
 
 
 _SCHEMA: dict[str, dict[str, _Field]] = {
@@ -58,60 +64,52 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "cs0": _Field("float", 1.0),
     },
     "constants": {
-        "n": _Field("int", None),
+        "n": _Field("int", None, attr="constants_n"),
         "c_n": _Field("float", 1.0),
         "a_n": _Field("float", 1.0),
         "c3": _Field("float", 1.0),
         "gallot_c0": _Field("float", 1.0),
         "gallot_growth": _Field("enum", "exp_sqrt", ("constant", "exp_sqrt")),
         "gromov_ruh_eps": _Field("float", 1.0),
-        "vol0": _Field("float", 1.0),
-        "rm_n2_0": _Field("float", 0.0),
-        "t_prime": _Field("float", 1.0),
-        "moser_k": _Field("posint", 64),
+        "vol0": _Field("float", 1.0, attr="vol0"),
+        "rm_n2_0": _Field("float", 0.0, attr="rm_n2_0"),
+        "t_prime": _Field("float", 1.0, attr="t_prime"),
+        "moser_k": _Field("posint", 64, attr="moser_k"),
     },
     "sobolev": {
-        "family": _Field("enum", "eigenfunction", FAMILY_NAMES),
-        "grid": _Field("posint", MIN_GRID, minimum=MIN_GRID),
-        "a_const": _Field("float", 1.0),
-        "b_const": _Field("float", 1.0),
-        "kappa": _Field("float", 0.0),
+        "family": _Field("enum", "eigenfunction", FAMILY_NAMES, attr="family"),
+        "grid": _Field("posint", MIN_GRID, minimum=MIN_GRID, attr="grid"),
+        "a_const": _Field("float", 1.0, attr="a_const"),
+        "b_const": _Field("float", 1.0, attr="b_const"),
+        "kappa": _Field("float", 0.0, attr="kappa"),
     },
     "output": {
-        "dir": _Field("str", None),
-        "format": _Field("enum", "csv", ("csv", "json")),
-        "stride": _Field("posint", 1),
-        "seed": _Field("int", 0),
+        "dir": _Field("str", None, attr="out_dir"),
+        "format": _Field("enum", "csv", ("csv", "json"), attr="out_format"),
+        "stride": _Field("posint", 1, attr="stride"),
+        "seed": _Field("int", 0, attr="seed"),
     },
     "sweep": {
-        "parameter": _Field("str", None),
-        "values": _Field("floats", (), listlike=True),
+        "parameter": _Field("str", None, attr="sweep_parameter"),
+        "values": _Field("floats", (), listlike=True, attr="sweep_values"),
     },
 }
 
 
 class RunConfig:
-    """The typed run configuration, a slot class: ``cli`` overrides ``seed``
-    and ``out_format`` in place."""
+    """The typed run configuration, built once by ``load_config``: one slot per
+    plain ``_SCHEMA`` key, the composites, and the ``source`` errors name."""
 
-    __slots__ = ("model_spec", "flow", "primitives", "constants_n", "vol0", "rm_n2_0",
-                 "t_prime", "moser_k", "family", "grid", "a_const", "b_const", "kappa",
-                 "out_dir", "out_format", "stride", "seed", "sweep_parameter",
-                 "sweep_values", "sections")
+    __slots__ = ("source", "sections", "model_spec", "flow", "primitives",
+                 *(f.attr for fields in _SCHEMA.values() for f in fields.values() if f.attr))
 
-    def __init__(self, model_spec: dict | None, flow: FlowConfig,
-                 primitives: ConstantPrimitives, constants_n: int | None, vol0: float,
-                 rm_n2_0: float, t_prime: float, moser_k: int, family: str, grid: int,
-                 a_const: float, b_const: float, kappa: float, out_dir: str | None,
-                 out_format: str, stride: int, seed: int, sweep_parameter: str | None,
-                 sweep_values: tuple[float, ...], sections: frozenset[str] = frozenset()):
-        values = locals()
+    def __init__(self, **values):
         for name in self.__slots__:
             setattr(self, name, values[name])
 
     def require_section(self, name: str) -> None:
         if name not in self.sections:
-            raise ConfigError(f"missing required [{name}] block")
+            raise ConfigError(f"missing required [{name}] block", self.source)
 
 
 def parse_text(text: str, source: str = "<config>") -> dict[str, dict[str, tuple[str, int]]]:
@@ -183,7 +181,8 @@ def _coerce(section: str, key: str, text: str, source: str, line: int | None):
     raise AssertionError(f"unhandled field kind {spec.kind}")
 
 
-def _apply_overrides(raw: dict, overrides: tuple[str, ...], source: str) -> None:
+def _apply_overrides(raw: dict, overrides: tuple[str, ...],
+                     flags: tuple[tuple[str, str, str], ...]) -> None:
     for i, item in enumerate(overrides):
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value",
@@ -198,19 +197,28 @@ def _apply_overrides(raw: dict, overrides: tuple[str, ...], source: str) -> None
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", f"override#{i + 1}")
         raw.setdefault(section, {})[key] = (value.strip(), -i - 1)
+    for flag, dotted, value in flags:     # in place of a line number, the flag's name
+        section, key = dotted.split(".")
+        raw.setdefault(section, {})[key] = (value, flag)
 
 
 def _get(raw: dict, section: str, key: str, source: str):
     spec = _SCHEMA[section][key]
     if section in raw and key in raw[section]:
         text, line = raw[section][key]
+        if isinstance(line, str):                 # a CLI flag
+            return _coerce(section, key, text, line, None)
         return _coerce(section, key, text, source, line if line > 0 else None)
     return spec.default
 
 
 def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
-                text: str | None = None) -> RunConfig:
-    """Parse, apply overrides, and build the typed run configuration."""
+                text: str | None = None,
+                flags: tuple[tuple[str, str, str], ...] = ()) -> RunConfig:
+    """Parse, apply overrides, then ``flags``, and build the typed configuration.
+
+    ``flags`` holds (flag, "section.key", value) triples, taken verbatim;
+    errors in their values name the flag."""
     source = str(path) if path is not None else "<config>"
     if text is None:
         if path is None:
@@ -220,14 +228,14 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
             raise ConfigError(f"config file not found: {p}")
         text = p.read_text()
     raw = parse_text(text, source)
-    _apply_overrides(raw, tuple(overrides), source)
+    _apply_overrides(raw, tuple(overrides), tuple(flags))
     g = lambda s, k: _get(raw, s, k, source)
 
     model_spec = None
     if "model" in raw:
         kind = g("model", "kind")
         if kind is None:
-            line = min(v[1] for v in raw["model"].values()) if raw["model"] else None
+            line = min((v[1] for v in raw["model"].values() if v[1] > 0), default=None)
             raise ConfigError("model.kind is required", source, line)
         model_spec = {"kind": kind}
         if kind == "lie_group_quotient":
@@ -253,34 +261,15 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
             gallot=GallotConstant(c0=g("constants", "gallot_c0"),
                                   growth=g("constants", "gallot_growth")),
             gromov_ruh_eps=g("constants", "gromov_ruh_eps"))
-        kappa = g("sobolev", "kappa")
-        if not 0.0 <= kappa < math.inf:
-            raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     except ValueError as exc:
         raise ConfigError(str(exc), source) from None
-
-    return RunConfig(
-        model_spec=model_spec,
-        flow=flow,
-        primitives=primitives,
-        constants_n=g("constants", "n"),
-        vol0=g("constants", "vol0"),
-        rm_n2_0=g("constants", "rm_n2_0"),
-        t_prime=g("constants", "t_prime"),
-        moser_k=g("constants", "moser_k"),
-        family=g("sobolev", "family"),
-        grid=g("sobolev", "grid"),
-        a_const=g("sobolev", "a_const"),
-        b_const=g("sobolev", "b_const"),
-        kappa=kappa,
-        out_dir=g("output", "dir"),
-        out_format=g("output", "format"),
-        stride=g("output", "stride"),
-        seed=g("output", "seed"),
-        sweep_parameter=g("sweep", "parameter"),
-        sweep_values=tuple(g("sweep", "values")),
-        sections=frozenset(raw.keys()),
-    )
+    values = {f.attr: g(section, key) for section, fields in _SCHEMA.items()
+              for key, f in fields.items() if f.attr}
+    kappa = values["kappa"]
+    if not 0.0 <= kappa < math.inf:
+        raise ConfigError(f"kappa must be finite and >= 0, got {kappa}", source)
+    return RunConfig(source=source, sections=frozenset(raw), model_spec=model_spec,
+                     flow=flow, primitives=primitives, **values)
 
 
 def _model_entry(source: str, entry, key: str, types: tuple) -> list:

@@ -79,13 +79,9 @@ class ConstantPrimitives:
         return max(self.a_n, self.c_n)
 
     def describe(self) -> dict:
-        return {
-            "c_n": self.c_n,
-            "a_n": self.a_n,
-            "c3": self.c3,
-            "gallot": self.gallot.describe(),
-            "gromov_ruh_eps": self.gromov_ruh_eps,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["gallot"] = self.gallot.describe()
+        return out
 
 
 def delta0(cs0: float, neg_part_norm: float = 0.0) -> float:
@@ -157,14 +153,9 @@ class ConstantChain(NamedTuple):
     primitives: dict
 
     def describe(self) -> dict:
-        return {
-            "n": self.n, "gamma": self.gamma, "vol0": self.vol0, "cs0": self.cs0,
-            "rm_n2_0": self.rm_n2_0, "delta0": self.delta0,
-            "c_n_gamma": self.c_n_gamma, "b_n_gamma": self.b_n_gamma,
-            "eps_n_gamma": self.eps_n_gamma, "eps1_n_gamma": self.eps1_n_gamma,
-            "eps_n_main": self.eps_n_main, "T0": self.T0, "T1": self.T1,
-            "primitives": dict(self.primitives),
-        }
+        out = self._asdict()
+        out["primitives"] = dict(self.primitives)
+        return out
 
 
 def _b_of(primitives: ConstantPrimitives, n: int, gamma: float, root: float) -> float:

@@ -80,7 +80,7 @@ class GallotConstant(NamedTuple):
         raise ValueError(f"unknown gallot growth {self.growth!r}")
 
     def describe(self) -> dict:
-        return {"c0": self.c0, "growth": self.growth}
+        return self._asdict()
 
 
 DEFAULT_GALLOT = GallotConstant()

@@ -543,3 +543,26 @@ def test_c0_bound_reports_intermediate_time(s3_traj):
     assert info is not None
     assert info["t_ref"] / 3.0 - 1e-12 <= info["t_star"] <= info["t_ref"] / 2.0 + 1e-12
     assert "degenerate" in info["note"]
+
+
+def _intermediate_time(traj):
+    info = check_c0_bound(traj, cs0=1.0).details["intermediate_time"]
+    slack = 1e-12 * info["t_ref"]
+    assert info["t_ref"] / 3.0 - slack <= info["t_star"] <= info["t_ref"] / 2.0 + slack
+    return info["t_star"] / info["t_ref"]
+
+
+def test_intermediate_time_in_window_at_tiny_scale(tiny_sphere_traj):
+    # the whole flow lasts 1e-161, far below any absolute slack
+    assert _intermediate_time(tiny_sphere_traj) > 0.0
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("s3_traj", 1e-80), ("s3_traj", 1.0), ("s3_traj", 1e80),
+    # lam = 1e80 would overflow the S^3 x S^1 volume, which scales like lam^4
+    ("prod_traj", 1e-80), ("prod_traj", 1.0),
+])
+def test_intermediate_time_scale_invariant(request, name, lam):
+    base = request.getfixturevalue(name)
+    ratio = _intermediate_time(parabolic_rescale(base, lam))
+    assert math.isclose(ratio, _intermediate_time(base), rel_tol=1e-12)

@@ -308,6 +308,29 @@ def test_constants_missing_block(cfgfile, tmp_path, capsys):
     assert "[constants]" in capsys.readouterr().err
 
 
+def test_constants_missing_block_names_the_file(tmp_path, capsys):
+    cfg = str(CONFIGS / "sphere.cfg")
+    rc = main(["constants", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"config error: {cfg}: missing required [constants] block\n"
+
+
+def test_constants_missing_n_names_the_file(cfgfile, tmp_path, capsys):
+    cfg = cfgfile("[constants]\nc_n = 1.0\n")
+    rc = main(["constants", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"config error: {cfg}: constants.n is required "
+                                       "when no model block is given\n")
+
+
+def test_invalid_model_names_the_file(cfgfile, tmp_path, capsys):
+    cfg = cfgfile(HEIS_CFG.replace("brackets = 1 2 3 1.0", "brackets = 1 2 2 1.0"))
+    rc = main(["flow", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: invalid model: ")
+
+
 def test_constants_rejects_nonpositive_primitive(cfgfile, tmp_path):
     rc = main(["constants", "--config", cfgfile("[constants]\nn = 3\nc_n = -1\n"),
                "--out", str(tmp_path)])
@@ -623,3 +646,43 @@ def test_env_var_default_outdir(cfgfile, tmp_path, monkeypatch):
     rc = main(["flow", "--config", cfgfile(SPHERE_CFG)])
     assert rc == 0
     assert (tmp_path / "envout" / "trajectory.csv").exists()
+
+
+def test_seed_flag_zero_beats_config_seed(cfgfile, tmp_path):
+    cfg = cfgfile(HEIS_CFG + "\n[output]\nseed = 5\n")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "0"]) == 0
+    assert json.loads((tmp_path / "a" / "run.json").read_text())["seed"] == 5
+    assert json.loads((tmp_path / "b" / "run.json").read_text())["seed"] == 0
+
+
+def test_flags_beat_overrides_of_their_key(cfgfile, tmp_path):
+    rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(tmp_path),
+               "--override", "sweep.values=0.5;0.25", "--values", "0.125",
+               "--override", "sweep.parameter=metric_scale", "--param", "factor_radius:1",
+               "--override", "output.format=json", "--format", "csv"])
+    assert rc == 0
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    assert [(r["parameter"], float(r["value"])) for r in rows] == [("factor_radius:1", 0.125)]
+    assert not (tmp_path / "sweep.json").exists()
+
+
+def test_out_flag_beats_config_dir_and_env(cfgfile, tmp_path, monkeypatch):
+    monkeypatch.setenv("RICCILAB_OUTDIR", str(tmp_path / "env"))
+    cfg = cfgfile(HEIS_CFG + f"\n[output]\ndir = {tmp_path / 'cfg'}\n")
+    flag = str(tmp_path / "flag ")          # passed verbatim, trailing space kept
+    assert main(["flow", "--config", cfg, "--out", flag]) == 0
+    assert (Path(flag) / "trajectory.csv").exists()
+    assert not (tmp_path / "cfg").exists() and not (tmp_path / "env").exists()
+    assert main(["flow", "--config", cfg, "--out", ""]) == 0      # empty: config wins
+    assert (tmp_path / "cfg" / "trajectory.csv").exists()
+    assert not (tmp_path / "env").exists()
+
+
+def test_sweep_bad_values_flag_is_config_error(cfgfile, tmp_path, capsys):
+    rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(tmp_path),
+               "--values", "1,abc"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --values: bad value for sweep.values: ")
+    assert not (tmp_path / "sweep.csv").exists()

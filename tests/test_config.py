@@ -102,3 +102,24 @@ def test_primitive_validation_surfaces_as_config_error():
 def test_raw_parse_tracks_lines():
     raw = parse_text("[flow]\ngamma = 1.5\n", source="x.cfg")
     assert raw["flow"]["gamma"] == ("1.5", 2)
+
+
+def test_flags_apply_after_overrides_and_name_themselves(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[output]\nseed = 5\n")
+    cfg = load_config(path, overrides=("output.seed=7",),
+                      flags=(("--seed", "output.seed", "0"),))
+    assert (cfg.seed, cfg.source) == (0, str(path))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path, flags=(("--values", "sweep.values", "1,abc"),))
+    assert str(exc.value).startswith("--values: bad value for sweep.values: ")
+
+
+@pytest.mark.parametrize("text, overrides, where", [
+    ("[model]\ndim = 3\n", (), "x.cfg:2: "),
+    ("[flow]\nt_end = 0.1\n", ("model.dim=3",), "x.cfg: "),     # no line to point at
+])
+def test_missing_model_kind_points_at_a_file_line(text, overrides, where):
+    with pytest.raises(ConfigError) as exc:
+        load_config("x.cfg", overrides=overrides, text=text)
+    assert str(exc.value) == where + "model.kind is required"
