@@ -143,7 +143,7 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _check_sweep_value(parameter: str, value: float) -> None:
+def _check_sweep_value(parameter: str, value: float, source: str) -> None:
     """Reject a grid value whose square overflows or underflows.
 
     The metric scales by value^2 under metric_scale, a factor's scale is its
@@ -158,11 +158,12 @@ def _check_sweep_value(parameter: str, value: float) -> None:
         ok = value > 0 and sys.float_info.min <= sq < math.inf
         need = "a positive value whose square is finite and nonzero"
     if not ok:
-        raise ConfigError(f"sweep parameter {parameter} needs {need}, got {value!r}")
+        raise ConfigError(f"sweep parameter {parameter} needs {need}, got {value!r}", source)
 
 
-def _sweep_point(model_spec: dict, parameter: str, value: float):
-    """Model and initial metric for one sweep grid point."""
+def _sweep_point(model_spec: dict, parameter: str, value: float, source: str):
+    """Model and initial metric for one sweep grid point; ``source`` names
+    the config in a ConfigError."""
     spec = json.loads(json.dumps(model_spec))    # deep copy
     if parameter == "metric_scale":
         model = geometry.build_model(spec)
@@ -170,13 +171,13 @@ def _sweep_point(model_spec: dict, parameter: str, value: float):
         return model, g
     if parameter == "bracket_scale":
         if spec.get("kind") != geometry.LIE_GROUP_QUOTIENT:
-            raise ConfigError("bracket_scale sweeps need a quotient model")
+            raise ConfigError("bracket_scale sweeps need a quotient model", source)
         spec["brackets"] = [[i, j, k, c * value] for i, j, k, c in spec["brackets"]]
         model = geometry.build_model(spec)
         return model, geometry.reference_metric(model)
     if parameter.startswith("factor_radius:"):
         if spec.get("kind") != geometry.PRODUCT_OF_SPACE_FORMS:
-            raise ConfigError("factor_radius sweeps need a product model")
+            raise ConfigError("factor_radius sweeps need a product model", source)
         text = parameter.split(":", 1)[1]
         try:
             idx = int(text)
@@ -184,12 +185,12 @@ def _sweep_point(model_spec: dict, parameter: str, value: float):
             idx = -1
         if not 0 <= idx < len(spec["factors"]):
             raise ConfigError(f"sweep parameter {parameter} needs a factor index in "
-                              f"0..{len(spec['factors']) - 1}, got {text!r}")
+                              f"0..{len(spec['factors']) - 1}, got {text!r}", source)
         spec["factors"][idx][2] = value
         model = geometry.build_model(spec)
         return model, geometry.reference_metric(model)
     raise ConfigError(f"unknown sweep parameter {parameter!r}; use metric_scale, "
-                      "bracket_scale or factor_radius:<index>")
+                      "bracket_scale or factor_radius:<index>", source)
 
 
 _SWEEP_COLS = ("parameter", "value", "n", "vol", "diam", "rm_norm", "scalar_R",
@@ -206,7 +207,7 @@ _SWEEP_FINITE = ("vol", "rm_norm", "scalar_R", "ric_min", "ric_max", "sec_min",
 
 def _sweep_row(cfg: RunConfig, parameter: str, v: float) -> dict:
     """Static invariants and hypothesis margins at one grid point, by column."""
-    model, g = _sweep_point(cfg.model_spec, parameter, v)
+    model, g = _sweep_point(cfg.model_spec, parameter, v, cfg.source)
     n = model.dim
     curv = geometry.curvature(model, g, seed=cfg.seed)
     vol = geometry.volume(model, g)
@@ -240,10 +241,10 @@ def cmd_sweep(args) -> int:
     parameter, values = cfg.sweep_parameter, cfg.sweep_values
     if parameter is None or not values:
         raise ConfigError("sweep needs a parameter and a nonempty value grid "
-                          "(sweep block or --param/--values)")
+                          "(sweep block or --param/--values)", cfg.source)
     rows = []
     for v in values:
-        _check_sweep_value(parameter, v)
+        _check_sweep_value(parameter, v, cfg.source)
         try:
             # an invariant that overflows (the volume scales like value^n) is
             # an error here, not a numpy warning followed by an inf row
@@ -253,7 +254,7 @@ def cmd_sweep(args) -> int:
             row = None
         if row is None or not all(math.isfinite(row[c]) for c in _SWEEP_FINITE):
             raise ConfigError(f"sweep parameter {parameter} needs a value whose "
-                              f"invariants are finite, got {v!r}")
+                              f"invariants are finite, got {v!r}", cfg.source)
         rows.append(row)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w") as fh:

@@ -418,17 +418,36 @@ def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
 
 
 def parabolic_rescale(traj: Trajectory, lam: float) -> Trajectory:
-    """The flow symmetry g~(t) = lam^2 g(t / lam^2), rederived consistently."""
-    if lam <= 0:
-        raise ValueError(f"rescaling factor must be positive, got {lam}")
+    """The flow symmetry g~(t) = lam^2 g(t / lam^2), rederived consistently.
+
+    Raises ValueError naming lam when the rescaled trajectory leaves the
+    floats: a time, metric entry, ``vol``, ``rm_norm`` or ``rm_n2_norm``
+    that is not finite, or a metric or volume that underflows.  Only
+    ``chi`` may overflow, as in ``_assemble``.
+    """
+    if not 0 < lam < math.inf:
+        raise ValueError(f"rescaling factor must be positive and finite, got {lam}")
     lam2 = lam * lam
+    if not 0.0 < lam2 < math.inf:
+        raise ValueError(f"rescaling factor {lam!r} leaves the floats: its square is {lam2!r}")
     meta = dict(traj.meta)
     meta["t_reached"] = lam2 * meta.get("t_reached", float(traj.times[-1]))
     meta["t_end_requested"] = lam2 * meta.get("t_end_requested", float(traj.times[-1]))
     meta["record_every"] = lam2 * meta.get("record_every", 0.0)
     meta["max_rm"] = meta.get("max_rm", math.inf) / lam2
     meta["rescaled_by"] = lam * meta.get("rescaled_by", 1.0)
-    return _assemble(traj.model, lam2 * traj.times, lam2 * traj.mats, meta)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):     # checked below
+            out = _assemble(traj.model, lam2 * traj.times, lam2 * traj.mats, meta)
+    except ValueError as exc:           # an invalid metric or a zero volume
+        raise ValueError(f"rescaling factor {lam!r} leaves the floats: {exc}") from None
+    for name, col in (("t", out.times), ("vol", out.derived["vol"]),
+                      ("rm_norm", out.derived["rm_norm"]),
+                      ("rm_n2_norm", out.derived["rm_n2_norm"])):
+        if not np.isfinite(col).all():
+            raise ValueError(f"rescaling factor {lam!r} leaves the floats: "
+                             f"{name} is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------

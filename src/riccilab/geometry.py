@@ -15,7 +15,11 @@ Two families of models are supported:
   + 1/4 g^{ip} g^{jq} g_{ak} g_{bl} c^k_{ij} c^l_{pq}`` with the Killing
   form ``B_ab = c^k_{ai} c^i_{bk}``.
 * ``ProductOfSpaceForms`` -- a product of round spheres, circles and flat
-  tori, where each factor contributes its constant-curvature block.
+  tori, where each factor contributes its constant-curvature block.  Every
+  batched quantity is a closed form in the factor scales: on a d-sphere of
+  scale s, Ricci is (d - 1) / s in each direction and |Rm| gains
+  sqrt(2 d (d - 1)) / s.  Only ``curvature`` builds a product's rank-4
+  tensor, for its one metric.
 
 Sign conventions, fixed once for the whole package: the curvature operator
 is ``R(X,Y)Z = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z`` and the
@@ -318,18 +322,24 @@ def reference_metric(model: ModelGeometry) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_layout(factors: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_layout(factors: tuple) -> tuple[np.ndarray, ...]:
     """Layout of a product with these factors, on n x n forms flattened to
-    n * n entries: the index of each factor block's first diagonal entry,
-    the 0/1 map (num_factors, n * n) that puts each scale on its block's
-    diagonal, and the fixed-basis Ricci form (n, n), the same at every scale."""
+    n * n entries, as read-only arrays: the index of each factor block's
+    first diagonal entry, the 0/1 map (num_factors, n * n) that puts each
+    scale on its block's diagonal, the fixed-basis Ricci form (n, n), the
+    same at every scale, the factor of each direction (n,), and the factor
+    and sqrt(2 d (d - 1)) of each d-sphere (num_spheres,)."""
     dims = [d for _, d, _ in factors]
     n = sum(dims)
     diag = np.arange(n) * (n + 1)
+    block = np.repeat(np.arange(len(dims)), dims)
     spread = np.zeros((len(dims), n * n))
-    spread[np.repeat(np.arange(len(dims)), dims), diag] = 1.0
+    spread[block, diag] = 1.0
     ric = [d - 1.0 if ftype == FACTOR_SPHERE else 0.0 for ftype, d, _ in factors]
-    out = diag[np.cumsum(dims) - dims], spread, np.dot(ric, spread).reshape(n, n)
+    sphere = [f for f, (ftype, _, _) in enumerate(factors) if ftype == FACTOR_SPHERE]
+    out = (diag[np.cumsum(dims) - dims], spread, np.dot(ric, spread).reshape(n, n), block,
+           np.array(sphere, dtype=np.intp),
+           np.array([math.sqrt(2.0 * dims[f] * (dims[f] - 1)) for f in sphere]))
     for a in out:
         a.setflags(write=False)
     return out
@@ -404,7 +414,7 @@ def factor_scales(model: ModelGeometry, g) -> np.ndarray:
     layout (beyond 1e-12 relative) or a scale that is not positive.
     """
     g = _metric_array(model, g)
-    starts, spread, _ = _block_layout(model.factors)
+    starts, spread = _block_layout(model.factors)[:2]
     scales = g.reshape(*g.shape[:-2], -1).take(starts, axis=-1)
     # hot path: g equals, bit for bit, its rebuild from its scales clamped to
     # [smallest positive float, largest float].  One comparison rules out a
@@ -475,7 +485,10 @@ def _rm_from_structure(ct: np.ndarray) -> np.ndarray:
     # t3[i,j,k,l] = ct[m,i,j] gamma[k,m,l]
     t3 = (np.swapaxes(ct.reshape(m, n, n * n), 1, 2)
           @ gamma.transpose(0, 2, 1, 3).reshape(m, n, n * n)).reshape(m, n, n, n, n)
-    return t1 - t1.transpose(0, 2, 1, 3, 4) - t3
+    # one output buffer, no temporary for the strided 5-D difference
+    rm = np.subtract(t1, t1.transpose(0, 2, 1, 3, 4), out=np.empty(t1.shape))
+    rm -= t3
+    return rm
 
 
 def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
@@ -593,10 +606,21 @@ def _rm_norms(rm: np.ndarray) -> np.ndarray:
     return norm
 
 
+def _product_rm_norms(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
+    """|Rm| of products at positive scales (M, num_factors), the one formula
+    of ``rm_norm`` and ``curvature_batch``.
+
+    A d-sphere of scale s contributes sqrt(2 d (d - 1)) / s and the terms
+    combine by ``np.hypot``, which neither under- nor overflows; the hypot
+    of one term with the initial 0 is that term.
+    """
+    sphere, coeff = _block_layout(model.factors)[4:]
+    return np.hypot.reduce(coeff / scales[:, sphere], axis=1, initial=0.0)
+
+
 class CurvatureBatch(NamedTuple):
     """Curvature of a stack of M metrics, one row per metric."""
 
-    rm: np.ndarray          # (M, n, n, n, n) orthonormal-frame R_{ijkl}
     ric: np.ndarray         # (M, n, n) orthonormal-frame Ricci
     scalar: np.ndarray      # (M,)
     rm_norm: np.ndarray     # (M,) pointwise |Rm|
@@ -604,52 +628,73 @@ class CurvatureBatch(NamedTuple):
     vol: np.ndarray         # (M,) total volume
 
 
-def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
-    """Curvature tensor, Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack.
-
-    ``mats`` has shape (M, n, n), or (n, n) for M = 1.  Quotients share one
-    stacked eigendecomposition for frames and volume.  No plane sampling.
-    |Rm| comes from ``_rm_norms``.
-    """
-    if model.kind == LIE_GROUP_QUOTIENT:
-        evals, _, _, ct = _frames(model, _metric_array(model, mats))
-        rm = _rm_from_structure(ct)
-        vol = np.prod(np.sqrt(evals), axis=1) * model.covolume   # det g may overflow
-    else:
-        scales = factor_scales(model, mats).reshape(-1, len(model.factors))
-        rm = _rm_product(model, scales)
-        vol = np.prod([_factor_volume(ftype, d, scales[:, f])
-                       for f, (ftype, d, _) in enumerate(model.factors)], axis=0)
+def _quotient_batch(model: ModelGeometry,
+                    mats: np.ndarray) -> tuple[CurvatureBatch, np.ndarray]:
+    """The batch of quotient metrics from ``_metric_array`` and their
+    curvature tensors (M, n, n, n, n), from one stacked eigendecomposition
+    for frames and volume.  |Rm| comes from ``_rm_norms``."""
+    evals, _, _, ct = _frames(model, mats)
+    rm = _rm_from_structure(ct)
     ric = np.trace(rm, axis1=1, axis2=3)
     ric = 0.5 * (ric + np.swapaxes(ric, 1, 2))
-    return CurvatureBatch(rm=rm, ric=ric, scalar=np.trace(ric, axis1=1, axis2=2),
-                          rm_norm=_rm_norms(rm), ric_eigs=np.linalg.eigvalsh(ric), vol=vol)
+    vol = np.prod(np.sqrt(evals), axis=1) * model.covolume   # det g may overflow
+    return CurvatureBatch(ric=ric, scalar=np.trace(ric, axis1=1, axis2=2),
+                          rm_norm=_rm_norms(rm), ric_eigs=np.linalg.eigvalsh(ric),
+                          vol=vol), rm
+
+
+def _product_batch(model: ModelGeometry, scales: np.ndarray) -> CurvatureBatch:
+    """The batch of products at positive scales (M, num_factors), in closed
+    form: Ric is (d - 1) / s on each direction of a d-sphere of scale s and
+    0 on circles and flat tori, and |Rm| comes from ``_product_rm_norms``."""
+    ric_form, block = _block_layout(model.factors)[2:4]
+    ric = ric_form.diagonal() / scales[:, block]           # (M, n) per direction
+    vol = np.prod([_factor_volume(ftype, d, scales[:, f])
+                   for f, (ftype, d, _) in enumerate(model.factors)], axis=0)
+    return CurvatureBatch(ric=ric[:, :, None] * np.eye(model.dim), scalar=ric.sum(axis=1),
+                          rm_norm=_product_rm_norms(model, scales),
+                          ric_eigs=np.sort(ric, axis=1), vol=vol)
+
+
+def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
+    """Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack.
+
+    ``mats`` has shape (M, n, n), or (n, n) for M = 1.  Quotients go
+    through the curvature tensor (``_quotient_batch``); products read every
+    column off their factor scales, with no tensor (``_product_batch``).
+    No plane sampling.
+    """
+    if model.kind == LIE_GROUP_QUOTIENT:
+        return _quotient_batch(model, _metric_array(model, mats))[0]
+    return _product_batch(model, factor_scales(model, mats).reshape(-1, len(model.factors)))
 
 
 def curvature(model: ModelGeometry, g: np.ndarray, *,
               plane_samples: int = _DEFAULT_PLANE_SAMPLES,
               seed: int = 0) -> CurvatureData:
     """Full orthonormal-frame curvature data of (model, g): the one-metric
-    batch plus sectional-curvature extremes.  ``plane_samples`` and ``seed``
-    matter only where no exact extremes are known (see ``CurvatureData``)."""
-    cb = curvature_batch(model, _metric_array(model, g, stack=False))
-    lo, hi = _sec_extremes(cb.rm[0], plane_samples, seed)
-    return CurvatureData(rm=_readonly(cb.rm[0]), ric=_readonly(cb.ric[0]),
+    batch, its curvature tensor and the sectional-curvature extremes.
+    ``plane_samples`` and ``seed`` matter only where no exact extremes are
+    known (see ``CurvatureData``)."""
+    g = _metric_array(model, g, stack=False)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        cb, rm = _quotient_batch(model, g)
+    else:
+        scales = factor_scales(model, g)[None]
+        cb, rm = _product_batch(model, scales), _rm_product(model, scales)
+    lo, hi = _sec_extremes(rm[0], plane_samples, seed)
+    return CurvatureData(rm=_readonly(rm[0]), ric=_readonly(cb.ric[0]),
                          scalar=float(cb.scalar[0]), rm_norm=float(cb.rm_norm[0]),
                          sec_min=lo, sec_max=hi)
 
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
-    """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator),
-    free of under- and overflow like ``curvature_batch``'s."""
+    """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator)
+    by ``curvature_batch``'s formula, free of under- and overflow."""
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
         return float(_rm_norms(_rm_from_structure(_frames(model, g)[3]))[0])
-    # a d-sphere of scale s contributes sqrt(2 d (d - 1)) / s
-    return math.hypot(*(math.sqrt(2.0 * d * (d - 1)) / s
-                        for (ftype, d, _), s in zip(model.factors,
-                                                    factor_scales(model, g).tolist())
-                        if ftype == FACTOR_SPHERE))
+    return float(_product_rm_norms(model, factor_scales(model, g)[None])[0])
 
 
 def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:

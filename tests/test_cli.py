@@ -482,6 +482,30 @@ def test_sweep_rejects_bad_factor_index(cfgfile, tmp_path, capsys, index):
            f"got {index!r}" in err
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("sphere", ["--param", "metric_scale", "--values", "0.5,-1"],
+     "sweep parameter metric_scale needs a positive value whose square is finite "
+     "and nonzero, got -1.0"),
+    ("sphere", ["--param", "metric_scale", "--values", "1e150"],
+     "sweep parameter metric_scale needs a value whose invariants are finite, got 1e+150"),
+    ("sphere", ["--param", "bogus", "--values", "1"],
+     "unknown sweep parameter 'bogus'; use metric_scale, bracket_scale or "
+     "factor_radius:<index>"),
+    ("sphere", ["--param", "bracket_scale", "--values", "1"],
+     "bracket_scale sweeps need a quotient model"),
+    ("heisenberg", ["--param", "factor_radius:0", "--values", "1"],
+     "factor_radius sweeps need a product model"),
+    ("sphere", ["--param", "factor_radius:1", "--values", "1"],
+     "sweep parameter factor_radius:1 needs a factor index in 0..0, got '1'"),
+    ("sphere", [], "sweep needs a parameter and a nonempty value grid "
+                   "(sweep block or --param/--values)"),
+])
+def test_sweep_config_errors_name_the_file(tmp_path, capsys, name, args, message):
+    cfg = str(CONFIGS / f"{name}.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), *args]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+
+
 def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
     # sec_min/sec_max are exact on every shipped model, so no column reads the seed
     for name in ("heisenberg", "sphere", "collapse_sweep"):
@@ -536,6 +560,18 @@ def test_one_curvature_pass_per_command(tmp_path, monkeypatch, name):
                  "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
     assert [np.shape(args[1]) for args in calls["curvature_batch"]] == [(records, n, n)]
     assert calls["curvature"] == calls["volume"] == calls["rm_norm"] == []
+
+
+@pytest.mark.parametrize("name", ["sphere", "collapse_sweep"])
+def test_product_trajectories_build_no_curvature_tensor(tmp_path, monkeypatch, name):
+    def no_tensor(*args):
+        raise AssertionError("a product trajectory built its rank-4 curvature tensor")
+
+    monkeypatch.setattr(geometry, "_rm_product", no_tensor)
+    cfg = str(CONFIGS / f"{name}.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(tmp_path),
+                 "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "sphere"])

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -424,6 +425,26 @@ def test_rescale_commutes_with_integration(heis_model, lam):
 def test_rescale_domain_error(s3_traj):
     with pytest.raises(ValueError):
         parabolic_rescale(s3_traj, -1.0)
+
+
+@pytest.mark.parametrize("traj_name, lam, cause", [
+    ("prod_traj", 1e80, "vol is not finite"),              # vol ~ lam^4 overflows
+    ("heis_traj", 1e150, "vol is not finite"),
+    ("prod_traj", 1e-150, "horizon inputs must be positive"),   # vol underflows to 0
+    ("prod_traj", 1e200, "its square is inf"),
+    ("heis_traj", 1e-200, "its square is 0.0"),
+])
+def test_rescale_rejects_a_factor_that_leaves_the_floats(request, traj_name, lam, cause):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rescaling factor {lam!r}')} "
+                                         f"leaves the floats: .*{re.escape(cause)}$"):
+        parabolic_rescale(request.getfixturevalue(traj_name), lam)
+
+
+@pytest.mark.parametrize("traj_name", ["s3_traj", "prod_traj", "tiny_sphere_traj"])
+def test_product_rm_norm_records_are_the_blowup_norm(request, traj_name):
+    traj = request.getfixturevalue(traj_name)
+    assert traj.derived["rm_norm"].tolist() == [geometry.rm_norm(traj.model, g)
+                                                for g in traj.mats]
 
 
 # -- unit-volume normalization ------------------------------------------------

@@ -24,6 +24,7 @@ from riccilab.geometry import (
     _curvature_operator,
     _frames,
     _rm_from_structure,
+    _rm_product,
     _sampled_sec_extremes,
     factor_scales,
     ricci_fixed_basis,
@@ -544,6 +545,35 @@ def test_curvature_batch_products_match_closed_forms(factors, data):
         assert np.abs(cb.ric_eigs[m] - np.sort(ric)).max() <= 1e-12 * scale
         assert abs(cb.scalar[m] - ric.sum()) <= 1e-12 * scale
         assert math.isclose(cb.vol[m], volume(model, g), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("factors", PRODUCT_FACTORS)
+def test_product_rm_norm_is_the_batch_formula(factors):
+    # the integrator's blow-up test and the recorded column agree bit for bit
+    model = build_model({"kind": "product_of_space_forms", "factors": factors})
+    mats = np.stack([scale_metric(reference_metric(model), s)
+                     for s in (1e-150, 0.3, 1.0, 7.0, 1e150)])
+    with np.errstate(over="ignore"):       # the 8-dim volume overflows at 1e150, |Rm| not
+        batch_norms = curvature_batch(model, mats).rm_norm
+        for g, batch_norm in zip(mats, batch_norms):
+            assert rm_norm(model, g) == batch_norm == curvature_batch(model, g).rm_norm[0]
+
+
+@pytest.mark.parametrize("factors", PRODUCT_FACTORS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_batch_matches_tensor_route(factors, data):
+    model = build_model({"kind": "product_of_space_forms", "factors": factors})
+    scales = data.draw(arrays(float, (data.draw(st.integers(1, 5)), len(factors)),
+                              elements=st.floats(1e-30, 1e30)))
+    cb = curvature_batch(model, metric_from_scales(model, scales))
+    rm = _rm_product(model, scales)
+    ric = np.trace(rm, axis1=1, axis2=3)
+    flat = rm.reshape(len(rm), -1)
+    for got, want in ((cb.ric, ric), (cb.ric_eigs, np.linalg.eigvalsh(ric)),
+                      (cb.scalar, np.trace(ric, axis1=1, axis2=2)),
+                      (cb.rm_norm, np.sqrt(np.einsum("ij,ij->i", flat, flat)))):
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
 @pytest.mark.parametrize("lams", MILNOR_CLASSES.values(), ids=MILNOR_CLASSES.keys())
