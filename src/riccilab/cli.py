@@ -210,21 +210,19 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float) -> dict:
     model, g = _sweep_point(cfg.model_spec, parameter, v, cfg.source)
     n = model.dim
     curv = geometry.curvature(model, g, seed=cfg.seed)
-    vol = geometry.volume(model, g)
-    if vol == 0.0:         # underflowed, so vol^(-1/n) and the n/2-norm are not finite
+    if curv.vol == 0.0:    # underflowed, so vol^(-1/n) and the n/2-norm are not finite
         raise FloatingPointError(f"volume underflows at {parameter} = {v!r}")
-    ric = np.linalg.eigvalsh(curv.ric)
-    inv = checks.hypothesis_invariants(model, g, curv.rm_norm, vol, float(ric[0]),
+    inv = checks.hypothesis_invariants(model, g, curv.rm_norm, curv.vol, float(curv.ric_eigs[0]),
                                        cfg.kappa, cfg.flow.cs0, cfg.primitives)
     chain = constants.constant_chain(cfg.primitives, n, cfg.flow.gamma,
-                                     vol, cfg.flow.cs0, inv["rm_n2"])
+                                     curv.vol, cfg.flow.cs0, inv["rm_n2"])
     rep = checks.hypothesis_report(n, inv, chain, cfg.primitives)
     margins = {t["theorem"]: t["margin"] for t in rep.details["theorems"]}
     return {
-        "parameter": parameter, "value": v, "n": n, "vol": vol,
+        "parameter": parameter, "value": v, "n": n, "vol": curv.vol,
         "diam": inv.get("diam", math.nan),
         "rm_norm": curv.rm_norm, "scalar_R": curv.scalar,
-        "ric_min": inv["ric_min"], "ric_max": float(ric[-1]),
+        "ric_min": inv["ric_min"], "ric_max": float(curv.ric_eigs[-1]),
         "sec_min": curv.sec_min, "sec_max": curv.sec_max,
         "rm_n2_norm": inv["rm_n2"], "cs_upper": inv["cs_upper"],
         "theta0": inv["rm_n2"] * inv["cs_upper"] * inv["cs_upper"],

@@ -316,7 +316,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
         t_new = t_end if last else t + h_eff
         try:
             # a stage leaving the SPD cone, or y_new failing validation in rm_norm
-            # (the step's one frame transport) or the RHS at y_new, rejects the step
+            # (a one-row curvature batch) or the RHS at y_new, rejects the step
             K, y_new = _dop853_stages(f, t, y, k0, h_eff)
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             enorm = _error_norm(K, h_eff, scale)

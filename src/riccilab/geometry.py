@@ -5,15 +5,14 @@ Two families of models are supported:
 * ``LieGroupQuotient`` -- a compact quotient of a Lie group carrying a
   left-invariant metric, described by structure constants ``c^k_{ij}``
   (``[e_i, e_j] = c^k_{ij} e_k``) in a fixed basis plus the volume of a
-  fundamental domain of that basis ("covolume").  The curvature tensor is
-  computed in a Milnor frame: orthonormalize the basis, transport the
-  structure constants, and apply the closed-form connection coefficients
-  ``G^k_{ij} = (c~^k_{ij} - c~^i_{jk} + c~^j_{ki}) / 2``.  The Ricci form
-  that drives the flow needs no frame: on a unimodular algebra it is a
-  closed form in the fixed basis (Milnor 1976; Besse, Einstein Manifolds
-  7.38), ``Ric_ab = -1/2 g^{ij} g_{kl} c^k_{ai} c^l_{bj} - 1/2 B_ab
-  + 1/4 g^{ip} g^{jq} g_{ak} g_{bl} c^k_{ij} c^l_{pq}`` with the Killing
-  form ``B_ab = c^k_{ai} c^i_{bk}``.
+  fundamental domain of that basis ("covolume").  Ricci, for the flow and
+  the batch alike, is one closed form in the fixed basis (Milnor 1976;
+  Besse 7.38), ``Ric_ab = -1/2 g^{ij} g_{kl} c^k_{ai} c^l_{bj} - 1/2 B_ab
+  + 1/4 g^{ip} g^{jq} g_{ak} g_{bl} c^k_{ij} c^l_{pq}``, B the Killing form.
+  At n = 3 it fixes Rm: ``|Rm|^2 = 4 |Ric_0|^2 + R^2 / 3`` (Hamilton 1982).
+  Only at n >= 4 is the tensor built in a Milnor frame: orthonormalize,
+  transport the structure constants, apply the connection coefficients
+  ``G^k_{ij} = (c~^k_{ij} - c~^i_{jk} + c~^j_{ki}) / 2``.
 * ``ProductOfSpaceForms`` -- a product of round spheres, circles and flat
   tori, where each factor contributes its constant-curvature block.  Every
   batched quantity is a closed form in the factor scales: on a d-sphere of
@@ -85,7 +84,6 @@ FACTOR_FLAT_TORUS = "flat_torus"
 
 _JACOBI_TOL = 1e-12
 _TINY, _HUGE = 5e-324, sys.float_info.max     # the extreme positive floats
-_NORMAL_MIN = sys.float_info.min                # the smallest normal float
 _DEFAULT_PLANE_SAMPLES = 10_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _THORPE_STEPS = 80                 # 4 * _GOLDEN ** 80 < 1e-16
@@ -156,14 +154,14 @@ class CurvatureData(NamedTuple):
     """Orthonormal-frame curvature of one metric.
 
     ``rm[i, j, k, l] = R_{ijkl}`` with the conventions of the module
-    docstring; ``ric`` is the orthonormal-frame Ricci matrix, so
-    ``trace(ric) == scalar``; ``sec_min``/``sec_max`` are the extremes of
-    the sectional curvature over all 2-planes, exact up to rounding when
-    the curvature operator on bivectors is diagonal or n <= 4.  Only a
+    docstring; the other fields but ``sec_min``/``sec_max`` are the metric's
+    ``CurvatureBatch`` row.  ``sec_min``/``sec_max`` are the extremes of the
+    sectional curvature over all 2-planes, exact up to rounding when the
+    curvature operator on bivectors is diagonal or n <= 4.  Only a
     non-diagonal quotient with n >= 5 reports sampled inner values: the
     extremes over coordinate planes and ``plane_samples`` seeded random
     planes, which the true extremes can lie outside (reporting only).
-    ``curvature``, the one builder, makes ``rm`` and ``ric`` read-only.
+    ``curvature``, the one builder, makes the arrays read-only.
     """
 
     rm: np.ndarray
@@ -172,6 +170,8 @@ class CurvatureData(NamedTuple):
     rm_norm: float
     sec_min: float
     sec_max: float
+    ric_eigs: np.ndarray
+    vol: float
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +278,13 @@ def build_model(spec: dict) -> ModelGeometry:
 
 
 def _ricci_terms(c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-model constants of ``ricci_fixed_basis``: ad, ad and c reshaped
-    to (n, n * n), and the Killing form B_ab = c^k_{ai} c^i_{bk}."""
-    n = len(c)
-    ad = c.transpose(1, 0, 2).copy()                       # ad[a, k, i] = c^k_{ai}
-    ad_flat = ad.reshape(n, n * n)
-    terms = (ad, ad_flat, c.reshape(n, n * n),
-             ad_flat @ ad.transpose(0, 2, 1).reshape(n, n * n).T)
+    """Constants of ``_ricci_form`` from structure constants (..., n, n, n): ad,
+    ad and c reshaped to (..., n, n * n), and the Killing form c^k_{ai} c^i_{bk}."""
+    ad = np.swapaxes(c, -3, -2).copy()                     # ad[a, k, i] = c^k_{ai}
+    flat = ad.shape[:-2] + (ad.shape[-1] ** 2,)
+    ad_flat = ad.reshape(flat)
+    terms = (ad, ad_flat, c.reshape(flat),
+             ad_flat @ np.swapaxes(np.swapaxes(ad, -1, -2).reshape(flat), -1, -2))
     for a in terms:
         a.setflags(write=False)
     return terms
@@ -437,16 +437,16 @@ def factor_scales(model: ModelGeometry, g) -> np.ndarray:
     return scales
 
 
-def _frames(model: ModelGeometry, mats: np.ndarray):
+def _frames(model: ModelGeometry, mats: np.ndarray, eigh=None):
     """Milnor frames of one metric (n, n) or a stack (M, n, n) from
-    ``_metric_array``, as a stack.
+    ``_metric_array``, as a stack; ``eigh`` is its ``_metric_eigh``, if taken.
 
     Returns the eigenvalues of each metric, the frame change L (symmetric
     inverse square root), its inverse, and the transported structure
     constants ``ct[m, c, a, b] = Linv[m, c, k] L[m, i, a] L[m, j, b] c^k_{ij}``.
     """
     n = model.dim
-    evals, vecs = _metric_eigh(mats)
+    evals, vecs = _metric_eigh(mats) if eigh is None else eigh
     evals, vecs = evals.reshape(-1, n), vecs.reshape(-1, n, n)
     root = np.sqrt(evals)[:, None, :]
     vecs_t = np.swapaxes(vecs, 1, 2)
@@ -489,6 +489,15 @@ def _rm_from_structure(ct: np.ndarray) -> np.ndarray:
     rm = np.subtract(t1, t1.transpose(0, 2, 1, 3, 4), out=np.empty(t1.shape))
     rm -= t3
     return rm
+
+
+def _rm_from_ricci(ric: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    """Stacked rm of 3-dim metrics from their orthonormal-frame Ricci: with no
+    Weyl tensor Rm = (Ric - R / 4) o I, o the Kulkarni-Nomizu product
+    (h o k)_ijkl = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
+    a = np.einsum("mik,jl->mijkl", ric - scalar[:, None, None] / 4.0 * np.eye(3), np.eye(3))
+    a = a - a.transpose(0, 1, 2, 4, 3)
+    return a + a.transpose(0, 2, 1, 4, 3)
 
 
 def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
@@ -593,33 +602,9 @@ def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float,
     return _sampled_sec_extremes(op, plane_samples, seed)
 
 
-def _rm_norms(rm: np.ndarray) -> np.ndarray:
-    """|Rm| of each tensor in a stack (M, n, n, n, n).  A row whose sum of
-    squares is not a normal float takes its norm from ``np.hypot``, which
-    neither under- nor overflows."""
-    flat = rm.reshape(len(rm), -1)
-    sq = np.einsum("ij,ij->i", flat, flat)
-    norm = np.sqrt(sq)
-    odd = ~((sq >= _NORMAL_MIN) & (sq < math.inf))          # the sum under- or overflowed
-    if odd.any():
-        norm[odd] = np.hypot.reduce(flat[odd], axis=1)
-    return norm
-
-
-def _product_rm_norms(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
-    """|Rm| of products at positive scales (M, num_factors), the one formula
-    of ``rm_norm`` and ``curvature_batch``.
-
-    A d-sphere of scale s contributes sqrt(2 d (d - 1)) / s and the terms
-    combine by ``np.hypot``, which neither under- nor overflows; the hypot
-    of one term with the initial 0 is that term.
-    """
-    sphere, coeff = _block_layout(model.factors)[4:]
-    return np.hypot.reduce(coeff / scales[:, sphere], axis=1, initial=0.0)
-
-
 class CurvatureBatch(NamedTuple):
-    """Curvature of a stack of M metrics, one row per metric."""
+    """Curvature of a stack of M metrics, one row per metric: see
+    ``_quotient_batch`` and ``_product_batch``."""
 
     ric: np.ndarray         # (M, n, n) orthonormal-frame Ricci
     scalar: np.ndarray      # (M,)
@@ -628,45 +613,80 @@ class CurvatureBatch(NamedTuple):
     vol: np.ndarray         # (M,) total volume
 
 
-def _quotient_batch(model: ModelGeometry,
-                    mats: np.ndarray) -> tuple[CurvatureBatch, np.ndarray]:
-    """The batch of quotient metrics from ``_metric_array`` and their
-    curvature tensors (M, n, n, n, n), from one stacked eigendecomposition
-    for frames and volume.  |Rm| comes from ``_rm_norms``."""
-    evals, _, _, ct = _frames(model, mats)
-    rm = _rm_from_structure(ct)
-    ric = np.trace(rm, axis1=1, axis2=3)
-    ric = 0.5 * (ric + np.swapaxes(ric, 1, 2))
-    vol = np.prod(np.sqrt(evals), axis=1) * model.covolume   # det g may overflow
-    return CurvatureBatch(ric=ric, scalar=np.trace(ric, axis1=1, axis2=2),
-                          rm_norm=_rm_norms(rm), ric_eigs=np.linalg.eigvalsh(ric),
-                          vol=vol), rm
+def _ricci_form(terms: tuple[np.ndarray, ...], g: np.ndarray,
+                ginv: np.ndarray) -> np.ndarray:
+    """Fixed-basis Ricci forms (..., n, n) of metrics g (..., n, n), inverses ``ginv``,
+    by the closed form of the module docstring; one metric pays no stacking."""
+    ad, ad_flat, c_flat, killing = terms
+    n = g.shape[-1]
+    ginv = ginv[..., None, :, :]                   # an axis for the index a
+    flat = g.shape[:-2] + (n, n * n)               # (..., n, n, n) -> (..., n, n * n)
+    # g^{ij} g_{kl} c^k_{ai} c^l_{bj}: ad_a against (g ad_b g^-1)
+    t1 = ad_flat @ (g[..., None, :, :] @ ad @ ginv).reshape(flat).swapaxes(-1, -2)
+    # the lowered constants low[a, i, j] = g_{ak} c^k_{ij}, against g^-1 low_b g^-1
+    low = g @ c_flat
+    t3 = low @ (ginv @ low.reshape(flat[:-1] + (n, n)) @ ginv).reshape(flat).swapaxes(-1, -2)
+    out = 0.125 * t3 - 0.25 * (t1 + killing)       # half of Ric, up to rounding
+    return out + out.swapaxes(-1, -2)
+
+
+def _quotient_batch(model: ModelGeometry, mats: np.ndarray):
+    """The batch of quotient metrics, from one stacked eigendecomposition,
+    and at n >= 4 their tensors (else None): Ricci L Ric L, L = g^(-1/2),
+    with Ric in the exactly rescaled basis e_i 2^-s_i that puts each g_ii in
+    [1/2, 2), where no entry over- or underflows (s = 0 keeps the flow's Ric
+    bit for bit).  |Rm| is hypot(2 |Ric_0|, R / sqrt(3)) at n = 3, Ric_0 the
+    traceless part, which cancels nothing near Einstein metrics."""
+    n = model.dim
+    evals, vecs = _metric_eigh(mats)
+    mats, evals, vecs = mats.reshape(-1, n, n), evals.reshape(-1, n), vecs.reshape(-1, n, n)
+    L = (vecs / np.sqrt(evals)[:, None, :]) @ vecs.swapaxes(1, 2)
+    ginv = (vecs / evals[:, None, :]) @ vecs.swapaxes(1, 2)
+    s = np.frexp(mats.diagonal(axis1=1, axis2=2))[1] // 2           # (M, n)
+    g, terms = mats, model.ricci_terms
+    if s.any():
+        ss = s[:, :, None] + s[:, None, :]
+        terms = _ricci_terms(np.ldexp(model.structure_constants, s[..., None, None] - ss[:, None]))
+        g, ginv = np.ldexp(mats, -ss), np.ldexp(ginv, ss)
+    ric = np.ldexp(L, s[:, None, :]) @ _ricci_form(terms, g, ginv) @ np.ldexp(L, s[:, :, None])
+    ric = 0.5 * (ric + ric.swapaxes(1, 2))
+    scalar = np.trace(ric, axis1=1, axis2=2)
+    ric_eigs = np.linalg.eigvalsh(ric)
+    if n == 3:
+        rm, traceless = None, np.hypot.reduce(ric_eigs - scalar[:, None] / 3.0, axis=1)
+        norms = np.hypot(2.0 * traceless, scalar / math.sqrt(3.0))
+    else:                                        # np.hypot neither under- nor overflows
+        rm = _rm_from_structure(_frames(model, mats, (evals, vecs))[3])
+        norms = np.hypot.reduce(rm.reshape(len(rm), -1), axis=1)
+    vol = np.prod(np.sqrt(evals), axis=1) * model.covolume      # det g may overflow
+    return CurvatureBatch(ric=ric, scalar=scalar, rm_norm=norms, ric_eigs=ric_eigs, vol=vol), rm
 
 
 def _product_batch(model: ModelGeometry, scales: np.ndarray) -> CurvatureBatch:
     """The batch of products at positive scales (M, num_factors), in closed
     form: Ric is (d - 1) / s on each direction of a d-sphere of scale s and
-    0 on circles and flat tori, and |Rm| comes from ``_product_rm_norms``."""
-    ric_form, block = _block_layout(model.factors)[2:4]
+    0 on circles and flat tori; |Rm| adds sqrt(2 d (d - 1)) / s per d-sphere."""
+    ric_form, block, sphere, coeff = _block_layout(model.factors)[2:]
     ric = ric_form.diagonal() / scales[:, block]           # (M, n) per direction
-    vol = np.prod([_factor_volume(ftype, d, scales[:, f])
-                   for f, (ftype, d, _) in enumerate(model.factors)], axis=0)
+    vol = math.prod(_factor_volume(ftype, d, scales[:, f])
+                    for f, (ftype, d, _) in enumerate(model.factors))
+    norms = np.hypot.reduce(coeff / scales[:, sphere], axis=1, initial=0.0)
     return CurvatureBatch(ric=ric[:, :, None] * np.eye(model.dim), scalar=ric.sum(axis=1),
-                          rm_norm=_product_rm_norms(model, scales),
-                          ric_eigs=np.sort(ric, axis=1), vol=vol)
+                          rm_norm=norms, ric_eigs=np.sort(ric, axis=1), vol=vol)
+
+
+def _batch(model: ModelGeometry, mats: np.ndarray, stack: bool = True) -> CurvatureBatch:
+    """``curvature_batch``; without ``stack``, one metric's (``rm_norm``, ``volume``)."""
+    mats = _metric_array(model, mats, stack)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        return _quotient_batch(model, mats)[0]
+    return _product_batch(model, factor_scales(model, mats).reshape(-1, len(model.factors)))
 
 
 def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
-    """Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack.
-
-    ``mats`` has shape (M, n, n), or (n, n) for M = 1.  Quotients go
-    through the curvature tensor (``_quotient_batch``); products read every
-    column off their factor scales, with no tensor (``_product_batch``).
-    No plane sampling.
-    """
-    if model.kind == LIE_GROUP_QUOTIENT:
-        return _quotient_batch(model, _metric_array(model, mats))[0]
-    return _product_batch(model, factor_scales(model, mats).reshape(-1, len(model.factors)))
+    """Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack (M, n, n),
+    or of one metric (n, n) as M = 1; no plane sampling."""
+    return _batch(model, mats)
 
 
 def curvature(model: ModelGeometry, g: np.ndarray, *,
@@ -679,43 +699,30 @@ def curvature(model: ModelGeometry, g: np.ndarray, *,
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
         cb, rm = _quotient_batch(model, g)
+        rm = _rm_from_ricci(cb.ric, cb.scalar) if rm is None else rm
     else:
         scales = factor_scales(model, g)[None]
         cb, rm = _product_batch(model, scales), _rm_product(model, scales)
     lo, hi = _sec_extremes(rm[0], plane_samples, seed)
     return CurvatureData(rm=_readonly(rm[0]), ric=_readonly(cb.ric[0]),
                          scalar=float(cb.scalar[0]), rm_norm=float(cb.rm_norm[0]),
-                         sec_min=lo, sec_max=hi)
+                         sec_min=lo, sec_max=hi, ric_eigs=_readonly(cb.ric_eigs[0]),
+                         vol=float(cb.vol[0]))
 
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
-    """Pointwise curvature-tensor norm |Rm| (cheap path for the integrator)
-    by ``curvature_batch``'s formula, free of under- and overflow."""
-    g = _metric_array(model, g, stack=False)
-    if model.kind == LIE_GROUP_QUOTIENT:
-        return float(_rm_norms(_rm_from_structure(_frames(model, g)[3]))[0])
-    return float(_product_rm_norms(model, factor_scales(model, g)[None])[0])
+    """Pointwise |Rm| for the integrator's blow-up test: row 0 of the
+    one-metric batch, so it equals the recorded column bit for bit."""
+    return float(_batch(model, g, stack=False).rm_norm[0])
 
 
 def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
-    """Ricci tensor as a bilinear form in the fixed basis.
-
-    Quotients use the closed form of the module docstring: no frame and no
-    rank-4 tensor, only g^-1 from the one validating eigendecomposition.
-    """
+    """Ricci tensor as a bilinear form in the fixed basis: ``_ricci_form``
+    on quotients, the same form at every scale on products."""
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
-        n = model.dim
-        ad, ad_flat, c_flat, killing = model.ricci_terms
         evals, vecs = _metric_eigh(g)
-        ginv = (vecs / evals) @ vecs.T
-        # g^{ij} g_{kl} c^k_{ai} c^l_{bj}: ad_a against (g ad_b g^-1)
-        t1 = ad_flat @ (g @ ad @ ginv).reshape(n, n * n).T
-        # the lowered constants low[a, i, j] = g_{ak} c^k_{ij}, against g^-1 low_b g^-1
-        low = g @ c_flat
-        t3 = low @ (ginv @ low.reshape(n, n, n) @ ginv).reshape(n, n * n).T
-        out = 0.125 * t3 - 0.25 * (t1 + killing)       # half of Ric, up to rounding
-        return out + out.T
+        return _ricci_form(model.ricci_terms, g, (vecs / evals) @ vecs.T)
     factor_scales(model, g)
     return _block_layout(model.factors)[2]      # d - 1 on a d-sphere's block, else 0
 
@@ -743,15 +750,8 @@ def _factor_volume(ftype: str, d: int, s):
 
 
 def volume(model: ModelGeometry, g: np.ndarray) -> float:
-    """Total volume: sqrt(det g) * covolume, or the product of factor volumes."""
-    g = _metric_array(model, g, stack=False)
-    if model.kind == LIE_GROUP_QUOTIENT:
-        evals, _ = _metric_eigh(g)
-        return float(np.prod(np.sqrt(evals)) * model.covolume)
-    vol = 1.0
-    for (ftype, d, _), s in zip(model.factors, factor_scales(model, g).tolist()):
-        vol *= _factor_volume(ftype, d, s)
-    return float(vol)
+    """Total volume of one metric: its batch row."""
+    return float(_batch(model, g, stack=False).vol[0])
 
 
 def sphere_circle_note(model: ModelGeometry) -> str | None:

@@ -131,13 +131,12 @@ def integral_ricci_deficit(curv: CurvatureData, vol: float, p: float,
     equals the pointwise deficit max(0, kappa - min eig Ric); ``vol`` is
     validated but drops out.
     """
-    n = curv.ric.shape[0]
+    n = len(curv.ric_eigs)
     if p <= n / 2.0:
         raise ValueError(f"deficit exponent must satisfy p > n/2 = {n/2}, got {p}")
     if vol <= 0:
         raise ValueError(f"volume must be positive, got {vol}")
-    lam_min = float(np.linalg.eigvalsh(curv.ric)[0])
-    return max(0.0, kappa - lam_min)
+    return max(0.0, kappa - float(curv.ric_eigs[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,21 @@ def test_product_trajectories_build_no_curvature_tensor(tmp_path, monkeypatch, n
                  "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
 
 
+def test_heisenberg_commands_build_no_milnor_frames(tmp_path, monkeypatch):
+    # at n = 3 Ricci gives |Rm| and the tensor: no frame transport anywhere
+    def no_frames(*args):
+        raise AssertionError("a 3-dim quotient built a Milnor frame or its curvature tensor")
+
+    for name in ("_rm_from_structure", "_frames"):
+        monkeypatch.setattr(geometry, name, no_frames)
+    cfg = str(CONFIGS / "heisenberg.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(tmp_path),
+                 "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                 "--param", "metric_scale", "--values", "0.5,2"]) == 0
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "sphere"])
 def test_check_hypothesis_margins_match_sweep_at_scale_one(tmp_path, name):
     cfg = str(CONFIGS / f"{name}.cfg")

@@ -182,9 +182,9 @@ def test_heisenberg_cfg_rhs_budget(heis_model):
     assert stats["accepted"] < len(traj) // 10
 
 
-def test_heisenberg_cfg_one_frame_transport_per_accepted_step(heis_model, monkeypatch):
-    # every RHS is the frame-free closed form; frames are built only by row 0,
-    # the blow-up test at each accepted step and the assembly
+def test_heisenberg_cfg_flow_builds_no_frames(heis_model, monkeypatch):
+    # every RHS is the frame-free closed form, and so are row 0, the blow-up
+    # test at each accepted step and the assembly: |Rm| comes from Ricci at n = 3
     calls = {"ricci_fixed_basis": 0, "_frames": 0}
     for name in calls:
         def count(*args, _fn=getattr(geometry, name), _name=name):
@@ -194,7 +194,7 @@ def test_heisenberg_cfg_one_frame_transport_per_accepted_step(heis_model, monkey
     cfg = load_config(CONFIGS / "heisenberg.cfg")
     stats = integrate(heis_model, reference_metric(heis_model), cfg.flow).meta["integrator"]
     assert calls["ricci_fixed_basis"] == stats["rhs_evals"] == 92
-    assert calls["_frames"] == stats["accepted"] + 2
+    assert calls["_frames"] == 0
 
 
 @pytest.mark.parametrize("name,max_accepted", [
@@ -440,7 +440,7 @@ def test_rescale_rejects_a_factor_that_leaves_the_floats(request, traj_name, lam
         parabolic_rescale(request.getfixturevalue(traj_name), lam)
 
 
-@pytest.mark.parametrize("traj_name", ["s3_traj", "prod_traj", "tiny_sphere_traj"])
+@pytest.mark.parametrize("traj_name", ["s3_traj", "prod_traj", "tiny_sphere_traj", "heis_traj"])
 def test_product_rm_norm_records_are_the_blowup_norm(request, traj_name):
     traj = request.getfixturevalue(traj_name)
     assert traj.derived["rm_norm"].tolist() == [geometry.rm_norm(traj.model, g)

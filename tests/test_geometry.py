@@ -458,6 +458,8 @@ QUOTIENT_MODELS = {
        for name, (l1, l2, l3) in MILNOR_CLASSES.items()},
     "filiform4": build_model(FILIFORM4),
 }
+# diag(a) turns Milnor's l into l_i sqrt(a_i / (a_j a_k)): all equal at a = c / l
+ROUND_SU2 = np.diag([1.0 / 2.0, 1.0 / 0.5, 1.0 / 1.5])
 
 
 @st.composite
@@ -484,6 +486,18 @@ def test_curvature_batch_matches_brute_force(model, data):
         assert abs(cb.scalar[m] - eigs.sum()) <= 1e-12 * scale
         assert abs(np.trace(cb.ric[m]) - cb.scalar[m]) <= 1e-12 * scale
         assert math.isclose(cb.vol[m], math.sqrt(np.linalg.det(mat)), rel_tol=1e-12)
+    # the tensor route at extreme scales and, on su(2), within 1e-8 of its round metric
+    mats = mats * data.draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    if model is QUOTIENT_MODELS["su2"]:
+        mats = np.concatenate([mats, ROUND_SU2 + 1e-8 * (mats + mats[::-1]) / mats.max()])
+    cb = curvature_batch(model, mats)
+    rm = _rm_from_structure(_frames(model, mats)[3])
+    ric = np.trace(rm, axis1=1, axis2=3)
+    tensor_norms = np.hypot.reduce(rm.reshape(len(rm), -1), axis=1)
+    scale = np.abs(ric).max(axis=(1, 2))[:, None]
+    assert (np.abs(cb.rm_norm - tensor_norms) <= 1e-13 * tensor_norms).all()
+    assert (np.abs(cb.ric_eigs - np.linalg.eigvalsh(ric)) <= 1e-13 * scale).all()
+    assert (np.abs(cb.scalar - np.trace(ric, axis1=1, axis2=2)) <= 1e-13 * scale[:, 0]).all()
 
 
 @pytest.mark.parametrize("model", QUOTIENT_MODELS.values(), ids=QUOTIENT_MODELS.keys())
@@ -547,12 +561,16 @@ def test_curvature_batch_products_match_closed_forms(factors, data):
         assert math.isclose(cb.vol[m], volume(model, g), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("factors", PRODUCT_FACTORS)
-def test_product_rm_norm_is_the_batch_formula(factors):
+@pytest.mark.parametrize("model", [
+    *(build_model({"kind": "product_of_space_forms", "factors": f}) for f in PRODUCT_FACTORS),
+    *QUOTIENT_MODELS.values()],
+    ids=[*(f"factors{i}" for i in range(len(PRODUCT_FACTORS))), *QUOTIENT_MODELS])
+def test_product_rm_norm_is_the_batch_formula(model):
     # the integrator's blow-up test and the recorded column agree bit for bit
-    model = build_model({"kind": "product_of_space_forms", "factors": factors})
-    mats = np.stack([scale_metric(reference_metric(model), s)
-                     for s in (1e-150, 0.3, 1.0, 7.0, 1e150)])
+    base = reference_metric(model)
+    if model.kind == "lie_group_quotient":
+        base = random_spd(np.random.default_rng(5), model.dim)
+    mats = np.stack([scale_metric(base, s) for s in (1e-150, 0.3, 1.0, 7.0, 1e150)])
     with np.errstate(over="ignore"):       # the 8-dim volume overflows at 1e150, |Rm| not
         batch_norms = curvature_batch(model, mats).rm_norm
         for g, batch_norm in zip(mats, batch_norms):
