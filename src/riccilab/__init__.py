@@ -37,7 +37,6 @@ from .flow import (
     FlowConfig,
     Trajectory,
     TrajectorySchemaError,
-    horizon_T0,
     integrate,
     normalize_to_unit_volume,
     parabolic_rescale,
@@ -51,6 +50,7 @@ from .constants import (
     MoserSchedule,
     constant_chain,
     delta0,
+    horizon_T0,
     moser_final_bound,
     moser_schedule,
     solve_c_n_gamma,

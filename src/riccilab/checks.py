@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, sobolev
-from .constants import ConstantChain, ConstantPrimitives, theorem_c_threshold
-from .flow import Trajectory, delta0_from_row0, horizon_T0
+from .constants import ConstantChain, ConstantPrimitives, horizon_T0, theorem_c_threshold
+from .flow import Trajectory, delta0_from_row0
 from .geometry import LIE_GROUP_QUOTIENT
 from .sobolev import WitnessNorms
 

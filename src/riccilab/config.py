@@ -44,7 +44,11 @@ class _Field(NamedTuple):
     listlike: bool = False
     minimum: int = 1     # posint only
     attr: str | None = None   # RunConfig attribute of a plain key
+    bound: str | None = None  # "positive" or "nonnegative", checked with finiteness
 
+
+_BOUNDS = {"positive": ("positive and finite", lambda v: 0.0 < v < math.inf),
+           "nonnegative": ("finite and >= 0", lambda v: 0.0 <= v < math.inf)}
 
 _SCHEMA: dict[str, dict[str, _Field]] = {
     "model": {
@@ -71,17 +75,17 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "gallot_c0": _Field("float", 1.0),
         "gallot_growth": _Field("enum", "exp_sqrt", ("constant", "exp_sqrt")),
         "gromov_ruh_eps": _Field("float", 1.0),
-        "vol0": _Field("float", 1.0, attr="vol0"),
-        "rm_n2_0": _Field("float", 0.0, attr="rm_n2_0"),
-        "t_prime": _Field("float", 1.0, attr="t_prime"),
+        "vol0": _Field("float", 1.0, attr="vol0", bound="positive"),
+        "rm_n2_0": _Field("float", 0.0, attr="rm_n2_0", bound="nonnegative"),
+        "t_prime": _Field("float", 1.0, attr="t_prime", bound="positive"),
         "moser_k": _Field("posint", 64, attr="moser_k"),
     },
     "sobolev": {
         "family": _Field("enum", "eigenfunction", FAMILY_NAMES, attr="family"),
         "grid": _Field("posint", MIN_GRID, minimum=MIN_GRID, attr="grid"),
-        "a_const": _Field("float", 1.0, attr="a_const"),
-        "b_const": _Field("float", 1.0, attr="b_const"),
-        "kappa": _Field("float", 0.0, attr="kappa"),
+        "a_const": _Field("float", 1.0, attr="a_const", bound="positive"),
+        "b_const": _Field("float", 1.0, attr="b_const", bound="positive"),
+        "kappa": _Field("float", 0.0, attr="kappa", bound="nonnegative"),
     },
     "output": {
         "dir": _Field("str", None, attr="out_dir"),
@@ -265,9 +269,11 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
         raise ConfigError(str(exc), source) from None
     values = {f.attr: g(section, key) for section, fields in _SCHEMA.items()
               for key, f in fields.items() if f.attr}
-    kappa = values["kappa"]
-    if not 0.0 <= kappa < math.inf:
-        raise ConfigError(f"kappa must be finite and >= 0, got {kappa}", source)
+    for section, fields in _SCHEMA.items():
+        for key, f in fields.items():
+            if f.bound is not None and not _BOUNDS[f.bound][1](values[f.attr]):
+                raise ConfigError(f"{section}.{key} must be {_BOUNDS[f.bound][0]}, "
+                                  f"got {values[f.attr]}", source)
     return RunConfig(source=source, sections=frozenset(raw), model_spec=model_spec,
                      flow=flow, primitives=primitives, **values)
 

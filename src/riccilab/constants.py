@@ -41,6 +41,7 @@ __all__ = [
     "ConstantChain",
     "MoserSchedule",
     "delta0",
+    "horizon_T0",
     "solve_c_n_gamma",
     "constant_chain",
     "theorem_c_threshold",
@@ -91,6 +92,13 @@ def delta0(cs0: float, neg_part_norm: float = 0.0) -> float:
     if neg_part_norm < 0:
         raise ValueError(f"negative-part norm must be >= 0, got {neg_part_norm}")
     return cs0 ** -2 + neg_part_norm
+
+
+def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
+    """Flow horizon gamma * vol0^(2/n) * cs0^2."""
+    if gamma <= 0 or vol0 <= 0 or cs0 <= 0:
+        raise ValueError("horizon inputs must be positive")
+    return gamma * vol0 ** (2.0 / n) * cs0 * cs0
 
 
 def _doubling_lhs(c: float, n: int, gamma: float, x: float) -> float:
@@ -190,7 +198,7 @@ def constant_chain(primitives: ConstantPrimitives, n: int, gamma: float,
     # the two unvalued constants multiplying the pinching threshold are both
     # modeled by the run's c_n
     eps_main = min(eps_g1, primitives.gromov_ruh_eps / (primitives.c_n * primitives.c_n))
-    T0 = gamma * vol0 ** (2.0 / n) * cs0 * cs0
+    T0 = horizon_T0(gamma, vol0, cs0, n)
     if rm_n2_0 == 0.0:
         T1 = T0
     else:

@@ -40,7 +40,6 @@ __all__ = [
     "TrajectorySchemaError",
     "ricci_rhs",
     "integrate",
-    "horizon_T0",
     "delta0_from_row0",
     "parabolic_rescale",
     "normalize_to_unit_volume",
@@ -130,13 +129,6 @@ class Trajectory:
         if self.model.kind == LIE_GROUP_QUOTIENT:
             return None
         return geometry.factor_scales(self.model, self.mats)
-
-
-def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
-    """Flow horizon gamma * vol0^(2/n) * cs0^2."""
-    if gamma <= 0 or vol0 <= 0 or cs0 <= 0:
-        raise ValueError("horizon inputs must be positive")
-    return gamma * vol0 ** (2.0 / n) * cs0 * cs0
 
 
 def ricci_rhs(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
@@ -272,7 +264,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
     n = model.dim
     row0 = geometry.curvature_batch(model, g0)      # validates g0
     vol0, rm0 = float(row0.vol[0]), float(row0.rm_norm[0])
-    t_end = cfg.t_end if cfg.t_end is not None else horizon_T0(
+    t_end = cfg.t_end if cfg.t_end is not None else constants.horizon_T0(
         cfg.gamma, vol0, cfg.cs0, n)
     max_rm = cfg.max_rm if cfg.max_rm is not None else 1e6 * max(1.0, rm0)
     if max_rm <= rm0:
@@ -413,7 +405,7 @@ def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
         "ric_eigs": curv.ric_eigs,
     }
     meta = {**meta, "vol0": vol0, "rm_n2_0": float(rm_n2[0]), "delta0": delta0,
-            "T0": horizon_T0(meta["gamma"], vol0, cs0, n)}
+            "T0": constants.horizon_T0(meta["gamma"], vol0, cs0, n)}
     return Trajectory(model=model, times=times, mats=mats, derived=derived, meta=meta)
 
 

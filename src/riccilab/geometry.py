@@ -15,10 +15,10 @@ Two families of models are supported:
   ``G^k_{ij} = (c~^k_{ij} - c~^i_{jk} + c~^j_{ki}) / 2``.
 * ``ProductOfSpaceForms`` -- a product of round spheres, circles and flat
   tori, where each factor contributes its constant-curvature block.  Every
-  batched quantity is a closed form in the factor scales: on a d-sphere of
-  scale s, Ricci is (d - 1) / s in each direction and |Rm| gains
-  sqrt(2 d (d - 1)) / s.  Only ``curvature`` builds a product's rank-4
-  tensor, for its one metric.
+  quantity is a closed form in the factor scales: on a d-sphere of scale s,
+  Ricci is (d - 1) / s in each direction, |Rm| gains sqrt(2 d (d - 1)) / s
+  and a plane in the sphere has curvature 1 / s.  No product builds a
+  rank-4 tensor.
 
 Sign conventions, fixed once for the whole package: the curvature operator
 is ``R(X,Y)Z = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z`` and the
@@ -27,12 +27,12 @@ orthonormal frame ``f``.  With this choice the unit round sphere satisfies
 ``R_{ijkl} = g_{ik} g_{jl} - g_{il} g_{jk}``, sectional curvature of a
 coordinate plane is ``R_{ijij}``, and ``Ric_{jl} = sum_a R_{ajal}``.
 
-Sectional-curvature extremes are exact wherever an exact answer is known:
-when the curvature operator on bivectors is diagonal (every product of
-space forms and every diagonal quotient metric), in dimension 3 (its
-extreme eigenvalues) and in dimension 4 (Thorpe's trick).  Only quotients
-of dimension >= 5 with a non-diagonal curvature operator report sampled
-inner values.
+Sectional-curvature extremes are exact wherever an exact answer is known.
+In dimension 3 they come from Ricci (the curvature operator's eigenvalues
+are R/2 - Ric_k), on products from the factor scales, in dimension 4 from
+Thorpe's trick on the tensor, and in dimension >= 5 from the diagonal of a
+diagonal curvature operator.  Only quotients of dimension >= 5 with a
+non-diagonal curvature operator report sampled inner values.
 
 A metric is an (n, n) float array in the fixed basis: SPD for quotients,
 block-scalar for products (each factor's scale times the identity on its
@@ -153,18 +153,22 @@ class ModelGeometry(NamedTuple):
 class CurvatureData(NamedTuple):
     """Orthonormal-frame curvature of one metric.
 
-    ``rm[i, j, k, l] = R_{ijkl}`` with the conventions of the module
-    docstring; the other fields but ``sec_min``/``sec_max`` are the metric's
-    ``CurvatureBatch`` row.  ``sec_min``/``sec_max`` are the extremes of the
-    sectional curvature over all 2-planes, exact up to rounding when the
-    curvature operator on bivectors is diagonal or n <= 4.  Only a
-    non-diagonal quotient with n >= 5 reports sampled inner values: the
-    extremes over coordinate planes and ``plane_samples`` seeded random
-    planes, which the true extremes can lie outside (reporting only).
+    Every field but ``sec_min``/``sec_max`` is the metric's ``CurvatureBatch``
+    row.  ``sec_min``/``sec_max`` are the extremes of the sectional curvature
+    over all 2-planes, exact up to rounding but in the last, sampled case:
+
+    * n = 3 quotients: R/2 - Ric_k, the curvature operator's eigenvalues
+      (Milnor 1976), since every bivector is decomposable;
+    * products: 1/s on a sphere plane of scale s, 0 on a mixed or flat plane;
+    * n = 4 quotients: Thorpe's trick on the Milnor-frame tensor;
+    * n >= 5 quotients: the diagonal of a diagonal curvature operator, else
+      sampled inner values, the extremes over coordinate planes and
+      ``plane_samples`` seeded random planes, which the true extremes can
+      lie outside (reporting only).
+
     ``curvature``, the one builder, makes the arrays read-only.
     """
 
-    rm: np.ndarray
     ric: np.ndarray
     scalar: float
     rm_norm: float
@@ -491,30 +495,6 @@ def _rm_from_structure(ct: np.ndarray) -> np.ndarray:
     return rm
 
 
-def _rm_from_ricci(ric: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-    """Stacked rm of 3-dim metrics from their orthonormal-frame Ricci: with no
-    Weyl tensor Rm = (Ric - R / 4) o I, o the Kulkarni-Nomizu product
-    (h o k)_ijkl = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il."""
-    a = np.einsum("mik,jl->mijkl", ric - scalar[:, None, None] / 4.0 * np.eye(3), np.eye(3))
-    a = a - a.transpose(0, 1, 2, 4, 3)
-    return a + a.transpose(0, 2, 1, 4, 3)
-
-
-def _rm_product(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
-    """Stacked rm of products at positive scales (M, num_factors).
-
-    On a sphere factor of scale s, R_{ijkl} = (delta_ik delta_jl -
-    delta_il delta_jk) / s for i, j, k, l in its block; zero elsewhere.
-    """
-    dims = [d for _, d, _ in model.factors]
-    sphere = [ftype == FACTOR_SPHERE for ftype, _, _ in model.factors]
-    k = np.repeat(np.where(sphere, 1.0 / scales, 0.0), dims, axis=1)   # per direction
-    block = np.repeat(np.arange(len(dims)), dims)
-    eye = np.eye(model.dim)
-    delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    return (k[:, :, None] * (block[:, None] == block))[:, :, :, None, None] * delta
-
-
 def _curvature_operator(rm: np.ndarray) -> np.ndarray:
     """Curvature operator on bivectors in the basis e_i ^ e_j (i < j).
 
@@ -580,24 +560,18 @@ def _sampled_sec_extremes(op: np.ndarray, plane_samples: int,
 
 
 def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float, float]:
-    """Sectional curvature extremes, exact wherever an exact answer is known.
+    """Sectional curvature extremes of a quotient's tensor at n >= 4 (``curvature``
+    reads them off the batch at n = 3 and on products).
 
-    * ``op`` diagonal (products of space forms, diagonal quotient metrics):
-      coordinate planes attain the extremes of its diagonal.
-    * n = 3: every bivector is decomposable, so the extremes are the extreme
-      eigenvalues of ``op`` (Milnor 1976).
+    * ``op`` diagonal: coordinate planes attain the extremes of its diagonal.
     * n = 4: Thorpe's trick, see ``_thorpe_min``.
     * n >= 5 with a non-diagonal ``op``: sampled inner values.
     """
-    n = rm.shape[0]
     op = _curvature_operator(rm)
     diag = np.diag(op)
     if np.array_equal(op, np.diag(diag)):
         return float(diag.min()), float(diag.max())
-    if n == 3:
-        eigs = np.linalg.eigvalsh(op)
-        return float(eigs[0]), float(eigs[-1])
-    if n == 4:
+    if rm.shape[0] == 4:
         return _thorpe_min(op), -_thorpe_min(-op)
     return _sampled_sec_extremes(op, plane_samples, seed)
 
@@ -692,22 +666,26 @@ def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
 def curvature(model: ModelGeometry, g: np.ndarray, *,
               plane_samples: int = _DEFAULT_PLANE_SAMPLES,
               seed: int = 0) -> CurvatureData:
-    """Full orthonormal-frame curvature data of (model, g): the one-metric
-    batch, its curvature tensor and the sectional-curvature extremes.
+    """The one-metric batch of (model, g) and its sectional-curvature extremes.
     ``plane_samples`` and ``seed`` matter only where no exact extremes are
     known (see ``CurvatureData``)."""
     g = _metric_array(model, g, stack=False)
     if model.kind == LIE_GROUP_QUOTIENT:
         cb, rm = _quotient_batch(model, g)
-        rm = _rm_from_ricci(cb.ric, cb.scalar) if rm is None else rm
-    else:
-        scales = factor_scales(model, g)[None]
-        cb, rm = _product_batch(model, scales), _rm_product(model, scales)
-    lo, hi = _sec_extremes(rm[0], plane_samples, seed)
-    return CurvatureData(rm=_readonly(rm[0]), ric=_readonly(cb.ric[0]),
-                         scalar=float(cb.scalar[0]), rm_norm=float(cb.rm_norm[0]),
-                         sec_min=lo, sec_max=hi, ric_eigs=_readonly(cb.ric_eigs[0]),
-                         vol=float(cb.vol[0]))
+        if rm is None:      # n = 3: the curvature operator's eigenvalues are R/2 - Ric_k
+            half = cb.scalar[0] / 2.0
+            lo, hi = float(half - cb.ric_eigs[0, -1]), float(half - cb.ric_eigs[0, 0])
+        else:
+            lo, hi = _sec_extremes(rm[0], plane_samples, seed)
+    else:                   # 1/s on a sphere plane, 0 on a mixed or flat plane
+        scales = factor_scales(model, g)
+        cb = _product_batch(model, scales[None])
+        hi = max((1.0 / s for (ftype, _, _), s in zip(model.factors, scales.tolist())
+                  if ftype == FACTOR_SPHERE), default=0.0)
+        lo = hi if len(model.factors) == 1 else 0.0
+    return CurvatureData(ric=_readonly(cb.ric[0]), scalar=float(cb.scalar[0]),
+                         rm_norm=float(cb.rm_norm[0]), sec_min=lo, sec_max=hi,
+                         ric_eigs=_readonly(cb.ric_eigs[0]), vol=float(cb.vol[0]))
 
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:

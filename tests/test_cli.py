@@ -377,6 +377,30 @@ def test_check_rejects_bad_gallot_c0_and_kappa(tmp_path, capsys, setting):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("setting,need", [
+    ("constants.vol0=nan", "positive and finite, got nan"),
+    ("constants.vol0=inf", "positive and finite, got inf"),
+    ("constants.vol0=0", "positive and finite, got 0.0"),
+    ("constants.rm_n2_0=nan", "finite and >= 0, got nan"),
+    ("constants.rm_n2_0=-1e-300", "finite and >= 0, got -1e-300"),
+    ("constants.t_prime=nan", "positive and finite, got nan"),
+    ("sobolev.a_const=nan", "positive and finite, got nan"),
+    ("sobolev.b_const=inf", "positive and finite, got inf"),
+    ("sobolev.b_const=-1", "positive and finite, got -1.0"),
+    ("sobolev.kappa=inf", "finite and >= 0, got inf"),
+])
+@pytest.mark.parametrize("command", ["constants", "check"])
+def test_bad_constants_rejected_at_load(tmp_path, capsys, setting, need, command):
+    # the load names the key before any command reads the value (or the trajectory)
+    cfg = str(CONFIGS / "heisenberg.cfg")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path), "--override", setting,
+               *(["--trajectory", str(tmp_path / "absent.csv")] if command == "check" else [])])
+    assert rc == 2
+    key = setting.split("=")[0]
+    assert capsys.readouterr().err == f"config error: {cfg}: {key} must be {need}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",
                                      "sobolev.grid=0", "sobolev.grid=511",
                                      "constants.moser_k=0"])
@@ -562,16 +586,20 @@ def test_one_curvature_pass_per_command(tmp_path, monkeypatch, name):
     assert calls["curvature"] == calls["volume"] == calls["rm_norm"] == []
 
 
-@pytest.mark.parametrize("name", ["sphere", "collapse_sweep"])
-def test_product_trajectories_build_no_curvature_tensor(tmp_path, monkeypatch, name):
-    def no_tensor(*args):
-        raise AssertionError("a product trajectory built its rank-4 curvature tensor")
+@pytest.mark.parametrize("name", ["heisenberg", "sphere", "collapse_sweep"])
+def test_shipped_commands_reach_no_curvature_operator(tmp_path, monkeypatch, name):
+    # n = 3 quotients and products read sec extremes off the batch: no tensor consumer runs
+    def no_operator(*args):
+        raise AssertionError("a shipped config reached the curvature operator")
 
-    monkeypatch.setattr(geometry, "_rm_product", no_tensor)
+    for attr in ("_curvature_operator", "_sec_extremes"):
+        monkeypatch.setattr(geometry, attr, no_operator)
     cfg = str(CONFIGS / f"{name}.cfg")
+    grid = [] if name == "collapse_sweep" else ["--param", "metric_scale", "--values", "0.5,2"]
     assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["check", "--config", cfg, "--out", str(tmp_path),
                  "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), *grid]) == 0
 
 
 def test_heisenberg_commands_build_no_milnor_frames(tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ from riccilab.geometry import (
     _curvature_operator,
     _frames,
     _rm_from_structure,
-    _rm_product,
     _sampled_sec_extremes,
     factor_scales,
     ricci_fixed_basis,
@@ -35,6 +34,29 @@ from riccilab.geometry import (
 def random_spd(rng, n, shift=3.0):
     a = rng.standard_normal((n, n))
     return a @ a.T + shift * np.eye(n)
+
+
+def product_rm(model, scales):
+    """Closed-form stacked R_ijkl of products at positive scales (M, num_factors).
+
+    On a sphere factor of scale s, R_{ijkl} = (delta_ik delta_jl -
+    delta_il delta_jk) / s for i, j, k, l in its block; zero elsewhere.
+    """
+    dims = [d for _, d, _ in model.factors]
+    sphere = [ftype == "sphere" for ftype, _, _ in model.factors]
+    k = np.repeat(np.where(sphere, 1.0 / scales, 0.0), dims, axis=1)   # per direction
+    block = np.repeat(np.arange(len(dims)), dims)
+    eye = np.eye(model.dim)
+    delta = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+    return (k[:, :, None] * (block[:, None] == block))[:, :, :, None, None] * delta
+
+
+def frame_tensor(model, mats):
+    """Orthonormal-frame R_ijkl of one metric (n, n) or a stack, as a stack: the
+    Milnor-frame tensor on quotients, the closed form on products."""
+    if model.kind == "lie_group_quotient":
+        return _rm_from_structure(_frames(model, np.asarray(mats, dtype=float))[3])
+    return product_rm(model, factor_scales(model, mats).reshape(-1, len(model.factors)))
 
 
 # -- build_model -----------------------------------------------------------
@@ -221,10 +243,10 @@ def test_unit_sphere_curvature(s3_model):
     assert np.allclose(cv.ric, 2.0 * np.eye(3), atol=1e-14)
     assert math.isclose(cv.scalar, 6.0, abs_tol=1e-13)
     assert math.isclose(cv.rm_norm, math.sqrt(12.0), rel_tol=1e-13)
-    # constant-curvature closed form R_ijkl = g_ik g_jl - g_il g_jk
+    # the tensor oracle is the constant-curvature closed form R_ijkl = g_ik g_jl - g_il g_jk
     eye = np.eye(3)
     expected = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    assert np.abs(cv.rm - expected).max() < 1e-12
+    assert np.abs(frame_tensor(s3_model, g)[0] - expected).max() < 1e-12
     assert abs(cv.sec_min - 1.0) < 1e-14 and abs(cv.sec_max - 1.0) < 1e-14
 
 
@@ -244,8 +266,11 @@ def test_su2_bi_invariant_matches_round_sphere(s3_model):
                                     [3, 1, 2, 2.0]]})
     cv = curvature(su2, reference_metric(su2), plane_samples=0)
     ref = curvature(s3_model, reference_metric(s3_model), plane_samples=0)
-    assert np.abs(cv.rm - ref.rm).max() < 1e-12
+    rm, ref_rm = (frame_tensor(m, reference_metric(m))[0] for m in (su2, s3_model))
+    assert np.abs(rm - ref_rm).max() < 1e-12
     assert np.allclose(cv.ric, ref.ric, atol=1e-13)
+    assert math.isclose(cv.sec_min, ref.sec_min, rel_tol=1e-13)
+    assert math.isclose(cv.sec_max, ref.sec_max, rel_tol=1e-13)
 
 
 def test_minimum_dimension_product_with_circle():
@@ -314,11 +339,11 @@ def test_curvature_against_brute_force_koszul(spec, n):
     for _ in range(25):
         g = random_spd(rng, n)
         rlow, rm_n = brute_force_curvature(model, g)
-        cv = curvature(model, g, plane_samples=0)
+        rm = frame_tensor(model, g)[0]
         L, _ = orthonormalize(model, g)
         to_frame = np.einsum("ijkl,ia,jb,kc,ld->abcd", rlow, L, L, L, L)
-        assert np.abs(to_frame - cv.rm).max() < 1e-10 * max(1.0, np.abs(cv.rm).max())
-        assert math.isclose(rm_n, cv.rm_norm, rel_tol=1e-10)
+        assert np.abs(to_frame - rm).max() < 1e-10 * max(1.0, np.abs(rm).max())
+        assert math.isclose(rm_n, rm_norm(model, g), rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("model_spec,n", [
@@ -329,19 +354,17 @@ def test_curvature_against_brute_force_koszul(spec, n):
 def test_tensor_symmetries_random_metrics(model_spec, n):
     model = build_model(model_spec)
     rng = np.random.default_rng(12345)
-    for _ in range(500):
-        cv = curvature(model, random_spd(rng, n),
-                       plane_samples=0)
-        rm = cv.rm
+    mats = np.stack([random_spd(rng, n) for _ in range(500)])
+    cb = curvature_batch(model, mats)
+    for rm, ric, scalar, norm in zip(frame_tensor(model, mats), cb.ric, cb.scalar, cb.rm_norm):
         scale = max(1.0, np.abs(rm).max())
         assert np.abs(rm + rm.transpose(1, 0, 2, 3)).max() < 1e-10 * scale
         assert np.abs(rm + rm.transpose(0, 1, 3, 2)).max() < 1e-10 * scale
         assert np.abs(rm - rm.transpose(2, 3, 0, 1)).max() < 1e-10 * scale
         bianchi = rm + rm.transpose(1, 2, 0, 3) + rm.transpose(2, 0, 1, 3)
         assert np.abs(bianchi).max() < 1e-10 * scale
-        assert abs(np.trace(cv.ric) - cv.scalar) < 1e-12 * max(1.0, abs(cv.scalar))
-        assert abs(cv.rm_norm ** 2 - np.sum(rm * rm)) < 1e-12 * max(1.0, cv.rm_norm ** 2)
-        assert cv.sec_min <= cv.sec_max
+        assert abs(np.trace(ric) - scalar) < 1e-12 * max(1.0, abs(scalar))
+        assert abs(norm ** 2 - np.sum(rm * rm)) < 1e-12 * max(1.0, norm ** 2)
 
 
 @pytest.mark.parametrize("model_spec,n", [
@@ -358,7 +381,7 @@ def test_sampled_sec_matches_four_index_contraction(model_spec, n):
     for seed in range(5):
         g = (random_spd(rng, n) if model.kind == "lie_group_quotient"
              else reference_metric(model))
-        rm = curvature(model, g, plane_samples=0).rm
+        rm = frame_tensor(model, g)[0]
         lo, hi = _sampled_sec_extremes(_curvature_operator(rm), 2000, seed)
         draws = np.random.default_rng(seed)
         u, v = draws.standard_normal((2000, n)), draws.standard_normal((2000, n))
@@ -585,7 +608,7 @@ def test_product_batch_matches_tensor_route(factors, data):
     scales = data.draw(arrays(float, (data.draw(st.integers(1, 5)), len(factors)),
                               elements=st.floats(1e-30, 1e30)))
     cb = curvature_batch(model, metric_from_scales(model, scales))
-    rm = _rm_product(model, scales)
+    rm = product_rm(model, scales)
     ric = np.trace(rm, axis1=1, axis2=3)
     flat = rm.reshape(len(rm), -1)
     for got, want in ((cb.ric, ric), (cb.ric_eigs, np.linalg.eigvalsh(ric)),
@@ -645,10 +668,10 @@ def sampled_plane_secs(rm, rng, count=20_000):
 def test_exact_sec_extremes_bound_every_sampled_plane(model, data):
     mats = data.draw(model_metrics(model))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    for mat in mats:
+    for mat, rm in zip(mats, frame_tensor(model, mats)):
         cv = curvature(model, mat)
-        k = sampled_plane_secs(cv.rm, rng)
-        slack = 1e-14 * max(1.0, np.abs(cv.rm).max())      # rounding of the sums
+        k = sampled_plane_secs(rm, rng)
+        slack = 1e-14 * max(1.0, np.abs(rm).max())      # rounding of the sums
         assert cv.sec_min - slack <= k.min() and k.max() <= cv.sec_max + slack
 
 
@@ -657,11 +680,15 @@ def test_exact_sec_extremes_bound_every_sampled_plane(model, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_dim3_sec_extremes_are_operator_eigenvalues(model, data):
-    # every bivector in dimension 3 is decomposable (Milnor 1976)
-    for mat in data.draw(model_metrics(model)):
+    # every bivector in dimension 3 is decomposable (Milnor 1976), so the
+    # extremes read off Ricci are the extreme eigenvalues of the tensor's operator
+    mats = data.draw(model_metrics(model)) * data.draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    if model is QUOTIENT_MODELS["su2"]:
+        mats = np.concatenate([mats, ROUND_SU2 + 1e-8 * (mats + mats[::-1]) / mats.max()])
+    for mat, rm in zip(mats, frame_tensor(model, mats)):
         cv = curvature(model, mat)
-        eigs = np.linalg.eigvalsh(_curvature_operator(cv.rm))
-        tol = 1e-14 * np.abs(eigs).max()
+        eigs = np.linalg.eigvalsh(_curvature_operator(rm))
+        tol = 1e-13 * max(np.abs(eigs).max(), cv.rm_norm)
         assert abs(cv.sec_min - eigs[0]) <= tol and abs(cv.sec_max - eigs[-1]) <= tol
 
 
@@ -670,7 +697,7 @@ def test_dim3_sec_extremes_are_operator_eigenvalues(model, data):
 def test_thorpe_extremes_match_plane_search_on_filiform4(mats):
     optimize = pytest.importorskip("scipy.optimize")
     cv = curvature(build_model(FILIFORM4), mats[0])
-    op = _curvature_operator(cv.rm)
+    op = _curvature_operator(frame_tensor(build_model(FILIFORM4), mats[0])[0])
     iu, ju = np.triu_indices(4, 1)
 
     def sec_and_grad(x, sign):
@@ -717,6 +744,6 @@ def test_non_diagonal_dim5_uses_seeded_sampler():
                          "brackets": [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [1, 4, 5, 1.0]]})
     g = random_spd(np.random.default_rng(4), 5)
     cv = curvature(model, g, plane_samples=500, seed=3)
-    op = _curvature_operator(cv.rm)
+    op = _curvature_operator(frame_tensor(model, g)[0])
     assert (cv.sec_min, cv.sec_max) == _sampled_sec_extremes(op, 500, 3)
     assert (cv.sec_min, cv.sec_max) != _sampled_sec_extremes(op, 500, 4)
