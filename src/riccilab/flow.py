@@ -512,19 +512,21 @@ def _line_numbers(lines: list[str]) -> list[int]:
 
 
 def _parse_rows(lines: list[str], expected: list[str]) -> np.ndarray:
-    """The data lines as an (M, columns) array, all fields finite."""
+    """The data lines as an (M, columns) array, all fields finite.
+
+    numpy's C tokenizer parses the non-blank lines in one call.  When it
+    refuses a field, or the rows are not ``len(expected)`` wide, the file
+    goes through ``_scan_rows`` instead, which names the first bad line.
+    """
     body = [line for line in lines if line.strip()]
     if not body:
         raise TrajectorySchemaError("trajectory has no states")
-    data = None
-    if all(line.count(",") == len(expected) - 1 for line in body):
-        try:
-            data = np.array(",".join(body).split(","), dtype=float)
-        except ValueError:
-            pass
-    if data is None:
+    try:
+        data = np.loadtxt(body, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), len(expected)):
         return np.array(_scan_rows(lines, expected))
-    data = data.reshape(len(body), len(expected))
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
@@ -534,10 +536,21 @@ def _parse_rows(lines: list[str], expected: list[str]) -> np.ndarray:
 
 def _check_derived(derived: dict[str, np.ndarray], ref: dict[str, np.ndarray],
                    tol: float) -> float:
-    """Largest relative deviation of stored from recomputed derived columns."""
-    diffs = np.stack([np.abs(derived[k] - ref[k]) / np.maximum(1.0, np.abs(ref[k]))
-                      for k in DERIVED_KEYS])
-    worst = float(diffs.max())                 # a NaN propagates
+    """Largest deviation of stored from recomputed derived columns.
+
+    Each deviation is relative to max(|ref|, min(1, colmax)), colmax being
+    the largest |ref| of its column: a small value in a column of unit size
+    or more is held to 1, and a column below unit size to its own largest
+    value, never to an absolute bound.  A column of recomputed zeros has
+    scale 0 and admits only exact zeros.
+    """
+    stored, recomputed = (np.stack([cols[k] for k in DERIVED_KEYS]) for cols in (derived, ref))
+    size = np.abs(recomputed)
+    scale = np.maximum(size, np.minimum(1.0, size.max(axis=1, keepdims=True)))
+    diff = np.abs(stored - recomputed)
+    devs = np.divide(diff, scale, out=np.where(diff > 0.0, np.inf, diff),
+                     where=scale > 0.0)
+    worst = float(devs.max())                  # a NaN propagates
     if not worst <= tol:
         raise TrajectorySchemaError(
             f"derived quantities deviate from recomputation by {worst:.3e}")
@@ -549,9 +562,14 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
                         gamma: float = 1.0) -> Trajectory:
     """Load and validate a trajectory.
 
-    Schema violations, non-finite fields, stored metrics that are not
-    metrics of the model and stored derived columns that deviate from their
-    recomputation (with ``cs0`` and ``c_n`` as given) raise
+    The data lines are parsed in one ``np.loadtxt`` call.  numpy's C
+    tokenizer (numpy >= 1.23) converts each field with the same correctly
+    rounded conversion as ``float``.  A file it refuses, or whose rows are not one
+    field per column, is scanned line by line instead, so that each schema
+    error names its line.  Schema violations, non-finite fields, stored
+    metrics that are not metrics of the model and stored derived columns
+    that deviate from their recomputation (with ``cs0`` and ``c_n`` as
+    given, by the rule of ``validate_trajectory``) raise
     TrajectorySchemaError, naming the first bad line where there is one.
     The returned trajectory is the ``_assemble`` of the stored metrics, so
     its derived columns and row-0 values come from one ``curvature_batch``
@@ -606,8 +624,10 @@ def validate_trajectory(traj: Trajectory, tol: float = _VALIDATE_TOL) -> float:
     """Largest relative mismatch between stored and recomputed derived values.
 
     Every ``DERIVED_KEYS`` column is compared at every record against the
-    ``_assemble`` of the trajectory's metrics; a NaN on either side fails.
-    A mismatch above ``tol`` raises TrajectorySchemaError (a ValueError).
+    ``_assemble`` of the trajectory's metrics, relative to
+    max(|recomputed|, min(1, the column's largest |recomputed|)); a NaN on
+    either side fails.  A mismatch above ``tol`` raises
+    TrajectorySchemaError (a ValueError).
     ``read_trajectory_csv`` runs the same comparison on load.
     """
     ref = _assemble(traj.model, traj.times, traj.mats, traj.meta)

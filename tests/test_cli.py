@@ -52,6 +52,16 @@ parameter = factor_radius:1
 values = 0.5 0.25 0.125 0.0625 0.03125 0.015625 0.0078125 0.00390625
 """
 
+# every length 1e-40, so vol is about 1.2e-158 and |Rm| about 3.5e80
+TINY_CFG = """
+[model]
+kind = product_of_space_forms
+factors = sphere 3 1e-40 ; circle 1 1e-40
+
+[flow]
+t_end = 1e-81
+"""
+
 
 def _csv_rows(path: Path) -> list[dict]:
     return list(csv.DictReader(path.read_text().splitlines()))
@@ -208,9 +218,23 @@ def _short(ln):
     return edit
 
 
-def _blank(ln):
+def _blank(ln, text=""):
     def edit(lines):
-        lines.insert(ln - 1, "")
+        lines.insert(ln - 1, text)
+    return edit
+
+
+def _append(ln, text):
+    def edit(lines):
+        lines[ln - 1] += text
+    return edit
+
+
+def _column(col, value):
+    """Edit: set column ``col`` of every data line."""
+    def edit(lines):
+        for ln in range(2, len(lines) + 1):
+            _field(ln, col, value)(lines)
     return edit
 
 
@@ -240,6 +264,24 @@ MALFORMED_CSV = [
                  "line 5: could not convert string to float: 'x1'", id="unparsable-first"),
     pytest.param(HEIS_CFG, [_short(5), _field(8, "t", "nan")],
                  "line 5: expected 16 fields, got 15", id="short-row-first"),
+    pytest.param(HEIS_CFG, [_field(4, "g_0_1", "#0.0")],
+                 "line 4: could not convert string to float: '#0.0'", id="comment-mark"),
+    pytest.param(HEIS_CFG, [_field(5, "g_0_0", '"1.0"')],
+                 "line 5: could not convert string to float: '\"1.0\"'", id="quoted"),
+    pytest.param(HEIS_CFG, [_append(6, ",")], "line 6: expected 16 fields, got 17",
+                 id="trailing-comma"),
+    pytest.param(HEIS_CFG, [_field(7, "chi", "1e999")], _non_finite(7, "chi", "inf"),
+                 id="overflowing-literal"),
+    pytest.param(HEIS_CFG, [_field(4, "t", "0x10")],
+                 "line 4: could not convert string to float: '0x10'", id="hex"),
+    pytest.param(HEIS_CFG, [_blank(3, " \t ")], None, id="whitespace-line-skipped"),
+    pytest.param(HEIS_CFG, [_blank(3, "  "), _field(6, "g_0_1", "abc")],
+                 "line 6: could not convert string to float: 'abc'",
+                 id="whitespace-keeps-line"),
+    # vol is about 1.2e-158: its zeros are off by 100%, not by 1e-158
+    pytest.param(TINY_CFG, [_column("vol", "0.0")],
+                 "derived quantities deviate from recomputation by 1.000e+00",
+                 id="zeroed-tiny-vol"),
     # stored metrics that are not metrics of the model
     pytest.param(HEIS_CFG, [_field(7, "g_2_2", "-1.0")],
                  "line 7: metric is not positive definite: minimum eigenvalue "
@@ -667,6 +709,35 @@ def test_roundtrip_preserves_derived_to_full_precision(cfgfile, tmp_path):
     assert float(first[7]) == traj.derived["vol"][0]
     from riccilab.flow import validate_trajectory
     assert validate_trajectory(traj) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sphere", "collapse_sweep"])
+def test_well_formed_trajectories_parse_in_bulk_at_every_scale(tmp_path, monkeypatch, name):
+    # numpy's one-call parse serves every file flow writes; the line scan never runs
+    from riccilab import build_model, flow, parabolic_rescale, read_trajectory_csv
+    from riccilab import write_trajectory_csv
+    from riccilab.config import load_config
+
+    def no_scan(*args):
+        raise AssertionError("a well-formed trajectory fell back to the line scan")
+
+    monkeypatch.setattr(flow, "_scan_rows", no_scan)
+    cfg = str(CONFIGS / f"{name}.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(tmp_path),
+                 "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+    model = build_model(load_config(cfg).model_spec)
+    traj = read_trajectory_csv(model, tmp_path / "trajectory.csv")
+    for lam in (1e-60, 1.0, 1e60):
+        scaled = parabolic_rescale(traj, lam)
+        # chi grows like exp(8 t delta0 / n) and overflows at large lam:
+        # keep the records before its first inf, which the reader refuses
+        finite = np.isfinite(scaled.derived["chi"])
+        k = len(finite) if finite.all() else int(np.argmin(finite))
+        part = flow.Trajectory(model, scaled.times[:k], scaled.mats[:k],
+                               {key: scaled.derived[key][:k] for key in flow.DERIVED_KEYS})
+        write_trajectory_csv(part, tmp_path / "scaled.csv")
+        assert len(read_trajectory_csv(model, tmp_path / "scaled.csv")) == k
 
 
 def test_json_format_emits_extra_artifacts(cfgfile, tmp_path):

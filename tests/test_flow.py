@@ -35,6 +35,7 @@ from riccilab.flow import (
     TERM_UNDERFLOW,
     Trajectory,
     TrajectorySchemaError,
+    _parse_rows,
     _sym_from_tri,
     _tri_indices,
     csv_columns,
@@ -550,6 +551,25 @@ def test_csv_writer_matches_per_value_repr_on_bit_patterns(heis_model, tmp_path_
     _assert_csv_is_per_value_repr(traj, tmp_path_factory.mktemp("bits") / "t.csv")
 
 
+_EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                sys.float_info.max, -sys.float_info.max, 1e16, 9999999999999998.0, 1e-5,
+                9.999999999999999e-05, 0.1, 1.0, math.nextafter(1.0, 2.0), -1.5]
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(1, 6), st.just(16)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_bulk_parse_reads_repr_back_bit_for_bit(table):
+    # every finite double, written as its repr, parses in one call to the same bits
+    expected = csv_columns(3)
+    table = np.vstack([_EDGE_FINITE, table])
+    lines = [",".join(map(repr, row)) for row in table.tolist()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("riccilab.flow._scan_rows", None)       # the fallback must not run
+        data = _parse_rows(lines, expected)
+    assert np.array_equal(data.view(np.int64), table.view(np.int64))
+
+
 def test_csv_schema_errors(heis_traj, heis_model, tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(heis_traj, path)
@@ -572,6 +592,22 @@ def test_validate_trajectory_reports_nan(heis_traj):
     bad = Trajectory(model=heis_traj.model, times=heis_traj.times, mats=heis_traj.mats,
                      derived=derived, meta=heis_traj.meta)
     with pytest.raises(ValueError, match="nan"):
+        validate_trajectory(bad)
+
+
+@pytest.mark.parametrize("traj_name, key, value, worst", [
+    ("tiny_sphere_traj", "vol", 0.0, "1.000e+00"),       # vol ~ 6e-239: 100% off
+    ("prod_traj", "ric_min", 1e-300, "inf"),            # a column of zeros takes only zeros
+])
+def test_validate_trajectory_is_relative_below_unit_scale(request, traj_name, key, value,
+                                                          worst):
+    traj = request.getfixturevalue(traj_name)
+    assert validate_trajectory(traj) == 0.0
+    derived = {k: v.copy() for k, v in traj.derived.items()}
+    derived[key][0] = value
+    bad = Trajectory(model=traj.model, times=traj.times, mats=traj.mats,
+                     derived=derived, meta=traj.meta)
+    with pytest.raises(TrajectorySchemaError, match=f"recomputation by {re.escape(worst)}$"):
         validate_trajectory(bad)
 
 

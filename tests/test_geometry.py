@@ -651,15 +651,19 @@ def model_metrics(draw, model):
     return np.stack([np.diag(np.repeat(s, dims)) for s in scales])
 
 
-def sampled_plane_secs(rm, rng, count=20_000):
-    """sec of random orthonormal pairs (u, v) as the full sum R_ijkl u^i v^j u^k v^l."""
-    n = rm.shape[0]
+def sampled_plane_secs(rms, rng, count=20_000):
+    """sec of random orthonormal pairs (u, v) as the full sum R_ijkl u^i v^j u^k v^l.
+
+    One set of planes for a stack of tensors (M, n, n, n, n): (M, count).
+    """
+    m, n = len(rms), rms.shape[-1]
     u, v = rng.standard_normal((2, count, n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v -= np.sum(u * v, axis=1, keepdims=True) * u
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     uv = (u[:, :, None] * v[:, None, :]).reshape(count, n * n)
-    return np.einsum("pa,pa->p", uv @ rm.reshape(n * n, n * n), uv)
+    rows = uv @ np.concatenate(rms.reshape(m, n * n, n * n), axis=1)     # one product
+    return np.einsum("pma,pa->mp", rows.reshape(count, m, n * n), uv)
 
 
 @pytest.mark.parametrize("model", EXACT_SEC_MODELS.values(), ids=EXACT_SEC_MODELS.keys())
@@ -668,9 +672,9 @@ def sampled_plane_secs(rm, rng, count=20_000):
 def test_exact_sec_extremes_bound_every_sampled_plane(model, data):
     mats = data.draw(model_metrics(model))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    for mat, rm in zip(mats, frame_tensor(model, mats)):
+    rms = frame_tensor(model, mats)
+    for mat, rm, k in zip(mats, rms, sampled_plane_secs(rms, rng)):
         cv = curvature(model, mat)
-        k = sampled_plane_secs(rm, rng)
         slack = 1e-14 * max(1.0, np.abs(rm).max())      # rounding of the sums
         assert cv.sec_min - slack <= k.min() and k.max() <= cv.sec_max + slack
 
