@@ -161,36 +161,44 @@ def _check_sweep_value(parameter: str, value: float, source: str) -> None:
         raise ConfigError(f"sweep parameter {parameter} needs {need}, got {value!r}", source)
 
 
-def _sweep_point(model_spec: dict, parameter: str, value: float, source: str):
-    """Model and initial metric for one sweep grid point; ``source`` names
-    the config in a ConfigError."""
-    spec = json.loads(json.dumps(model_spec))    # deep copy
+def _sweep_points(model_spec: dict, parameter: str, source: str):
+    """Parse and validate a sweep parameter once; return the function that
+    gives the model and initial metric at one grid value.
+
+    ``metric_scale`` builds the model and its reference metric here, so a
+    row only scales the metric.  ``factor_radius:<i>`` builds each row's
+    product from a copy of the factor list.  ``bracket_scale`` builds each
+    row's model in full, since scaled brackets are validated anew (finite
+    coefficients, Jacobi).  ``source`` names the config in a ConfigError.
+    """
+    def built(spec: dict):
+        model = geometry.build_model(spec)
+        return model, geometry.reference_metric(model)
+
     if parameter == "metric_scale":
-        model = geometry.build_model(spec)
-        g = geometry.scale_metric(geometry.reference_metric(model), value * value)
-        return model, g
+        model, g = built(model_spec)
+        return lambda v: (model, geometry.scale_metric(g, v * v))
     if parameter == "bracket_scale":
-        if spec.get("kind") != geometry.LIE_GROUP_QUOTIENT:
+        if model_spec.get("kind") != geometry.LIE_GROUP_QUOTIENT:
             raise ConfigError("bracket_scale sweeps need a quotient model", source)
-        spec["brackets"] = [[i, j, k, c * value] for i, j, k, c in spec["brackets"]]
-        model = geometry.build_model(spec)
-        return model, geometry.reference_metric(model)
-    if parameter.startswith("factor_radius:"):
-        if spec.get("kind") != geometry.PRODUCT_OF_SPACE_FORMS:
-            raise ConfigError("factor_radius sweeps need a product model", source)
-        text = parameter.split(":", 1)[1]
-        try:
-            idx = int(text)
-        except ValueError:
-            idx = -1
-        if not 0 <= idx < len(spec["factors"]):
-            raise ConfigError(f"sweep parameter {parameter} needs a factor index in "
-                              f"0..{len(spec['factors']) - 1}, got {text!r}", source)
-        spec["factors"][idx][2] = value
-        model = geometry.build_model(spec)
-        return model, geometry.reference_metric(model)
-    raise ConfigError(f"unknown sweep parameter {parameter!r}; use metric_scale, "
-                      "bracket_scale or factor_radius:<index>", source)
+        return lambda v: built({**model_spec, "brackets": [
+            [i, j, k, c * v] for i, j, k, c in model_spec["brackets"]]})
+    if not parameter.startswith("factor_radius:"):
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; use metric_scale, "
+                          "bracket_scale or factor_radius:<index>", source)
+    if model_spec.get("kind") != geometry.PRODUCT_OF_SPACE_FORMS:
+        raise ConfigError("factor_radius sweeps need a product model", source)
+    factors = model_spec["factors"]
+    text = parameter.split(":", 1)[1]
+    try:
+        idx = int(text)
+    except ValueError:
+        idx = -1
+    if not 0 <= idx < len(factors):
+        raise ConfigError(f"sweep parameter {parameter} needs a factor index in "
+                          f"0..{len(factors) - 1}, got {text!r}", source)
+    return lambda v: built(
+        {**model_spec, "factors": [*factors[:idx], [*factors[idx][:2], v], *factors[idx + 1:]]})
 
 
 _SWEEP_COLS = ("parameter", "value", "n", "vol", "diam", "rm_norm", "scalar_R",
@@ -205,17 +213,25 @@ _SWEEP_FINITE = ("vol", "rm_norm", "scalar_R", "ric_min", "ric_max", "sec_min",
                  "sec_max", "rm_n2_norm", "cs_upper", "theta0")
 
 
-def _sweep_row(cfg: RunConfig, parameter: str, v: float) -> dict:
-    """Static invariants and hypothesis margins at one grid point, by column."""
-    model, g = _sweep_point(cfg.model_spec, parameter, v, cfg.source)
+def _sweep_row(cfg: RunConfig, parameter: str, v: float, point, thresholds: dict) -> dict:
+    """Static invariants and hypothesis margins at one grid point, by column.
+
+    ``point`` is the sweep's ``_sweep_points`` function.  ``thresholds``
+    maps n to the sweep's ``constants.chain_thresholds``, solved at the
+    first row that needs them (after that row's value and curvature, so a
+    bad first value is still reported before a bad gamma); every row then
+    computes only the initial-data part of its chain.
+    """
+    model, g = point(v)
     n = model.dim
     curv = geometry.curvature(model, g, seed=cfg.seed)
     if curv.vol == 0.0:    # underflowed, so vol^(-1/n) and the n/2-norm are not finite
         raise FloatingPointError(f"volume underflows at {parameter} = {v!r}")
     inv = checks.hypothesis_invariants(model, g, curv.rm_norm, curv.vol, float(curv.ric_eigs[0]),
                                        cfg.kappa, cfg.flow.cs0, cfg.primitives)
-    chain = constants.constant_chain(cfg.primitives, n, cfg.flow.gamma,
-                                     curv.vol, cfg.flow.cs0, inv["rm_n2"])
+    if n not in thresholds:
+        thresholds[n] = constants.chain_thresholds(cfg.primitives, n, cfg.flow.gamma)
+    chain = constants.chain_from_thresholds(thresholds[n], curv.vol, cfg.flow.cs0, inv["rm_n2"])
     rep = checks.hypothesis_report(n, inv, chain, cfg.primitives)
     margins = {t["theorem"]: t["margin"] for t in rep.details["theorems"]}
     return {
@@ -240,6 +256,8 @@ def cmd_sweep(args) -> int:
     if parameter is None or not values:
         raise ConfigError("sweep needs a parameter and a nonempty value grid "
                           "(sweep block or --param/--values)", cfg.source)
+    point = _sweep_points(cfg.model_spec, parameter, cfg.source)
+    thresholds = {}
     rows = []
     for v in values:
         _check_sweep_value(parameter, v, cfg.source)
@@ -247,7 +265,7 @@ def cmd_sweep(args) -> int:
             # an invariant that overflows (the volume scales like value^n) is
             # an error here, not a numpy warning followed by an inf row
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                row = _sweep_row(cfg, parameter, v)
+                row = _sweep_row(cfg, parameter, v, point, thresholds)
         except ArithmeticError:
             row = None
         if row is None or not all(math.isfinite(row[c]) for c in _SWEEP_FINITE):

@@ -39,10 +39,13 @@ from .sobolev import DEFAULT_GALLOT, GallotConstant
 __all__ = [
     "ConstantPrimitives",
     "ConstantChain",
+    "ChainThresholds",
     "MoserSchedule",
     "delta0",
     "horizon_T0",
     "solve_c_n_gamma",
+    "chain_thresholds",
+    "chain_from_thresholds",
     "constant_chain",
     "theorem_c_threshold",
     "moser_schedule",
@@ -166,51 +169,72 @@ class ConstantChain(NamedTuple):
         return out
 
 
-def _b_of(primitives: ConstantPrimitives, n: int, gamma: float, root: float) -> float:
-    c = primitives.condition_c
-    first = math.exp(-(8.0 / n) * (gamma + n * (n - 1) * root)) / (2.0 * n * (n - 1) * c)
-    return min(first, root / gamma)
+class ChainThresholds(NamedTuple):
+    """The fields of a ``ConstantChain`` that depend on (primitives, n, gamma) only."""
+
+    n: int
+    gamma: float
+    c_n_gamma: float
+    b_n_gamma: float
+    eps_n_gamma: float
+    eps1_n_gamma: float
+    eps_n_main: float
+    primitives: dict
 
 
-def _eps_of(primitives: ConstantPrimitives, n: int, gamma: float, root: float) -> float:
+def chain_thresholds(primitives: ConstantPrimitives, n: int, gamma: float) -> ChainThresholds:
+    """The threshold part of ``constant_chain``: the doubling-equation root at
+    gamma (and at 1, which eps_main uses), b, eps, eps1 and eps_main.  A
+    sweep solves it once and passes it to ``chain_from_thresholds`` per row.
+    """
     c = primitives.condition_c
-    return min((n - 2.0) / (n * c), 1.0 / (n * (n - 1.0)),
-               _b_of(primitives, n, gamma, root))
+
+    def b_and_eps(g: float, root: float) -> tuple[float, float]:
+        b = min(math.exp(-(8.0 / n) * (g + n * (n - 1) * root)) / (2.0 * n * (n - 1) * c),
+                root / g)
+        return b, min((n - 2.0) / (n * c), 1.0 / (n * (n - 1.0)), b)
+
+    root = solve_c_n_gamma(primitives, n, gamma)
+    b, eps = b_and_eps(gamma, root)
+    _, eps_g1 = b_and_eps(1.0, root if gamma == 1.0 else solve_c_n_gamma(primitives, n, 1.0))
+    # the two unvalued constants multiplying the pinching threshold are both
+    # modeled by the run's c_n
+    eps_main = min(eps_g1, primitives.gromov_ruh_eps / (primitives.c_n * primitives.c_n))
+    return ChainThresholds(n, gamma, root, b, eps, min(eps, 1.0 / primitives.c3), eps_main,
+                           primitives.describe())
+
+
+def chain_from_thresholds(thresholds: ChainThresholds, vol0: float, cs0: float,
+                          rm_n2_0: float) -> ConstantChain:
+    """The initial-data part of ``constant_chain``: vol0, rm_n2_0, delta0, T0
+    and T1 on top of ``thresholds``, with the input validation and the
+    T1 == T0 consistency assertion.
+    """
+    if vol0 <= 0 or cs0 <= 0 or rm_n2_0 < 0:
+        raise ValueError("need vol0 > 0, cs0 > 0, rm_n2_0 >= 0")
+    n, gamma, root = thresholds.n, thresholds.gamma, thresholds.c_n_gamma
+    T0 = horizon_T0(gamma, vol0, cs0, n)
+    T1 = T0 if rm_n2_0 == 0.0 else vol0 ** (2.0 / n) * min(gamma * cs0 * cs0, root / rm_n2_0)
+    if rm_n2_0 * cs0 * cs0 <= thresholds.eps_n_gamma and not math.isclose(T1, T0, rel_tol=1e-12):
+        raise AssertionError(
+            "threshold chain inconsistency: smallness hypothesis holds but T1 != T0")
+    return ConstantChain(**thresholds._asdict(), vol0=vol0, cs0=cs0, rm_n2_0=rm_n2_0,
+                         delta0=cs0 ** -2 + n * (n - 1.0) * rm_n2_0, T0=T0, T1=T1)
 
 
 def constant_chain(primitives: ConstantPrimitives, n: int, gamma: float,
                    vol0: float, cs0: float, rm_n2_0: float) -> ConstantChain:
     """Assemble the full threshold chain from the primitives.
 
-    ``delta0`` here is the curvature-controlled bound
-    cs0^-2 + n(n-1) ||Rm||_{n/2}(0), the form entering the horizon estimate.
-    The closing implication is re-verified numerically: under the smallness
-    hypothesis the curvature branch of T1 is not binding, so T1 == T0.
+    ``chain_from_thresholds(chain_thresholds(primitives, n, gamma), vol0,
+    cs0, rm_n2_0)``: the thresholds are solved first, so a bad n or gamma
+    is reported before a bad vol0, cs0 or rm_n2_0.  ``delta0`` here is the
+    curvature-controlled bound cs0^-2 + n(n-1) ||Rm||_{n/2}(0), the form
+    entering the horizon estimate.  The closing implication is re-verified
+    numerically: under the smallness hypothesis the curvature branch of T1
+    is not binding, so T1 == T0.
     """
-    if vol0 <= 0 or cs0 <= 0 or rm_n2_0 < 0:
-        raise ValueError("need vol0 > 0, cs0 > 0, rm_n2_0 >= 0")
-    root = solve_c_n_gamma(primitives, n, gamma)
-    b = _b_of(primitives, n, gamma, root)
-    eps = _eps_of(primitives, n, gamma, root)
-    eps1 = min(eps, 1.0 / primitives.c3)
-    root1 = root if gamma == 1.0 else solve_c_n_gamma(primitives, n, 1.0)
-    eps_g1 = _eps_of(primitives, n, 1.0, root1)
-    # the two unvalued constants multiplying the pinching threshold are both
-    # modeled by the run's c_n
-    eps_main = min(eps_g1, primitives.gromov_ruh_eps / (primitives.c_n * primitives.c_n))
-    T0 = horizon_T0(gamma, vol0, cs0, n)
-    if rm_n2_0 == 0.0:
-        T1 = T0
-    else:
-        T1 = vol0 ** (2.0 / n) * min(gamma * cs0 * cs0, root / rm_n2_0)
-    if rm_n2_0 * cs0 * cs0 <= eps and not math.isclose(T1, T0, rel_tol=1e-12):
-        raise AssertionError(
-            "threshold chain inconsistency: smallness hypothesis holds but T1 != T0")
-    d0 = cs0 ** -2 + n * (n - 1.0) * rm_n2_0
-    return ConstantChain(n=n, gamma=gamma, vol0=vol0, cs0=cs0, rm_n2_0=rm_n2_0,
-                         delta0=d0, c_n_gamma=root, b_n_gamma=b, eps_n_gamma=eps,
-                         eps1_n_gamma=eps1, eps_n_main=eps_main, T0=T0, T1=T1,
-                         primitives=primitives.describe())
+    return chain_from_thresholds(chain_thresholds(primitives, n, gamma), vol0, cs0, rm_n2_0)
 
 
 def theorem_c_threshold(chain: ConstantChain, primitives: ConstantPrimitives,

@@ -467,11 +467,20 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     (a block-scalar metric, zero off-diagonals, θ = ‖Rm‖_{n/2} at cs0 = 1),
     so each distinct value is formatted once.  Values are told apart by
     their bits, not by float equality, which would merge 0.0 with -0.0.
+    A non-finite field raises ValueError, naming it as the reader would,
+    before the file is opened.
     """
-    table = np.ascontiguousarray(trajectory_table(traj))
+    table, cols = np.ascontiguousarray(trajectory_table(traj)), csv_columns(traj.model.dim)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        why = ": chi = c_n exp(8 t delta0 / n) ||Rm||_{n/2} overflowed"
+        raise ValueError(f"cannot write {path}: "
+                         f"{_nonfinite(row + 2, cols[col], float(table[row, col]))}"
+                         f"{why if cols[col] == 'chi' else ''}")
     keys, where = np.unique(table.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    lines = [",".join(csv_columns(traj.model.dim))]
+    lines = [",".join(cols)]
     lines += [",".join(row) for row in text[where.reshape(table.shape)].tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -203,6 +203,18 @@ def test_check_non_finite_field_exit_3(cfgfile, tmp_path, capsys, bad):
     assert "line 6" in err and "'chi'" in err
 
 
+def test_flow_refuses_to_write_an_overflowing_chi(tmp_path, capsys):
+    # chi = c_n exp(8 t delta0 / n) ||Rm||_{n/2} overflows after row 0 on a huge covolume
+    cfg = str(CONFIGS / "heisenberg.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path),
+                 "--override", "model.covolume=1e30"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot write {tmp_path / 'trajectory.csv'}: line 3: column 'chi' "
+                   "is inf, expected a finite number: chi = c_n exp(8 t delta0 / n) "
+                   "||Rm||_{n/2} overflowed\n")
+    assert not (tmp_path / "trajectory.csv").exists() and not (tmp_path / "run.json").exists()
+
+
 def _field(ln, col, value):
     """Edit: set column ``col`` of file line ``ln`` (line 1 is the header)."""
     def edit(lines):
@@ -572,6 +584,60 @@ def test_sweep_config_errors_name_the_file(tmp_path, capsys, name, args, message
     assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
 
 
+def test_sweep_unknown_parameter_wins_over_a_bad_value(tmp_path, capsys):
+    # the parameter is parsed once, before any grid value is checked
+    cfg = str(CONFIGS / "sphere.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                 "--param", "bogus", "--values", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: unknown sweep parameter 'bogus'; use metric_scale, "
+        "bracket_scale or factor_radius:<index>\n")
+
+
+def _sweep_lines(out: Path, name: str, param: str, values) -> list[str]:
+    """Data lines of sweep.csv over ``values``, swept in one invocation."""
+    assert main(["sweep", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out),
+                 "--param", param, "--values", ",".join(map(repr, values))]) == 0
+    return (out / "sweep.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("name, param, values", [
+    ("heisenberg", "metric_scale", [0.5, 1.0, 2.0, 0.125, 3.7]),
+    ("sphere", "metric_scale", [2.0, 0.25, 1.0, 5.5]),
+    ("collapse_sweep", "factor_radius:1", [0.5, 0.25, 0.0078125, 1.3]),
+    ("collapse_sweep", "factor_radius:0", [1.0, 0.3, 4.0]),
+    ("heisenberg", "bracket_scale", [1.0, 0.5, 0.0, 2.5]),
+])
+def test_sweep_rows_do_not_depend_on_the_grid(tmp_path, name, param, values):
+    # a row swept in a grid equals, byte for byte, the row swept alone or in reverse
+    rows = _sweep_lines(tmp_path, name, param, values)
+    assert len(rows) == len(values)
+    assert _sweep_lines(tmp_path, name, param, values[::-1]) == rows[::-1]
+    for v, row in zip(values, rows):
+        assert _sweep_lines(tmp_path, name, param, [v]) == [row]
+
+
+def test_sweep_builds_once_and_solves_the_root_once(tmp_path, monkeypatch):
+    from riccilab import constants
+
+    calls = {**_count_calls(monkeypatch, ("build_model", "curvature")),
+             **_count_calls(monkeypatch, ("solve_c_n_gamma",), constants)}
+    grid = ["--param", "metric_scale", "--values", "0.5,0.75,1,1.5,2,3,4,8"]
+
+    def sweep(*extra):
+        for log in calls.values():
+            log.clear()
+        assert main(["sweep", "--config", str(CONFIGS / "heisenberg.cfg"),
+                     "--out", str(tmp_path), *grid, *extra]) == 0
+        return {name: len(log) for name, log in calls.items()}
+
+    want = {"build_model": 1, "curvature": 8, "solve_c_n_gamma": 1}
+    assert sweep() == want
+    assert sweep() == want                    # a second invocation solves again
+    # gamma != 1 needs the root at gamma and the root at gamma = 1 for eps_main
+    assert sweep("--override", "flow.gamma=2") == {**want, "solve_c_n_gamma": 2}
+
+
 def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
     # sec_min/sec_max are exact on every shipped model, so no column reads the seed
     for name in ("heisenberg", "sphere", "collapse_sweep"):
@@ -599,14 +665,15 @@ def test_sweep_tiny_curvature_keeps_its_norm(tmp_path):
     assert row["theta0"] == row["rm_n2_norm"] * row["cs_upper"] * row["cs_upper"] > 0.0
 
 
-def _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume", "rm_norm")):
-    """Record the arguments of each call to the named geometry functions."""
+def _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume", "rm_norm"),
+                 module=geometry):
+    """Record the arguments of each call to the named functions of ``module``."""
     calls = {name: [] for name in names}
     for name in names:
-        def record(*args, _fn=getattr(geometry, name), _log=calls[name], **kwargs):
+        def record(*args, _fn=getattr(module, name), _log=calls[name], **kwargs):
             _log.append(args)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(geometry, name, record)
+        monkeypatch.setattr(module, name, record)
     return calls
 
 

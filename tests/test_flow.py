@@ -512,26 +512,39 @@ def _table_trajectory(model, table):
                       {k: derived[:, i] for i, k in enumerate(DERIVED_KEYS)})
 
 
-def _assert_csv_is_per_value_repr(traj, path):
-    write_trajectory_csv(traj, path)
-    lines = [",".join(csv_columns(traj.model.dim))]
-    lines += [",".join(repr(float(v)) for v in row) for row in trajectory_table(traj)]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+def _assert_csv_is_per_value_repr(model, table, path):
+    """A table with a non-finite field is refused before the file opens;
+    its finite rows are written as the repr of each value."""
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        col_name, value = csv_columns(model.dim)[col], float(table[row, col])
+        field = f"line {row + 2}: column {col_name!r} is {value!r}"
+        with pytest.raises(ValueError, match=re.escape(field)):
+            write_trajectory_csv(_table_trajectory(model, table), path)
+        assert not path.exists()
+    if finite.any():
+        write_trajectory_csv(_table_trajectory(model, table[finite]), path)
+        lines = [",".join(csv_columns(model.dim))]
+        lines += [",".join(repr(float(v)) for v in row) for row in table[finite]]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_writer_keeps_every_bit_pattern(heis_model, tmp_path):
     # the writer formats each distinct value once; these are the values a
-    # dedup on float equality, or a wrong notation switch, would get wrong
+    # dedup on float equality, or a wrong notation switch, would get wrong;
+    # every row of the first table holds inf, -inf and nan, the second none
     sub = 5e-324
     edge = [0.0, -0.0, math.inf, -math.inf, math.nan, sub, 3 * sub, 2.2e-308,
             1e16, 9999999999999998.0, 1e-5, 9.999999999999999e-05, 1.0,
             math.nextafter(1.0, 2.0), -0.0, 0.0]
     width = len(csv_columns(heis_model.dim))
-    table = np.resize(np.array(edge), (len(edge), width))
-    table[:, 1] = np.tile([0.0, -0.0], len(edge) // 2)
-    traj = _table_trajectory(heis_model, table)
-    assert np.array_equal(trajectory_table(traj).view(np.int64), table.view(np.int64))
-    _assert_csv_is_per_value_repr(traj, tmp_path / "edge.csv")
+    for values in (edge, [v for v in edge if math.isfinite(v)]):
+        table = np.resize(np.array(values), (len(edge), width))
+        table[:, 1] = np.tile([0.0, -0.0], len(edge) // 2)
+        traj = _table_trajectory(heis_model, table)
+        assert np.array_equal(trajectory_table(traj).view(np.int64), table.view(np.int64))
+        _assert_csv_is_per_value_repr(heis_model, table, tmp_path / "edge.csv")
 
 
 _SIGNED_ZEROS_NAN = np.array([0.0, -0.0, math.nan, -math.nan]).view(np.int64).tolist()
@@ -547,8 +560,13 @@ def test_csv_writer_matches_per_value_repr_on_bit_patterns(heis_model, tmp_path_
         min_size=1, max_size=8)), dtype=np.int64)
     shape = (data.draw(st.integers(1, 6)), len(csv_columns(heis_model.dim)))
     pick = data.draw(arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
-    traj = _table_trajectory(heis_model, pool[pick].view(np.float64))
-    _assert_csv_is_per_value_repr(traj, tmp_path_factory.mktemp("bits") / "t.csv")
+    path = tmp_path_factory.mktemp("bits") / "t.csv"
+    _assert_csv_is_per_value_repr(heis_model, pool[pick].view(np.float64), path)
+    # the same draw over the pool's finite patterns only, which the writer keeps
+    finite = pool[np.isfinite(pool.view(np.float64))]
+    if finite.size:
+        _assert_csv_is_per_value_repr(heis_model, finite[pick % finite.size].view(np.float64),
+                                      path)
 
 
 _EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
