@@ -248,6 +248,36 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float, point, thresholds: dict
     }
 
 
+def _try_sweep_row(cfg: RunConfig, parameter: str, v: float, point,
+                   thresholds: dict) -> tuple[dict | None, str | None]:
+    """``_sweep_row`` at v and None, or None and why its invariants are not
+    finite: the error it raised or its first non-finite column."""
+    try:
+        # an invariant that overflows (the volume scales like value^n) is
+        # an error here, not a numpy warning followed by an inf row
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            row = _sweep_row(cfg, parameter, v, point, thresholds)
+    except (ArithmeticError, geometry.GeometryError) as exc:
+        return None, str(exc)
+    bad = next((c for c in _SWEEP_FINITE if not math.isfinite(row[c])), None)
+    return (row, None) if bad is None else (None, f"{bad} is {row[bad]!r}")
+
+
+def _sweep_failure(cfg: RunConfig, parameter: str, v: float, point) -> str:
+    """The message for a row at v whose invariants are not finite: it blames
+    the value, unless a metric_scale sweep's reference metric (value 1)
+    fails too, when it names the model.  Only this error path evaluates the
+    reference row."""
+    if parameter == "metric_scale":
+        try:
+            why = _try_sweep_row(cfg, parameter, 1.0, point, {})[1]
+        except ConfigError:             # a bad gamma, reported at the next good row
+            why = None
+        if why is not None:
+            return f"the model's invariants are not finite even at its reference metric: {why}"
+    return f"sweep parameter {parameter} needs a value whose invariants are finite, got {v!r}"
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
@@ -261,16 +291,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for v in values:
         _check_sweep_value(parameter, v, cfg.source)
-        try:
-            # an invariant that overflows (the volume scales like value^n) is
-            # an error here, not a numpy warning followed by an inf row
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                row = _sweep_row(cfg, parameter, v, point, thresholds)
-        except ArithmeticError:
-            row = None
-        if row is None or not all(math.isfinite(row[c]) for c in _SWEEP_FINITE):
-            raise ConfigError(f"sweep parameter {parameter} needs a value whose "
-                              f"invariants are finite, got {v!r}", cfg.source)
+        row = _try_sweep_row(cfg, parameter, v, point, thresholds)[0]
+        if row is None:
+            raise ConfigError(_sweep_failure(cfg, parameter, v, point), cfg.source)
         rows.append(row)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w") as fh:
@@ -305,39 +328,51 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="config override, repeatable")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# one entry per subcommand: name, help, handler and the arguments it adds
+# to the common ones, as (flag, add_argument keywords)
+_COMMANDS = (
+    ("flow", "integrate a flow and persist the trajectory", cmd_flow, ()),
+    ("check", "run the estimate checks on a trajectory", cmd_check, (
+        ("--trajectory", {"required": True, "help": "trajectory CSV path"}),
+        ("--checks", {"default": None, "help": "comma-separated check names (default: all)"}))),
+    ("constants", "emit the constant chain and schedule", cmd_constants, ()),
+    ("sweep", "evaluate static invariants over a grid", cmd_sweep, (
+        ("--param", {"default": None,
+                     "help": "metric_scale | bracket_scale | factor_radius:<i>"}),
+        ("--values", {"default": None, "help": "comma-separated grid values"}))),
+)
+_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, or of ``command`` alone.
+
+    A one-command parser parses that command's argument lists exactly as
+    the full parser does and prints the same messages: its subcommand
+    metavar keeps the full top-level usage line.  The full parser keeps the
+    default metavar, which the "required" and "invalid choice" errors read.
+    """
     parser = argparse.ArgumentParser(
         prog="riccilab",
         description="Curvature flow laboratory on homogeneous model geometries")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("flow", help="integrate a flow and persist the trajectory")
-    _add_common(p)
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("check", help="run the estimate checks on a trajectory")
-    _add_common(p)
-    p.add_argument("--trajectory", required=True, help="trajectory CSV path")
-    p.add_argument("--checks", default=None,
-                   help="comma-separated check names (default: all)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("constants", help="emit the constant chain and schedule")
-    _add_common(p)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("sweep", help="evaluate static invariants over a grid")
-    _add_common(p)
-    p.add_argument("--param", default=None,
-                   help="metric_scale | bracket_scale | factor_radius:<i>")
-    p.add_argument("--values", default=None, help="comma-separated grid values")
-    p.set_defaults(func=cmd_sweep)
+    metavar = None if command is None else "{" + ",".join(_COMMAND_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, func, extra in _COMMANDS:
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            _add_common(p)
+            for flag, kwargs in extra:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds the parser of the command it runs; help, no arguments and
+    # an unknown command need the full one
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

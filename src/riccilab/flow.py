@@ -227,6 +227,12 @@ def _dense_output(f, t, y, y_new, K, h, x: np.ndarray) -> np.ndarray:
 
 
 def _rms(v: np.ndarray) -> float:
+    """Root mean square of v; a finite v whose sum of squares would overflow
+    is divided by its largest magnitude first."""
+    big = float(np.abs(v).max())
+    if math.isfinite(big) and big * big * len(v) == math.inf:
+        u = v / big
+        return big * math.sqrt(float(u @ u) / len(v))
     return math.sqrt(float(v @ v) / len(v))
 
 

@@ -622,9 +622,13 @@ def _quotient_batch(model: ModelGeometry, mats: np.ndarray):
         ss = s[:, :, None] + s[:, None, :]
         terms = _ricci_terms(np.ldexp(model.structure_constants, s[..., None, None] - ss[:, None]))
         g, ginv = np.ldexp(mats, -ss), np.ldexp(ginv, ss)
-    ric = np.ldexp(L, s[:, None, :]) @ _ricci_form(terms, g, ginv) @ np.ldexp(L, s[:, :, None])
-    ric = 0.5 * (ric + ric.swapaxes(1, 2))
-    scalar = np.trace(ric, axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):         # checked below
+        ric = np.ldexp(L, s[:, None, :]) @ _ricci_form(terms, g, ginv) @ np.ldexp(L, s[:, :, None])
+        ric = 0.5 * (ric + ric.swapaxes(1, 2))
+        scalar = np.trace(ric, axis1=1, axis2=2)
+    if not (np.isfinite(ric).all() and np.isfinite(scalar).all()):
+        raise GeometryError("curvature of the model overflows at this metric: largest "
+                            f"bracket coefficient {float(np.abs(model.structure_constants).max())!r}")
     ric_eigs = np.linalg.eigvalsh(ric)
     if n == 3:
         rm, traceless = None, np.hypot.reduce(ric_eigs - scalar[:, None] / 3.0, axis=1)

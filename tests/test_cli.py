@@ -903,3 +903,108 @@ def test_sweep_bad_values_flag_is_config_error(cfgfile, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: --values: bad value for sweep.values: ")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+# -- a curvature that overflows ------------------------------------------------
+
+def _heisenberg_with_bracket(bracket: str) -> list[str]:
+    return ["--config", str(CONFIGS / "heisenberg.cfg"),
+            "--override", f"model.brackets=1 2 3 {bracket}"]
+
+
+def test_flow_names_an_overflowing_curvature(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["flow", *_heisenberg_with_bracket("1e200"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: curvature of the model overflows at this "
+                                       "metric: largest bracket coefficient 1e+200\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("bracket", ["1e73", "1e80", "1e90", "1e100"])
+def test_flow_starting_step_survives_an_rms_whose_square_overflows(tmp_path, capsys,
+                                                                    bracket):
+    # |Rm| ~ bracket^2 is finite, but f0 / scale squared is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["flow", *_heisenberg_with_bracket(bracket), "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("(1 records, step-underflow)\n")
+
+
+@pytest.mark.parametrize("values", ["1,2", "1e100,1e150"])
+def test_sweep_names_the_model_when_its_reference_metric_fails(tmp_path, capsys, values):
+    # ||Rm||_{n/2} is scale-invariant, so no metric_scale value is to blame
+    cfg = str(CONFIGS / "heisenberg.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", *_heisenberg_with_bracket("1e200"), "--out", str(tmp_path),
+                   "--param", "metric_scale", "--values", values])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: the model's invariants are not finite even at its reference "
+        "metric: curvature of the model overflows at this metric: largest bracket "
+        "coefficient 1e+200\n")
+
+
+@pytest.mark.parametrize("param", ["metric_scale", "bracket_scale"])
+def test_sweep_blames_the_value_when_the_reference_metric_is_finite(tmp_path, capsys, param):
+    # bracket 1e100: a metric scaled by 1e-100, or brackets by 1e60, overflow the curvature
+    value = "1e-100" if param == "metric_scale" else "1e60"
+    assert main(["sweep", *_heisenberg_with_bracket("1e100"), "--out", str(tmp_path),
+                 "--param", param, "--values", value]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"sweep parameter {param} needs a value whose invariants are finite, "
+        f"got {float(value)!r}\n")
+
+
+# -- one parser per invocation ---------------------------------------------------
+
+_PARSER_CASES = [
+    ["flow", "-h"], ["check", "-h"], ["constants", "-h"], ["sweep", "-h"], ["flow"],
+    ["check", "--config", "x.cfg"],                         # missing --trajectory
+    ["flow", "--config", "x.cfg", "--seed", "one"],
+    ["sweep", "--config", "x.cfg", "--format", "xml"],
+    ["constants", "--config", "x.cfg", "--bogus"],          # unknown option
+    ["flow", "--config", "x.cfg", "extra"],                 # top-level "unrecognized"
+    ["sweep", "--config", "x.cfg", "--values"],
+    ["check", "--config", "x.cfg", "--trajectory", "t.csv", "--checks", "a,b",
+     "--override", "flow.gamma=2", "--override", "output.seed=3"],
+]
+
+
+def _parse(argv, command, capsys):
+    from riccilab.cli import build_parser
+    try:
+        result = vars(build_parser(command).parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_one_command_parser_parses_and_prints_as_the_full_parser(argv, capsys):
+    assert _parse(argv, argv[0], capsys) == _parse(argv, None, capsys)
+
+
+def test_main_builds_one_subparser_per_call(tmp_path, monkeypatch):
+    import argparse
+
+    from riccilab import cli
+
+    added, built = [], []
+    real_add, real_build = argparse._SubParsersAction.add_parser, cli.build_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or real_add(self, name, **kw))
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(real_build(*a)) or built[-1])
+    argv = ["sweep", "--config", str(CONFIGS / "sphere.cfg"), "--out", str(tmp_path),
+            "--param", "metric_scale", "--values", "1"]
+    assert main(argv) == 0
+    assert added == ["sweep"]
+    assert main(argv) == 0                    # a second call builds its own parser
+    assert added == ["sweep", "sweep"] and len(built) == 2 and built[0] is not built[1]
+    with pytest.raises(SystemExit):           # help needs every subcommand
+        main(["-h"])
+    assert added[2:] == ["flow", "check", "constants", "sweep"]

@@ -306,6 +306,56 @@ def test_berger_su2_blowup_pins_rejection_counters():
     assert (stats["rhs_evals"], stats["dense_evals"]) == (786, 72)
 
 
+# Milnor's unimodular 3-dim classes: [e2, e3] = l1 e1, [e3, e1] = l2 e2, [e1, e2] = l3 e3
+_MILNOR = {"su2": (2.0, 2.0, 2.0), "sl2r": (-2.0, 2.0, 2.0), "e2": (1.0, 1.0, 0.0),
+           "e11": (1.0, -1.0, 0.0)}
+
+
+def _milnor_model(name: str, covolume: float = 1.0):
+    l1, l2, l3 = _MILNOR[name]
+    return build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": covolume,
+                        "brackets": [[i, j, k, lam] for (i, j, k), lam in
+                                     zip(((2, 3, 1), (3, 1, 2), (1, 2, 3)), (l1, l2, l3))
+                                     if lam != 0.0]})
+
+
+def test_round_su2_flows_as_the_round_sphere(s3_traj):
+    # su(2) with cyclic brackets 2 and covolume 2 pi^2 is the round unit S^3
+    model = _milnor_model("su2", covolume=2.0 * math.pi ** 2)
+    traj = integrate(model, np.eye(3), FlowConfig(t_end=0.2, record_every=0.2 / 512))
+    assert np.array_equal(traj.times, s3_traj.times)
+    assert np.abs(traj.mats - s3_traj.mats).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_MILNOR))
+def test_milnor_class_flows_match_scipy_dop853(name):
+    # an independent integrator at a tight tolerance, from a non-diagonal g0
+    pytest.importorskip("scipy")
+    from scipy.integrate import solve_ivp
+
+    model = _milnor_model(name)
+    a = 0.3 * np.random.default_rng(sorted(_MILNOR).index(name)).standard_normal((3, 3))
+    g0 = np.eye(3) + a @ a.T
+    traj = integrate(model, g0, FlowConfig(t_end=0.1, record_every=0.1 / 64))
+    tri = _tri_indices(3)
+    ref = solve_ivp(lambda t, y: ricci_rhs(model, _sym_from_tri(3, y))[tri], (0.0, 0.1),
+                    g0[tri], method="DOP853", rtol=1e-13, atol=1e-15, t_eval=traj.times)
+    assert ref.success and len(traj) == 65
+    want = _sym_from_tri(3, ref.y.T)
+    assert np.abs(traj.mats - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_rms_scales_only_vectors_whose_squares_overflow():
+    from riccilab.flow import _rms
+
+    v = np.random.default_rng(3).standard_normal(6)
+    assert _rms(v) == math.sqrt(float(v @ v) / 6)         # the plain route, bit for bit
+    for big in (1e150, 1e200, 1e300):
+        with np.errstate(all="raise"):
+            assert math.isclose(_rms(big * v), big * _rms(v), rel_tol=1e-15)
+    assert _rms(np.array([np.inf, 1.0])) == math.inf     # not NaN, which stalls the loop
+
+
 def test_dop853_tableau_matches_scipy():
     pytest.importorskip("scipy")
     from scipy.integrate._ivp import dop853_coefficients as ref
