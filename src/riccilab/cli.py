@@ -328,51 +328,64 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="config override, repeatable")
 
 
-# one entry per subcommand: name, help, handler and the arguments it adds
+# one entry per subcommand: name -> help, handler and the arguments it adds
 # to the common ones, as (flag, add_argument keywords)
-_COMMANDS = (
-    ("flow", "integrate a flow and persist the trajectory", cmd_flow, ()),
-    ("check", "run the estimate checks on a trajectory", cmd_check, (
+_COMMANDS = {
+    "flow": ("integrate a flow and persist the trajectory", cmd_flow, ()),
+    "check": ("run the estimate checks on a trajectory", cmd_check, (
         ("--trajectory", {"required": True, "help": "trajectory CSV path"}),
         ("--checks", {"default": None, "help": "comma-separated check names (default: all)"}))),
-    ("constants", "emit the constant chain and schedule", cmd_constants, ()),
-    ("sweep", "evaluate static invariants over a grid", cmd_sweep, (
+    "constants": ("emit the constant chain and schedule", cmd_constants, ()),
+    "sweep": ("evaluate static invariants over a grid", cmd_sweep, (
         ("--param", {"default": None,
                      "help": "metric_scale | bracket_scale | factor_radius:<i>"}),
         ("--values", {"default": None, "help": "comma-separated grid values"}))),
-)
-_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
+}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser of every subcommand, or of ``command`` alone.
+def _add_command(p: argparse.ArgumentParser, name: str, func, extra) -> None:
+    _add_common(p)
+    for flag, kwargs in extra:
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(command=name, func=func)
 
-    A one-command parser parses that command's argument lists exactly as
-    the full parser does and prints the same messages: its subcommand
-    metavar keeps the full top-level usage line.  The full parser keeps the
-    default metavar, which the "required" and "invalid choice" errors read.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, as ``riccilab -h`` shows it."""
     parser = argparse.ArgumentParser(
         prog="riccilab",
         description="Curvature flow laboratory on homogeneous model geometries")
-    metavar = None if command is None else "{" + ",".join(_COMMAND_NAMES) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, func, extra in _COMMANDS:
-        if command is None or command == name:
-            p = sub.add_parser(name, help=help_text)
-            _add_common(p)
-            for flag, kwargs in extra:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, extra) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name, func, extra)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``, parsed by the
+    command's own parser where that gives the same result.
+
+    A known command is parsed by one parser holding only its arguments,
+    under the full parser's subcommand prog, so its help and errors read the
+    same.  Arguments it leaves over go to the full parser, whose
+    "unrecognized arguments" error carries the top-level usage line; so do
+    help, an empty argv and an unknown command.
+    """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        _, func, extra = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"riccilab {name}")
+        _add_command(parser, name, func, extra)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one command; every parser it builds lives only for this call."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call builds the parser of the command it runs; help, no arguments and
-    # an unknown command need the full one
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -396,14 +396,15 @@ def _assemble(model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
     vol0 = float(curv.vol[0])
     delta0 = delta0_from_row0(cs0, float(curv.scalar[0]), vol0, n)
     rm_n2 = curv.rm_norm * curv.vol ** (2.0 / n)
-    with np.errstate(over="ignore", invalid="ignore"):   # chi may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):   # J and chi may overflow to inf
+        J = rm_n2 ** (n / 2.0)             # = |Rm|^(n/2) vol, without its overflow
         chi = meta["c_n"] * np.exp(8.0 * times * delta0 / n) * rm_n2
     derived = {
         "vol": curv.vol,
         "rm_norm": curv.rm_norm,
         "scalar_R": curv.scalar,
         "rm_n2_norm": rm_n2,
-        "J": rm_n2 ** (n / 2.0),           # = |Rm|^(n/2) vol, without its overflow
+        "J": J,
         "theta": rm_n2 * cs0 * cs0,
         "chi": chi,
         "ric_min": curv.ric_eigs[:, 0],
@@ -420,8 +421,8 @@ def parabolic_rescale(traj: Trajectory, lam: float) -> Trajectory:
 
     Raises ValueError naming lam when the rescaled trajectory leaves the
     floats: a time, metric entry, ``vol``, ``rm_norm`` or ``rm_n2_norm``
-    that is not finite, or a metric or volume that underflows.  Only
-    ``chi`` may overflow, as in ``_assemble``.
+    that is not finite, or a metric or volume that underflows.  Only ``J``
+    and ``chi`` may overflow, as in ``_assemble``.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"rescaling factor must be positive and finite, got {lam}")
@@ -466,6 +467,11 @@ def trajectory_table(traj: Trajectory) -> np.ndarray:
                             *(traj.derived[k] for k in DERIVED_KEYS)])
 
 
+# why a derived column that ``_assemble`` lets overflow is not finite
+_OVERFLOWED = {"J": ": J = ||Rm||_{n/2}^{n/2} overflowed",
+               "chi": ": chi = c_n exp(8 t delta0 / n) ||Rm||_{n/2} overflowed"}
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write ``trajectory_table(traj)`` under a ``csv_columns`` header.
 
@@ -480,10 +486,9 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, col = bad[0]
-        why = ": chi = c_n exp(8 t delta0 / n) ||Rm||_{n/2} overflowed"
         raise ValueError(f"cannot write {path}: "
                          f"{_nonfinite(row + 2, cols[col], float(table[row, col]))}"
-                         f"{why if cols[col] == 'chi' else ''}")
+                         f"{_OVERFLOWED.get(cols[col], '')}")
     keys, where = np.unique(table.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
     lines = [",".join(cols)]

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -208,33 +209,53 @@ def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray
         seen[(j, i, k)] = -coeff
         c[k, i, j] = coeff
         c[k, j, i] = -coeff
-    _check_jacobi(c)
-    _check_unimodular(c)
+    cmax = float(np.max(np.abs(c)))
+    if cmax:
+        # both checks read c in units of 2^e, where max|c| = m 2^e with m in
+        # [1/2, 1): the rescaling is exact, the largest products stay near 1
+        # at every scale, and so do the tolerances relative to them
+        e = math.frexp(cmax)[1]
+        unit = np.ldexp(c, -e)
+        _check_jacobi(unit, e)
+        _check_unimodular(unit, e)
     return c
 
 
-def _check_jacobi(c: np.ndarray) -> None:
+def _check_jacobi(c: np.ndarray, e: int) -> None:
+    """Reject ``c 2^e``, where max|c| is in [1/2, 1), if it breaks Jacobi."""
     # cyclic sum c^m_{ij} c^l_{mk} + c^m_{jk} c^l_{mi} + c^m_{ki} c^l_{mj}
     t1 = np.einsum("mij,lmk->lijk", c, c)
     jac = t1 + np.einsum("mjk,lmi->lijk", c, c) + np.einsum("mki,lmj->lijk", c, c)
-    cmax = float(np.max(np.abs(c))) if c.size else 0.0
-    tol = _JACOBI_TOL * max(1.0, cmax * cmax)
+    tol = _JACOBI_TOL * float(np.max(np.abs(c))) ** 2
     worst = float(np.max(np.abs(jac)))
     if worst > tol:
         l, i, j, k = np.unravel_index(np.argmax(np.abs(jac)), jac.shape)
         raise GeometryError(
             f"Jacobi identity violated at index triple ({i+1},{j+1},{k+1}) "
-            f"(component {l+1}): residual {worst:.3e} > {tol:.1e}"
+            f"(component {l+1}): residual {_scaled(worst, 2 * e, '.3e')} > "
+            f"{_scaled(tol, 2 * e, '.1e')}"
         )
 
 
-def _check_unimodular(c: np.ndarray) -> None:
+def _check_unimodular(c: np.ndarray, e: int) -> None:
+    """Reject ``c 2^e``, where max|c| is in [1/2, 1), if it is not unimodular."""
     # a Lie group with a lattice is unimodular (Milnor 1976, Lemma 6.2)
     traces = np.einsum("kik->i", c)          # tr ad_{e_i} = sum_k c^k_{ik}
     i = int(np.argmax(np.abs(traces)))
-    if abs(traces[i]) > _JACOBI_TOL * max(1.0, float(np.max(np.abs(c)))):
-        raise GeometryError(f"not unimodular: tr ad(e{i+1}) = {traces[i]:.6g} != 0, "
-                            "so the group admits no compact quotient")
+    if abs(traces[i]) > _JACOBI_TOL * float(np.max(np.abs(c))):
+        raise GeometryError(f"not unimodular: tr ad(e{i+1}) = {_scaled(traces[i], e, '.6g')} "
+                            "!= 0, so the group admits no compact quotient")
+
+
+def _scaled(x: float, e: int, spec: str) -> str:
+    """``format(x * 2**e, spec)``, also where that product is not a normal float."""
+    x = float(x)
+    if x == 0.0 or -1021 <= math.frexp(x)[1] + e <= 1024:
+        return format(math.ldexp(x, e), spec)
+    exact = Decimal(x) * Decimal(2) ** e
+    k = exact.adjusted()                     # exact = m 10^k with |m| in [1, 10)
+    mantissa, _, exponent = format(float(exact.scaleb(-k)), spec).partition("e")
+    return f"{mantissa}e{int(exponent or 0) + k:+03d}"
 
 
 def build_model(spec: dict) -> ModelGeometry:

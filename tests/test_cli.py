@@ -215,6 +215,20 @@ def test_flow_refuses_to_write_an_overflowing_chi(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists() and not (tmp_path / "run.json").exists()
 
 
+def test_flow_refuses_to_write_an_overflowing_J(tmp_path, capsys):
+    # bracket 1e120: ||Rm||_{n/2} ~ 1e240 is finite, its n/2 = 1.5 power is not
+    cfg = str(CONFIGS / "heisenberg.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["flow", "--config", cfg, "--out", str(tmp_path),
+                   "--override", "model.brackets=1 2 3 1e120"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'trajectory.csv'}: line 2: column 'J' is inf, "
+        "expected a finite number: J = ||Rm||_{n/2}^{n/2} overflowed\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def _field(ln, col, value):
     """Edit: set column ``col`` of file line ``ln`` (line 1 is the header)."""
     def edit(lines):
@@ -971,40 +985,62 @@ _PARSER_CASES = [
     ["sweep", "--config", "x.cfg", "--values"],
     ["check", "--config", "x.cfg", "--trajectory", "t.csv", "--checks", "a,b",
      "--override", "flow.gamma=2", "--override", "output.seed=3"],
+    ["flow", "--conf", "x.cfg"],                            # an abbreviation
+    ["flow", "--config", "x.cfg", "--seed=3"],
+    ["sweep", "extra", "--config", "x.cfg", "--param", "metric_scale"],
+    ["check", "--config", "x.cfg", "extra"],                # and missing --trajectory
+    ["sweep", "--config", "x.cfg", "--format", "xml", "-h"],
+    ["flow", "--config", "x.cfg", "--"], ["flow", "--config", "x.cfg", "--", "extra"],
+    ["bogus", "--config", "x.cfg"], [], ["-h"],
 ]
 
 
-def _parse(argv, command, capsys):
-    from riccilab.cli import build_parser
+def _outcome(parse, argv, capsys):
+    """The namespace or exit code of ``parse(argv)``, then stdout and stderr."""
     try:
-        result = vars(build_parser(command).parse_args(argv))
+        result = vars(parse(argv))
     except SystemExit as exc:
         result = exc.code
     captured = capsys.readouterr()
     return result, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-args")
 def test_one_command_parser_parses_and_prints_as_the_full_parser(argv, capsys):
-    assert _parse(argv, argv[0], capsys) == _parse(argv, None, capsys)
+    from riccilab.cli import _parse_args, build_parser
+    result = _outcome(_parse_args, argv, capsys)
+    assert result == _outcome(build_parser().parse_args, argv, capsys)
+    if isinstance(result[0], dict):
+        assert result[0]["command"] == argv[0]
 
 
-def test_main_builds_one_subparser_per_call(tmp_path, monkeypatch):
+def test_main_builds_one_parser_per_call(tmp_path, monkeypatch):
     import argparse
 
     from riccilab import cli
 
-    added, built = [], []
-    real_add, real_build = argparse._SubParsersAction.add_parser, cli.build_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, name, **kw: added.append(name) or real_add(self, name, **kw))
-    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(real_build(*a)) or built[-1])
-    argv = ["sweep", "--config", str(CONFIGS / "sphere.cfg"), "--out", str(tmp_path),
-            "--param", "metric_scale", "--values", "1"]
-    assert main(argv) == 0
-    assert added == ["sweep"]
-    assert main(argv) == 0                    # a second call builds its own parser
-    assert added == ["sweep", "sweep"] and len(built) == 2 and built[0] is not built[1]
-    with pytest.raises(SystemExit):           # help needs every subcommand
-        main(["-h"])
-    assert added[2:] == ["flow", "check", "constants", "sweep"]
+    def record(cls, log):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, **kw: log.append(self)
+                            or init(self, *a, **kw))
+
+    parsers, subparsers, full = [], [], []
+    record(argparse.ArgumentParser, parsers)
+    record(argparse._SubParsersAction, subparsers)
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: full.append(real_build()) or full[-1])
+    out = ["--out", str(tmp_path)]
+    sphere = ["--config", str(CONFIGS / "sphere.cfg"), *out]
+    sweep = ["sweep", *sphere, "--param", "metric_scale", "--values", "1"]
+    for argv in (["flow", *sphere],
+                 ["check", *sphere, "--trajectory", str(tmp_path / "trajectory.csv")],
+                 ["constants", "--config", str(CONFIGS / "heisenberg.cfg"), *out], sweep):
+        parsers.clear()
+        assert main(argv) == 0
+        assert len(parsers) == 1 and not subparsers and not full
+    parsers.clear()
+    assert main(sweep) == 0 and main(sweep) == 0    # each call builds its own parser
+    assert len(parsers) == 2 and parsers[0] is not parsers[1]
+    with pytest.raises(SystemExit):                 # the top-level "unrecognized" error
+        main(["flow", *sphere, "extra"])
+    assert len(full) == 1 and len(subparsers) == 1

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,37 @@ def test_non_unimodular_brackets_rejected():
     with pytest.raises(GeometryError, match=r"not unimodular: tr ad\(e1\) = 2"):
         build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
                      "brackets": [[1, 2, 2, 1.0], [1, 3, 3, 1.0]]})
+
+
+@pytest.mark.parametrize("c,residual,trace", [
+    (1e-160, "1.000e-320", "2e-160"), (1e-10, "1.000e-20", "2e-10"), (1.0, "1.000e+00", "2"),
+    (1e160, "1.000e+320", "2e+160")])
+def test_jacobi_and_unimodularity_are_checked_at_every_scale(c, residual, trace):
+    # [e1,e2] = e3, [e2,e3] = e4, [e1,e4] = e2 breaks Jacobi with residual c^2,
+    # and [e1,e2] = e2, [e1,e3] = e3 has tr ad(e1) = 2c; both read in original units
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=f"Jacobi .* residual {re.escape(residual)} > "):
+            build_model({"kind": "lie_group_quotient", "dim": 4, "covolume": 1.0,
+                         "brackets": [[1, 2, 3, c], [2, 3, 4, c], [1, 4, 2, c]]})
+        with pytest.raises(GeometryError,
+                           match=rf"not unimodular: tr ad\(e1\) = {re.escape(trace)} "):
+            build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
+                         "brackets": [[1, 2, 2, c], [1, 3, 3, c]]})
+
+
+@pytest.mark.parametrize("k", [-500, 500])
+@pytest.mark.parametrize("lams", [(1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (0, 0, 1)],
+                         ids=["su2", "sl2r", "e2", "e11", "nil"])
+def test_milnor_classes_are_accepted_at_extreme_power_of_two_scales(lams, k):
+    # [e2,e3] = l1 e1, [e3,e1] = l2 e2, [e1,e2] = l3 e3, scaled by 2^k
+    brackets = [[i, j, m, math.ldexp(lam, k)] for (i, j, m), lam
+                in zip(((2, 3, 1), (3, 1, 2), (1, 2, 3)), lams) if lam]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = build_model({"kind": "lie_group_quotient", "dim": 3, "covolume": 1.0,
+                             "brackets": brackets})
+    assert np.abs(model.structure_constants).max() == math.ldexp(1.0, k)
 
 
 def test_non_finite_metric_entry_is_named(heis_model):
