@@ -307,7 +307,7 @@ def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:
     on homogeneous models and is noted as such; the fit uses only times
     where the derivative is positive beyond its rounding noise.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if len(traj) < 3:
         raise ValueError("evolution check needs at least 3 recorded states")
@@ -510,9 +510,9 @@ def check_diameter_bound(A: float, B: float, n: int, diam: float, vol: float,
     (B / vol^{2/n}) ||u||^2; then the report asserts
     diam / vol^{1/n} <= 2^{n/2+1} (2^{n/2} B^{n/2} + 1) sqrt(A/B).
     """
-    if A <= 0 or B <= 0:
+    if not (A > 0 and B > 0):
         raise ValueError("the Sobolev coefficients A and B must be positive")
-    if diam <= 0 or vol <= 0:
+    if not (diam > 0 and vol > 0):
         raise ValueError("diam and vol must be positive")
     worst_margin, worst_name = math.inf, None
     for wn in sobolev_witnesses:

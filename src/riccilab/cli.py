@@ -165,11 +165,12 @@ def _sweep_points(model_spec: dict, parameter: str, source: str):
     """Parse and validate a sweep parameter once; return the function that
     gives the model and initial metric at one grid value.
 
-    ``metric_scale`` builds the model and its reference metric here, so a
-    row only scales the metric.  ``factor_radius:<i>`` builds each row's
-    product from a copy of the factor list.  ``bracket_scale`` builds each
-    row's model in full, since scaled brackets are validated anew (finite
-    coefficients, Jacobi).  ``source`` names the config in a ConfigError.
+    ``metric_scale`` and ``factor_radius:<i>`` build the model and its
+    reference metric here, so a row only scales the metric or sets factor
+    i's scale to value^2 (no radius enters an invariant, only the scale).
+    ``bracket_scale`` builds each row's model in full, since scaled brackets
+    are validated anew (finite coefficients, Jacobi).  ``source`` names the
+    config in a ConfigError.
     """
     def built(spec: dict):
         model = geometry.build_model(spec)
@@ -197,8 +198,10 @@ def _sweep_points(model_spec: dict, parameter: str, source: str):
     if not 0 <= idx < len(factors):
         raise ConfigError(f"sweep parameter {parameter} needs a factor index in "
                           f"0..{len(factors) - 1}, got {text!r}", source)
-    return lambda v: built(
-        {**model_spec, "factors": [*factors[:idx], [*factors[idx][:2], v], *factors[idx + 1:]]})
+    model = geometry.build_model(model_spec)
+    scales = [r * r for _, _, r in model.factors]
+    return lambda v: (model, geometry.metric_from_scales(
+        model, [*scales[:idx], v * v, *scales[idx + 1:]]))
 
 
 _SWEEP_COLS = ("parameter", "value", "n", "vol", "diam", "rm_norm", "scalar_R",
@@ -267,12 +270,10 @@ def _sweep_failure(cfg: RunConfig, parameter: str, v: float, point) -> str:
     """The message for a row at v whose invariants are not finite: it blames
     the value, unless a metric_scale sweep's reference metric (value 1)
     fails too, when it names the model.  Only this error path evaluates the
-    reference row."""
+    reference row, whose chain thresholds are solved afresh, so a bad gamma
+    raises its ValueError there."""
     if parameter == "metric_scale":
-        try:
-            why = _try_sweep_row(cfg, parameter, 1.0, point, {})[1]
-        except ConfigError:             # a bad gamma, reported at the next good row
-            why = None
+        why = _try_sweep_row(cfg, parameter, 1.0, point, {})[1]
         if why is not None:
             return f"the model's invariants are not finite even at its reference metric: {why}"
     return f"sweep parameter {parameter} needs a value whose invariants are finite, got {v!r}"

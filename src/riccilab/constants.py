@@ -90,16 +90,16 @@ class ConstantPrimitives:
 
 def delta0(cs0: float, neg_part_norm: float = 0.0) -> float:
     """Initial-data functional cs0^-2 + ||negative scalar curvature part||_{n/2}."""
-    if cs0 <= 0:
+    if not cs0 > 0:
         raise ValueError(f"cs0 must be positive, got {cs0}")
-    if neg_part_norm < 0:
+    if not neg_part_norm >= 0:
         raise ValueError(f"negative-part norm must be >= 0, got {neg_part_norm}")
     return cs0 ** -2 + neg_part_norm
 
 
 def horizon_T0(gamma: float, vol0: float, cs0: float, n: int) -> float:
     """Flow horizon gamma * vol0^(2/n) * cs0^2."""
-    if gamma <= 0 or vol0 <= 0 or cs0 <= 0:
+    if not (gamma > 0 and vol0 > 0 and cs0 > 0):
         raise ValueError("horizon inputs must be positive")
     return gamma * vol0 ** (2.0 / n) * cs0 * cs0
 
@@ -124,7 +124,7 @@ def solve_c_n_gamma(primitives: ConstantPrimitives, n: int, gamma: float) -> flo
     """
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     c = primitives.condition_c
     e = math.exp(-8.0 * gamma / n)
@@ -210,7 +210,7 @@ def chain_from_thresholds(thresholds: ChainThresholds, vol0: float, cs0: float,
     and T1 on top of ``thresholds``, with the input validation and the
     T1 == T0 consistency assertion.
     """
-    if vol0 <= 0 or cs0 <= 0 or rm_n2_0 < 0:
+    if not (vol0 > 0 and cs0 > 0 and rm_n2_0 >= 0):
         raise ValueError("need vol0 > 0, cs0 > 0, rm_n2_0 >= 0")
     n, gamma, root = thresholds.n, thresholds.gamma, thresholds.c_n_gamma
     T0 = horizon_T0(gamma, vol0, cs0, n)
@@ -297,7 +297,7 @@ def moser_schedule(n: int, t_prime: float = 1.0, k_max: int = 64) -> MoserSchedu
         raise ValueError(f"dimension must be >= 3, got {n}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if t_prime <= 0:
+    if not t_prime > 0:
         raise ValueError(f"t_prime must be positive, got {t_prime}")
     p0 = Fraction(n * n, n - 2)
     q0 = p0 / 2
@@ -329,9 +329,9 @@ def moser_final_bound(n: int, cs: float, t: float, rm_p0_half_window_norm: float
     """
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
-    if cs <= 0 or t <= 0 or c_fit <= 0:
+    if not (cs > 0 and t > 0 and c_fit > 0):
         raise ValueError("cs, t and c_fit must be positive")
-    if rm_p0_half_window_norm < 0:
+    if not rm_p0_half_window_norm >= 0:
         raise ValueError("window norm must be nonnegative")
     p0 = n * n / (n - 2.0)
     return (c_fit * cs ** (-4.0 * (n - 2) / (n * n))

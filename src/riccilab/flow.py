@@ -25,7 +25,6 @@ whose row 0 also gives ``vol0``, ``rm_n2_0``, ``delta0`` and ``T0``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -98,12 +97,20 @@ class FlowConfig:
         self.max_rm, self.record_every, self.cs0, self.c_n = max_rm, record_every, cs0, c_n
 
 
+def _readonly_view(a) -> np.ndarray:
+    """A read-only float view of a; a itself stays writeable."""
+    view = np.asarray(a, dtype=float).view()
+    view.setflags(write=False)
+    return view
+
+
 class Trajectory:
     """Time-ordered recorded states with derived invariants and run metadata.
 
     A slot class.  ``times`` (M,), ``mats`` (M, n, n), the metric in the
-    fixed basis, and every ``derived`` column become read-only float arrays
-    at construction.
+    fixed basis, and every ``derived`` column are kept as read-only float
+    views, ``derived`` in a dict of its own; the caller's arrays and dict
+    are left as they were.
     """
 
     __slots__ = ("model", "times", "mats", "derived", "meta")
@@ -111,14 +118,8 @@ class Trajectory:
     def __init__(self, model: ModelGeometry, times: np.ndarray, mats: np.ndarray,
                  derived: dict[str, np.ndarray], meta: dict | None = None):
         self.model, self.meta = model, {} if meta is None else meta
-        self.times = np.asarray(times, dtype=float)
-        self.times.setflags(write=False)
-        self.mats = np.asarray(mats, dtype=float)
-        self.mats.setflags(write=False)
-        for k in derived:
-            derived[k] = np.asarray(derived[k], dtype=float)
-            derived[k].setflags(write=False)
-        self.derived = derived
+        self.times, self.mats = _readonly_view(times), _readonly_view(mats)
+        self.derived = {k: _readonly_view(v) for k, v in derived.items()}
 
     def __len__(self) -> int:
         return len(self.times)
@@ -145,41 +146,32 @@ def normalize_to_unit_volume(model: ModelGeometry, g0: np.ndarray) -> np.ndarray
 
 
 def delta0_from_row0(cs0: float, scalar0: float, vol0: float, n: int) -> float:
-    """cs0^-2 plus the n/2-norm of the negative part of scalar curvature at t=0."""
-    return constants.delta0(cs0, max(0.0, -scalar0) * vol0 ** (2.0 / n))
+    """cs0^-2 plus the n/2-norm of the negative part of scalar curvature at t=0;
+    a zero part has norm 0 also where vol0 overflowed to inf."""
+    neg = max(0.0, -scalar0)
+    return constants.delta0(cs0, neg * vol0 ** (2.0 / n) if neg else 0.0)
 
 
 # ---------------------------------------------------------------------------
 # state packing
 
-@lru_cache(maxsize=None)
 def _tri_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n)
-    for idx in iu:
-        idx.setflags(write=False)
-    return iu
+    """``np.triu_indices(n)``, built from plain lists at a fraction of its cost."""
+    return (np.array([i for i in range(n) for _ in range(i, n)]),
+            np.array([j for i in range(n) for j in range(i, n)]))
 
 
-@lru_cache(maxsize=None)
 def _tri_gather(n: int) -> np.ndarray:
     """(n, n) map from each matrix entry to its position in the upper triangle."""
     rows, cols = _tri_indices(n)
     pos = np.empty((n, n), dtype=np.intp)
     pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
-    pos.setflags(write=False)
     return pos
 
 
 def _sym_from_tri(n: int, tri: np.ndarray) -> np.ndarray:
     """Symmetric matrices (..., n, n) from upper triangles (..., n(n+1)/2)."""
     return tri[..., _tri_gather(n)]
-
-
-def _unpack(model: ModelGeometry, y: np.ndarray) -> np.ndarray:
-    """Metric (n, n) of a packed state (k,), or a stack (M, n, n) of (M, k)."""
-    if model.kind == LIE_GROUP_QUOTIENT:
-        return _sym_from_tri(model.dim, y)
-    return geometry.metric_from_scales(model, y)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +228,19 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v) / len(v))
 
 
+def _rms_ratio(v: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
+    """rms(v / scale) and its natural logarithm.  Where v / scale overflows,
+    the rms is inf and the logarithm is taken without forming the quotient,
+    from the binary mantissas and exponents of v and scale."""
+    with np.errstate(over="ignore"):
+        d = _rms(v / scale)
+    if not (d == math.inf and np.isfinite(v).all()):
+        return d, math.log(d) if d != 0.0 else -math.inf
+    (mv, ev), (ms, es) = np.frexp(v), np.frexp(scale)
+    top = int((ev - es).max())
+    return d, math.log(_rms(np.ldexp(mv / ms, ev - es - top))) + top * math.log(2.0)
+
+
 def _starting_step(f, y0, f0, t_end: float, scale: np.ndarray) -> float:
     """The first step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4.
 
@@ -243,21 +248,32 @@ def _starting_step(f, y0, f0, t_end: float, scale: np.ndarray) -> float:
     probe f(h_probe, y0 + h_probe f0) estimates the second derivative; the
     step is then min(100 h_probe, (0.01 / max(d1, d2))^(1/8), t_end), where
     1/8 suits DOP853's order-7 error estimate.  Every fallback is relative to
-    t_end: a tiny horizon must not meet an absolute floor.
+    t_end: a tiny horizon must not meet an absolute floor.  Where d1 or d2
+    leaves the floats (a huge RHS), the same rule runs on their logarithms.
     """
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    d0 = _rms(y0 / scale)
+    d1, log_d1 = _rms_ratio(f0, scale)
     if d0 < 1e-5 or d1 < 1e-5:
         h_probe = 1e-6 * t_end
-    else:
+    elif d1 < math.inf:
         h_probe = min(0.01 * d0 / d1, t_end)
+    else:
+        h_probe = min(0.01 * d0 * math.exp(-log_d1), t_end)
+    if not h_probe > 0.0:
+        raise ArithmeticError(f"the starting step's probe underflows: h = {h_probe!r} "
+                              f"at t_end = {t_end!r}")
     try:
         f1 = f(h_probe, y0 + h_probe * f0)
     except (GeometryError, np.linalg.LinAlgError):
         return h_probe                       # the probe left the SPD cone
-    d2 = _rms((f1 - f0) / scale) / h_probe
+    d2, log_d2 = _rms_ratio(f1 - f0, scale)
+    d2, log_d2 = d2 / h_probe, log_d2 - math.log(h_probe)
     if d1 <= 1e-15 and d2 <= 1e-15:
         return t_end                         # the flow does not move (flat models)
-    return min(100.0 * h_probe, (0.01 / max(d1, d2)) ** (-_ERR_EXP), t_end)
+    if max(d1, d2) < math.inf:
+        return min(100.0 * h_probe, (0.01 / max(d1, d2)) ** (-_ERR_EXP), t_end)
+    log_h = (math.log(0.01) - max(log_d1, log_d2)) * -_ERR_EXP
+    return min(100.0 * h_probe, math.exp(log_h), t_end)
 
 
 def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajectory:
@@ -281,20 +297,26 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
     stats = {"accepted": 0, "rejected_err": 0, "rejected_spd": 0,
              "rhs_evals": 0, "dense_evals": 0}
 
-    # the packed state's entries of a symmetric matrix: the upper triangle of
-    # a quotient metric, or one diagonal entry per product factor
+    # the packed state's entries of a symmetric matrix, by their flat index:
+    # the upper triangle of a quotient metric, or one diagonal entry per
+    # product factor; ``unpack`` maps a state (k,) or a stack (M, k) back
     if model.kind == LIE_GROUP_QUOTIENT:
-        packed = _tri_indices(n)
-        y = np.asarray(g0, dtype=float)[packed]
+        rows, cols = _tri_indices(n)
+        packed, gather = rows * n + cols, _tri_gather(n)
+
+        def unpack(y):
+            return y[..., gather]
     else:
-        starts = np.array([sl.start for sl in model.factor_slices()])
-        packed = (starts, starts)
-        y = geometry.factor_scales(model, g0)
+        packed = model.layout[0]
+
+        def unpack(y):
+            return geometry.metric_from_scales(model, y)
+    y = np.asarray(g0, dtype=float).take(packed)
 
     def f(t, y):
-        rhs = ricci_rhs(model, _unpack(model, y))
+        rhs = ricci_rhs(model, unpack(y))
         stats["rhs_evals"] += 1
-        return rhs[packed]
+        return rhs.take(packed)
 
     t = 0.0
     k0 = f(t, y)
@@ -319,7 +341,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             enorm = _error_norm(K, h_eff, scale)
             if not enorm > 1.0:             # a NaN norm still reaches the validation
-                rmn = geometry.rm_norm(model, _unpack(model, y_new))
+                rmn = geometry.rm_norm(model, unpack(y_new))
                 if rmn <= max_rm:
                     K[_dop.N_STAGES] = f(t_new, y_new)
         except (GeometryError, np.linalg.LinAlgError):
@@ -355,7 +377,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
         h, rejected = h_eff * max(_MIN_FAC, grow), False
 
     times = record_times[:len(recorded_y)]
-    mats = _unpack(model, np.array(recorded_y))
+    mats = unpack(np.array(recorded_y))
     meta = {
         "model": model.describe(),
         "gamma": cfg.gamma,

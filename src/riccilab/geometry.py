@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import sys
 from decimal import Decimal
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -108,10 +107,11 @@ class ModelGeometry(NamedTuple):
 
     ``structure_constants`` is stored as ``c[k, i, j] = c^k_{ij}`` for
     quotient models; ``factors`` is a tuple of ``(type, dim, radius)`` for
-    products.  ``ricci_terms``, set by ``build_model`` for quotients, holds
-    the read-only constants of the fixed-basis Ricci closed form:
-    ``ad[a, k, i] = c^k_{ai}``, its (n, n * n) reshape, the (n, n * n)
-    reshape of ``c`` and the Killing form ``B``.
+    products.  ``build_model`` sets the read-only constants of each kind:
+    for quotients ``ricci_terms``, those of the fixed-basis Ricci closed
+    form (``ad[a, k, i] = c^k_{ai}``, its (n, n * n) reshape, the (n, n * n)
+    reshape of ``c`` and the Killing form ``B``); for products ``layout``,
+    the block layout of ``_block_layout``, which no radius enters.
     """
 
     kind: str
@@ -120,13 +120,7 @@ class ModelGeometry(NamedTuple):
     covolume: float | None = None
     factors: tuple[tuple[str, int, float], ...] | None = None
     ricci_terms: tuple[np.ndarray, ...] | None = None
-
-    def factor_slices(self) -> list[slice]:
-        out, start = [], 0
-        for _, d, _ in self.factors or ():
-            out.append(slice(start, start + d))
-            start += d
-        return out
+    layout: tuple[np.ndarray, ...] | None = None
 
     def describe(self) -> dict:
         """JSON-serializable description (round-trips through build_model)."""
@@ -298,7 +292,8 @@ def build_model(spec: dict) -> ModelGeometry:
         n = sum(d for _, d, _ in factors)
         if n < 3:
             raise GeometryError(f"total dimension must be >= 3, got {n}")
-        return ModelGeometry(kind=kind, dim=n, factors=tuple(factors))
+        return ModelGeometry(kind=kind, dim=n, factors=tuple(factors),
+                             layout=_block_layout(factors))
     raise GeometryError(f"unknown model kind {kind!r}")
 
 
@@ -346,8 +341,7 @@ def reference_metric(model: ModelGeometry) -> np.ndarray:
     return metric_from_scales(model, [r * r for _, _, r in model.factors])
 
 
-@lru_cache(maxsize=None)
-def _block_layout(factors: tuple) -> tuple[np.ndarray, ...]:
+def _block_layout(factors: Sequence[tuple[str, int, float]]) -> tuple[np.ndarray, ...]:
     """Layout of a product with these factors, on n x n forms flattened to
     n * n entries, as read-only arrays: the index of each factor block's
     first diagonal entry, the 0/1 map (num_factors, n * n) that puts each
@@ -356,14 +350,14 @@ def _block_layout(factors: tuple) -> tuple[np.ndarray, ...]:
     and sqrt(2 d (d - 1)) of each d-sphere (num_spheres,)."""
     dims = [d for _, d, _ in factors]
     n = sum(dims)
-    diag = np.arange(n) * (n + 1)
-    block = np.repeat(np.arange(len(dims)), dims)
+    # plain lists first: a few numpy calls build the arrays, in every model build
+    block = [f for f, d in enumerate(dims) for _ in range(d)]
     spread = np.zeros((len(dims), n * n))
-    spread[block, diag] = 1.0
-    ric = [d - 1.0 if ftype == FACTOR_SPHERE else 0.0 for ftype, d, _ in factors]
+    spread[block, range(0, n * n, n + 1)] = 1.0
+    ric = [dims[f] - 1.0 if factors[f][0] == FACTOR_SPHERE else 0.0 for f in block]
     sphere = [f for f, (ftype, _, _) in enumerate(factors) if ftype == FACTOR_SPHERE]
-    out = (diag[np.cumsum(dims) - dims], spread, np.dot(ric, spread).reshape(n, n), block,
-           np.array(sphere, dtype=np.intp),
+    out = (np.array([sum(dims[:f]) * (n + 1) for f in range(len(dims))]), spread,
+           np.diag(ric), np.array(block), np.array(sphere, dtype=np.intp),
            np.array([math.sqrt(2.0 * dims[f] * (dims[f] - 1)) for f in sphere]))
     for a in out:
         a.setflags(write=False)
@@ -374,13 +368,12 @@ def metric_from_scales(model: ModelGeometry, scales) -> np.ndarray:
     """Block-scalar product metric (n, n) of factor scales (num_factors,),
     or a stack (M, n, n) of scales (M, num_factors)."""
     scales = np.asarray(scales, dtype=float)
-    spread = _block_layout(model.factors)[1]
-    return np.dot(scales, spread).reshape(*scales.shape[:-1], model.dim, model.dim)
+    return np.dot(scales, model.layout[1]).reshape(*scales.shape[:-1], model.dim, model.dim)
 
 
 def scale_metric(g: np.ndarray, lam_sq: float) -> np.ndarray:
     """Return lam_sq * g (the metric scaled by lambda^2)."""
-    if lam_sq <= 0:
+    if not lam_sq > 0:
         raise GeometryError(f"metric scale factor must be positive, got {lam_sq}")
     return lam_sq * np.asarray(g, dtype=float)
 
@@ -439,7 +432,7 @@ def factor_scales(model: ModelGeometry, g) -> np.ndarray:
     layout (beyond 1e-12 relative) or a scale that is not positive.
     """
     g = _metric_array(model, g)
-    starts, spread = _block_layout(model.factors)[:2]
+    starts, spread = model.layout[:2]
     scales = g.reshape(*g.shape[:-2], -1).take(starts, axis=-1)
     # hot path: g equals, bit for bit, its rebuild from its scales clamped to
     # [smallest positive float, largest float].  One comparison rules out a
@@ -665,7 +658,7 @@ def _product_batch(model: ModelGeometry, scales: np.ndarray) -> CurvatureBatch:
     """The batch of products at positive scales (M, num_factors), in closed
     form: Ric is (d - 1) / s on each direction of a d-sphere of scale s and
     0 on circles and flat tori; |Rm| adds sqrt(2 d (d - 1)) / s per d-sphere."""
-    ric_form, block, sphere, coeff = _block_layout(model.factors)[2:]
+    ric_form, block, sphere, coeff = model.layout[2:]
     ric = ric_form.diagonal() / scales[:, block]           # (M, n) per direction
     vol = math.prod(_factor_volume(ftype, d, scales[:, f])
                     for f, (ftype, d, _) in enumerate(model.factors))
@@ -727,20 +720,15 @@ def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
         evals, vecs = _metric_eigh(g)
         return _ricci_form(model.ricci_terms, g, (vecs / evals) @ vecs.T)
     factor_scales(model, g)
-    return _block_layout(model.factors)[2]      # d - 1 on a d-sphere's block, else 0
+    return model.layout[2]      # d - 1 on a d-sphere's block, else 0
 
 
 # ---------------------------------------------------------------------------
 # volume and diameter
 
-_UNIT_SPHERE_VOL = {}
-
-
 def unit_sphere_volume(d: int) -> float:
     """Riemannian volume of the round unit d-sphere."""
-    if d not in _UNIT_SPHERE_VOL:
-        _UNIT_SPHERE_VOL[d] = 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
-    return _UNIT_SPHERE_VOL[d]
+    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
 
 
 def _factor_volume(ftype: str, d: int, s):

@@ -71,7 +71,7 @@ class GallotConstant(NamedTuple):
     growth: str = "exp_sqrt"
 
     def __call__(self, n: int, kappa: float) -> float:
-        if kappa < 0:
+        if not kappa >= 0:
             raise ValueError(f"kappa must be nonnegative, got {kappa}")
         if self.growth == "constant":
             return self.c0
@@ -100,9 +100,9 @@ class SobolevEstimate(NamedTuple):
 
 def lp_norm_of_constant(value: float, vol: float, p: float) -> float:
     """(integral of value^p)^(1/p) for a constant integrand: value * vol^(1/p)."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
-    if vol <= 0:
+    if not vol > 0:
         raise ValueError(f"volume must be positive, got {vol}")
     return float(value) * vol ** (1.0 / p)
 
@@ -115,10 +115,10 @@ def rm_lp_norm(curv: CurvatureData, vol: float, p: float) -> float:
 def gallot_upper(n: int, kappa: float, diam: float, vol: float,
                  c_strategy: Callable[[int, float], float] = DEFAULT_GALLOT) -> float:
     """Upper bound c(n, kappa) * diam / vol^(1/n) for the Sobolev constant."""
-    if diam <= 0 or vol <= 0:
+    if not (diam > 0 and vol > 0):
         raise ValueError(f"diam and vol must be positive, got {diam}, {vol}")
     c = c_strategy(n, kappa)
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"Sobolev constant strategy returned nonpositive value {c}")
     return c * diam / vol ** (1.0 / n)
 
@@ -132,9 +132,9 @@ def integral_ricci_deficit(curv: CurvatureData, vol: float, p: float,
     validated but drops out.
     """
     n = len(curv.ric_eigs)
-    if p <= n / 2.0:
+    if not p > n / 2.0:
         raise ValueError(f"deficit exponent must satisfy p > n/2 = {n/2}, got {p}")
-    if vol <= 0:
+    if not vol > 0:
         raise ValueError(f"volume must be positive, got {vol}")
     return max(0.0, kappa - float(curv.ric_eigs[0]))
 

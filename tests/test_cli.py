@@ -652,6 +652,24 @@ def test_sweep_builds_once_and_solves_the_root_once(tmp_path, monkeypatch):
     assert sweep("--override", "flow.gamma=2") == {**want, "solve_c_n_gamma": 2}
 
 
+def test_factor_radius_sweep_builds_its_model_once(tmp_path, monkeypatch):
+    # the config's own grid, factor_radius:1 over 8 radii: each row sets one scale
+    calls = _count_calls(monkeypatch, ("build_model", "curvature"))
+    assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    assert {name: len(log) for name, log in calls.items()} == {"build_model": 1, "curvature": 8}
+    assert len({id(args[0]) for args in calls["curvature"]}) == 1
+
+
+@pytest.mark.parametrize("factors", ["sphere 3 0 ; circle 1 1", "sphere 3 1.0 ; circle 1 0"])
+def test_factor_radius_sweep_names_an_invalid_model_before_any_row(tmp_path, capsys, factors):
+    # the model is built once from the config, so its own bad radius is named,
+    # not blamed on a grid value, also on the swept factor
+    assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"), "--out", str(tmp_path),
+                 "--override", f"model.factors={factors}"]) == 2
+    assert capsys.readouterr().err == "error: factor radius must be positive and finite, got 0.0\n"
+
+
 def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
     # sec_min/sec_max are exact on every shipped model, so no column reads the seed
     for name in ("heisenberg", "sphere", "collapse_sweep"):
@@ -947,6 +965,38 @@ def test_flow_starting_step_survives_an_rms_whose_square_overflows(tmp_path, cap
     assert capsys.readouterr().out.endswith("(1 records, step-underflow)\n")
 
 
+def test_flow_starting_step_is_a_positive_step_when_d2_leaves_the_floats(tmp_path, capsys):
+    # bracket 1e80: d2 ~ |Ric|^2 / scale overflows; its logarithm does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["flow", *_heisenberg_with_bracket("1e80"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("(1 records, step-underflow)\n")
+    integ = json.loads((tmp_path / "run.json").read_text())["meta"]["integrator"]
+    assert 0.0 < integ["h0"] < 1e-150 and integ["accepted"] == 0
+
+
+def test_flow_starting_step_survives_an_overflowing_f0_over_scale(tmp_path, capsys):
+    # bracket 1e150: f0 / scale ~ 1e312 overflows; the step is found, and the
+    # one record's J = ||Rm||_{n/2}^{3/2} ~ 1e450 is what cannot be written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["flow", *_heisenberg_with_bracket("1e150"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'trajectory.csv'}: line 2: column 'J' is inf, "
+        "expected a finite number: J = ||Rm||_{n/2}^{n/2} overflowed\n")
+
+
+def test_flow_names_a_starting_probe_that_underflows(tmp_path, capsys):
+    # a flat model probes at 1e-6 t_end, which is 0.0 at t_end = 1e-320
+    rc = main(["flow", "--config", str(CONFIGS / "sphere.cfg"), "--out", str(tmp_path),
+               "--override", "model.factors=flat_torus 3 1.0", "--override", "flow.t_end=1e-320"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: the starting step's probe underflows: "
+                                       "h = 0.0 at t_end = 1e-320\n")
+
+
 @pytest.mark.parametrize("values", ["1,2", "1e100,1e150"])
 def test_sweep_names_the_model_when_its_reference_metric_fails(tmp_path, capsys, values):
     # ||Rm||_{n/2} is scale-invariant, so no metric_scale value is to blame
@@ -960,6 +1010,16 @@ def test_sweep_names_the_model_when_its_reference_metric_fails(tmp_path, capsys,
         f"config error: {cfg}: the model's invariants are not finite even at its reference "
         "metric: curvature of the model overflows at this metric: largest bracket "
         "coefficient 1e+200\n")
+
+
+def test_sweep_reports_a_bad_gamma_from_the_reference_row(tmp_path, capsys):
+    # the 1e-110 row's volume underflows; the reference row then solves the
+    # chain thresholds, whose gamma error is the one reported
+    rc = main(["sweep", "--config", str(CONFIGS / "heisenberg.cfg"), "--out", str(tmp_path),
+               "--param", "metric_scale", "--values", "1e-110", "--override", "flow.gamma=1000"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: gamma = 1000.0 is too large") and "sweep parameter" not in err
 
 
 @pytest.mark.parametrize("param", ["metric_scale", "bracket_scale"])
@@ -1044,3 +1104,32 @@ def test_main_builds_one_parser_per_call(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):                 # the top-level "unrecognized" error
         main(["flow", *sphere, "extra"])
     assert len(full) == 1 and len(subparsers) == 1
+
+
+def test_no_cache_outlives_a_main_call(tmp_path):
+    # constants live on the model or in one call: no module holds a functools
+    # cache, and geometry and flow hold no module-level dict that commands fill
+    import importlib
+    import inspect
+    import pkgutil
+
+    import riccilab
+
+    modules = [riccilab, *(importlib.import_module(f"riccilab.{m.name}")
+                           for m in pkgutil.iter_modules(riccilab.__path__))]
+    for mod in modules:
+        assert "functools" not in inspect.getsource(mod), mod.__name__
+        assert not [k for k, v in vars(mod).items() if hasattr(v, "cache_info")], mod.__name__
+    dicts = {f"{mod.__name__}.{k}": v for mod in modules if mod.__name__ in
+             ("riccilab.geometry", "riccilab.flow")
+             for k, v in vars(mod).items() if isinstance(v, dict) and not k.startswith("__")}
+    assert list(dicts) == ["riccilab.flow._OVERFLOWED"]
+    before = {k: dict(v) for k, v in dicts.items()}
+    out = ["--out", str(tmp_path)]
+    for name in ("heisenberg", "collapse_sweep"):
+        cfg = ["--config", str(CONFIGS / f"{name}.cfg"), *out]
+        assert main(["flow", *cfg]) == 0
+        assert main(["check", *cfg, "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+        assert main(["sweep", *cfg, "--param", "metric_scale", "--values", "0.5,2"]) == 0
+    assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"), *out]) == 0
+    assert dicts == before

@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -276,3 +278,63 @@ def test_primitives_validation():
     with pytest.raises(ValueError):
         ConstantPrimitives(c_n=0.0)
     assert ConstantPrimitives(a_n=3.0, c_n=2.0).condition_c == 3.0
+
+
+# -- NaN fails every domain guard ----------------------------------------------
+
+def _nan_guard_cases():
+    from riccilab import checks, constants, geometry, sobolev
+
+    nan = math.nan
+    th = constants.chain_thresholds(DEFAULTS, 3, 1.0)
+    ric = SimpleNamespace(ric_eigs=np.zeros(3))        # what integral_ricci_deficit reads
+    p_msg = "exponent p must be >= 1"
+    return [
+        ("delta0 cs0", lambda: constants.delta0(nan), "cs0 must be positive"),
+        ("delta0 norm", lambda: constants.delta0(1.0, nan), "negative-part norm must be >= 0"),
+        *((f"horizon_T0 {i}", lambda i=i: constants.horizon_T0(
+            *[nan if j == i else 1.0 for j in range(3)], 3), "horizon inputs must be positive")
+          for i in range(3)),
+        ("solve_c_n_gamma", lambda: constants.solve_c_n_gamma(DEFAULTS, 3, nan),
+         "gamma must be positive, got nan"),
+        *((f"chain_from_thresholds {i}", lambda i=i: constants.chain_from_thresholds(
+            th, *[nan if j == i else (0.0 if j == 2 else 1.0) for j in range(3)]),
+           "need vol0 > 0, cs0 > 0, rm_n2_0 >= 0") for i in range(3)),
+        ("moser_schedule", lambda: constants.moser_schedule(3, nan), "t_prime must be positive"),
+        *((f"moser_final_bound {i}", lambda i=i: constants.moser_final_bound(
+            3, *[nan if j == i else 1.0 for j in range(4)]),
+           "window norm must be nonnegative" if i == 2 else "cs, t and c_fit must be positive")
+          for i in range(4)),
+        ("lp_norm_of_constant vol", lambda: sobolev.lp_norm_of_constant(1.0, nan, 1.5),
+         "volume must be positive, got nan"),
+        ("lp_norm_of_constant p", lambda: sobolev.lp_norm_of_constant(1.0, 1.0, nan), p_msg),
+        ("gallot_upper diam", lambda: sobolev.gallot_upper(3, 0.0, nan, 1.0),
+         "diam and vol must be positive"),
+        ("gallot_upper vol", lambda: sobolev.gallot_upper(3, 0.0, 1.0, nan),
+         "diam and vol must be positive"),
+        ("gallot_upper strategy", lambda: sobolev.gallot_upper(3, 0.0, 1.0, 1.0,
+                                                               lambda n, k: nan),
+         "Sobolev constant strategy returned nonpositive value nan"),
+        ("integral_ricci_deficit vol", lambda: sobolev.integral_ricci_deficit(ric, nan, 2.0),
+         "volume must be positive, got nan"),
+        ("integral_ricci_deficit p", lambda: sobolev.integral_ricci_deficit(ric, 1.0, nan),
+         "deficit exponent must satisfy p > n/2"),
+        ("GallotConstant", lambda: sobolev.GallotConstant()(3, nan),
+         "kappa must be nonnegative, got nan"),
+        ("scale_metric", lambda: geometry.scale_metric(np.eye(3), nan),
+         "metric scale factor must be positive, got nan"),
+        *((f"check_diameter_bound {i}", lambda i=i: checks.check_diameter_bound(
+            *[nan if j == i else 1.0 for j in range(2)], 3,
+            *[nan if j == i else 1.0 for j in range(2, 4)], []),
+           "the Sobolev coefficients A and B must be positive" if i < 2
+           else "diam and vol must be positive") for i in range(4)),
+        ("check_lp_evolution", lambda: checks.check_lp_evolution(None, nan), p_msg),
+    ]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in _nan_guard_cases()],
+                         ids=[case[0] for case in _nan_guard_cases()])
+def test_nan_fails_the_domain_guards(call, message):
+    # each guard is written so that NaN fails it, with the message of a bad value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

@@ -36,6 +36,7 @@ from riccilab.flow import (
     Trajectory,
     TrajectorySchemaError,
     _parse_rows,
+    _rms_ratio,
     _sym_from_tri,
     _tri_indices,
     csv_columns,
@@ -245,6 +246,32 @@ def test_starting_step_falls_back_when_probe_leaves_cone():
     y0 = np.ones(3)
     got = _starting_step(f, y0, f(0.0, y0), 2.0, 1e-12 + 1e-9 * y0)
     assert got == 0.01      # the probe step 0.01 d0 / d1
+
+
+def test_rms_ratio_takes_the_log_past_the_floats():
+    scale = np.array([1e-12, 1.0, 1e-9])
+    d, log_d = _rms_ratio(np.array([3.0, 4.0, 0.0]), scale)       # today's value
+    assert d == math.sqrt((3e12 ** 2 + 16.0) / 3.0) and log_d == math.log(d)
+    with np.errstate(all="raise"):
+        d, log_d = _rms_ratio(np.array([1e300, -1e300, 0.0]), scale)
+    assert d == math.inf        # rms = 1e312 sqrt(1/3 + 1e-24 / 3)
+    assert math.isclose(log_d, 312.0 * math.log(10.0) - 0.5 * math.log(3.0), rel_tol=1e-15)
+
+
+def test_tri_indices_are_numpys():
+    for n in range(1, 7):
+        got, want = _tri_indices(n), np.triu_indices(n)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+def test_trajectory_leaves_the_callers_arrays_and_dict_alone(heis_model):
+    times, mats, vol = np.array([0.0, 1.0]), np.stack([np.eye(3)] * 2), np.array([1.0, 2.0])
+    derived = {"vol": vol}
+    traj = Trajectory(heis_model, times, mats, derived)
+    assert times.flags.writeable and mats.flags.writeable and vol.flags.writeable
+    assert derived == {"vol": vol} and derived["vol"] is vol and traj.derived is not derived
+    for mine, theirs in ((traj.times, times), (traj.mats, mats), (traj.derived["vol"], vol)):
+        assert not mine.flags.writeable and np.shares_memory(mine, theirs)
 
 
 def test_sym_from_tri_matches_scatter():

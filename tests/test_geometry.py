@@ -580,6 +580,21 @@ def test_ricci_terms_are_read_only_model_constants(heis_model, prod_model):
     assert prod_model.ricci_terms is None
 
 
+def test_product_layout_is_a_read_only_model_constant_free_of_radii(heis_model, prod_model):
+    # each product builds its own layout, from factor types and dimensions only
+    other = sphere_circle_model(3, circle_radius=7.0, sphere_radius=1e-40)
+    assert len(other.layout) == len(prod_model.layout) == 6
+    for mine, theirs in zip(prod_model.layout, other.layout):
+        assert np.array_equal(mine, theirs) and mine is not theirs
+        assert not mine.flags.writeable
+    starts, spread, ric_form, block, sphere, coeff = prod_model.layout
+    assert starts.tolist() == [0, 15] and block.tolist() == [0, 0, 0, 1]
+    assert np.array_equal(spread.reshape(2, 4, 4).sum(axis=0), np.eye(4))
+    assert np.array_equal(ric_form, np.diag([2.0, 2.0, 2.0, 0.0]))
+    assert sphere.tolist() == [0] and coeff.tolist() == [math.sqrt(12.0)]
+    assert heis_model.layout is None
+
+
 @pytest.mark.parametrize("b", [1e-170, 1e170])
 def test_rm_norm_neither_under_nor_overflows(heis_model, b):
     # |Rm| of diag(1, 1, b) is sqrt(11) b / 2, whose square is not a normal float
