@@ -113,14 +113,31 @@ def grid_derivative(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     return idx, deriv, 4
 
 
-def _worst(idx: np.ndarray, times: np.ndarray, residuals: np.ndarray) -> list[dict]:
-    order = np.argsort(residuals)[::-1][:_WORST_TOP]
-    return [{"t": float(times[idx[i]]), "residual": float(residuals[i])}
-            for i in order]
-
-
 # ---------------------------------------------------------------------------
 # trajectory checks
+
+
+def _identity_report(name: str, traj: Trajectory, values: np.ndarray, rhs, tol: float,
+                     holds: bool = True, details: dict | None = None,
+                     **fields) -> CheckReport:
+    """The exact identity d(values)/dt = rhs(idx) at the interior records ``idx``.
+
+    Each residual is divided by its record's size |rhs| + 1 and compared with
+    ``tol``; ``holds``, ``details`` and the other report ``fields`` carry the
+    caller's further findings.
+    """
+    t = traj.times
+    idx, deriv, order = grid_derivative(t, values)
+    target = rhs(idx)
+    resid = np.abs(deriv - target) / (np.abs(target) + 1.0)
+    max_resid = float(np.max(resid))
+    worst = np.argsort(resid)[::-1][:_WORST_TOP]
+    return CheckReport(
+        name=name, status=PASS if holds and max_resid <= tol else FAIL, samples=len(idx),
+        details={**(details or {}), "max_residual": max_resid, "tolerance": tol, "fd_order": order,
+                 "worst": [{"t": float(t[idx[i]]), "residual": float(resid[i])}
+                           for i in worst]},
+        **fields)
 
 
 def check_volume_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> CheckReport:
@@ -131,16 +148,10 @@ def check_volume_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> Check
     curvature-norm variant only fixes |R| <= c |Rm| up to the frame bound
     sqrt(n(n-1)/2), so its constant is fitted and checked against that bound.
     """
-    if len(traj) < 3:
-        raise ValueError("volume identity needs at least 3 recorded states")
     n = traj.model.dim
-    t = traj.times
     vol = traj.derived["vol"]
     R = traj.derived["scalar_R"]
     rm = traj.derived["rm_norm"]
-    idx, dvol, order = grid_derivative(t, vol)
-    resid = np.abs(dvol + R[idx] * vol[idx]) / (np.abs(R[idx]) * vol[idx] + 1.0)
-    ok = bool(np.max(resid) <= tol)
 
     # scalar-norm variant: exact equality at homogeneity; |R| is divided by
     # its maximum before the n/2 power, which overflows on tiny spheres
@@ -150,7 +161,7 @@ def check_volume_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> Check
     rhs = r_max * ((abs_r / r_max) ** (n / 2.0) * vol) ** (2.0 / n) \
         * vol ** ((n - 2.0) / n)
     norm_gap = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))
-    ok = ok and norm_gap <= 1e-10
+    ok = norm_gap <= 1e-10
 
     curved = rm > 0.0
     frame_bound = math.sqrt(n * (n - 1) / 2.0)
@@ -163,21 +174,10 @@ def check_volume_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> Check
             notes.append("fitted |R|/|Rm| exceeds the frame bound")
     else:
         notes.append("vacuous: zero curvature throughout")
-    return CheckReport(
-        name="volume_identity",
-        status=PASS if ok else FAIL,
-        fitted_constant=fitted,
-        samples=len(idx),
-        details={
-            "max_residual": float(np.max(resid)),
-            "tolerance": tol,
-            "fd_order": order,
-            "r_norm_variant_gap": norm_gap,
-            "frame_bound_on_R_over_Rm": frame_bound,
-            "worst": _worst(idx, t, resid),
-        },
-        notes=tuple(notes),
-    )
+    return _identity_report(
+        "volume_identity", traj, vol, lambda i: -R[i] * vol[i], tol, holds=ok,
+        details={"r_norm_variant_gap": norm_gap, "frame_bound_on_R_over_Rm": frame_bound},
+        fitted_constant=fitted, notes=tuple(notes))
 
 
 def check_scalar_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> CheckReport:
@@ -185,21 +185,9 @@ def check_scalar_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> Check
 
     |Ric|^2 is the sum of the squared Ricci eigenvalues stored per record.
     """
-    if len(traj) < 3:
-        raise ValueError("scalar identity needs at least 3 recorded states")
-    t = traj.times
-    R = traj.derived["scalar_R"]
-    idx, dR, order = grid_derivative(t, R)
-    ric2 = np.sum(traj.derived["ric_eigs"][idx] ** 2, axis=1)
-    resid = np.abs(dR - 2.0 * ric2) / (2.0 * ric2 + 1.0)
-    ok = bool(np.max(resid) <= tol)
-    return CheckReport(
-        name="scalar_identity",
-        status=PASS if ok else FAIL,
-        samples=len(idx),
-        details={"max_residual": float(np.max(resid)), "tolerance": tol,
-                 "fd_order": order, "worst": _worst(idx, t, resid)},
-    )
+    ric = traj.derived["ric_eigs"]
+    return _identity_report("scalar_identity", traj, traj.derived["scalar_R"],
+                            lambda i: 2.0 * np.sum(ric[i] ** 2, axis=1), tol)
 
 
 def check_n2_bound(traj: Trajectory, chain: ConstantChain) -> CheckReport:
@@ -309,8 +297,6 @@ def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:
     """
     if not p >= 1.0:
         raise ValueError(f"exponent p must be >= 1, got {p}")
-    if len(traj) < 3:
-        raise ValueError("evolution check needs at least 3 recorded states")
     t = traj.times
     rm = traj.derived["rm_norm"]
     vol = traj.derived["vol"]

@@ -1,11 +1,12 @@
 """Flat sectioned key=value run configuration.
 
 The format is deliberately small: ``[section]`` headers, ``key = value``
-entries, ``#`` or ``;`` comments.  Unknown sections or keys are hard
-errors with the offending line number, because silent config drift would
-invalidate inequality verdicts.  List-valued keys (brackets, factors,
-values) take semicolon-separated entries and may be repeated to
-accumulate.
+entries, ``#`` or ``;`` comments.  Unknown sections or keys, model keys
+that the model's kind does not use and a ``constants.n`` other than the
+model's dimension are hard errors with the offending line number, because
+silent config drift would invalidate inequality verdicts.  List-valued keys
+(brackets, factors, values) take semicolon-separated entries and may be
+repeated to accumulate.
 
 ``_SCHEMA`` is the one list of settings; ``RunConfig``'s slots and
 construction derive from it, except the composites ``model_spec``,
@@ -200,20 +201,24 @@ def _apply_overrides(raw: dict, overrides: tuple[str, ...],
             raise ConfigError(f"unknown section [{section}]", f"override#{i + 1}")
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", f"override#{i + 1}")
-        raw.setdefault(section, {})[key] = (value.strip(), -i - 1)
-    for flag, dotted, value in flags:     # in place of a line number, the flag's name
+        raw.setdefault(section, {})[key] = (value.strip(), f"override#{i + 1}")
+    for flag, dotted, value in flags:
         section, key = dotted.split(".")
         raw.setdefault(section, {})[key] = (value, flag)
 
 
+def _where(raw: dict, section: str, key: str, source: str) -> tuple[str, int | None]:
+    """Where section.key was set: the file and its line, or in place of a
+    line number the label an override or a flag stored (``override#k``,
+    ``--values``)."""
+    at = raw[section][key][1]
+    return (at, None) if isinstance(at, str) else (source, at)
+
+
 def _get(raw: dict, section: str, key: str, source: str):
-    spec = _SCHEMA[section][key]
     if section in raw and key in raw[section]:
-        text, line = raw[section][key]
-        if isinstance(line, str):                 # a CLI flag
-            return _coerce(section, key, text, line, None)
-        return _coerce(section, key, text, source, line if line > 0 else None)
-    return spec.default
+        return _coerce(section, key, raw[section][key][0], *_where(raw, section, key, source))
+    return _SCHEMA[section][key].default
 
 
 def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
@@ -239,10 +244,16 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
     if "model" in raw:
         kind = g("model", "kind")
         if kind is None:
-            line = min((v[1] for v in raw["model"].values() if v[1] > 0), default=None)
+            line = min((v[1] for v in raw["model"].values() if isinstance(v[1], int)),
+                       default=None)
             raise ConfigError("model.kind is required", source, line)
         model_spec = {"kind": kind}
-        if kind == "lie_group_quotient":
+        quotient = kind == "lie_group_quotient"
+        for key in ("factors",) if quotient else ("dim", "covolume", "brackets"):
+            if key in raw["model"]:
+                raise ConfigError(f"model.{key} does not apply to {kind} models",
+                                  *_where(raw, "model", key, source))
+        if quotient:
             if g("model", "dim") is None:
                 raise ConfigError("model.dim is required for quotient models", source)
             model_spec["dim"] = g("model", "dim")
@@ -252,19 +263,22 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
         else:
             model_spec["factors"] = [_model_entry(source, e, "factors", (str, int, float))
                                      for e in g("model", "factors")]
+        dim = model_spec["dim"] if quotient else sum(d for _, d, _ in model_spec["factors"])
+        chain_n = g("constants", "n")
+        if chain_n not in (None, dim):
+            raise ConfigError(f"constants.n = {chain_n} differs from the model's dimension {dim}",
+                              *_where(raw, "constants", "n", source))
 
+    # values are read before the constructors run: a bad one is a ConfigError
+    # that already names its source, and only the constructors' errors get the file
+    flow_values = {key: g("flow", key) for key in _SCHEMA["flow"]}
+    c = {key: g("constants", key) for key, f in _SCHEMA["constants"].items() if not f.attr}
     try:
-        flow = FlowConfig(
-            gamma=g("flow", "gamma"), t_end=g("flow", "t_end"),
-            rel_tol=g("flow", "rel_tol"), abs_tol=g("flow", "abs_tol"),
-            max_rm=g("flow", "max_rm"), record_every=g("flow", "record_every"),
-            cs0=g("flow", "cs0"), c_n=g("constants", "c_n"))
+        flow = FlowConfig(**flow_values, c_n=c["c_n"])
         primitives = ConstantPrimitives(
-            c_n=g("constants", "c_n"), a_n=g("constants", "a_n"),
-            c3=g("constants", "c3"),
-            gallot=GallotConstant(c0=g("constants", "gallot_c0"),
-                                  growth=g("constants", "gallot_growth")),
-            gromov_ruh_eps=g("constants", "gromov_ruh_eps"))
+            c_n=c["c_n"], a_n=c["a_n"], c3=c["c3"],
+            gallot=GallotConstant(c0=c["gallot_c0"], growth=c["gallot_growth"]),
+            gromov_ruh_eps=c["gromov_ruh_eps"])
     except ValueError as exc:
         raise ConfigError(str(exc), source) from None
     values = {f.attr: g(section, key) for section, fields in _SCHEMA.items()

@@ -41,7 +41,8 @@ also take a stack (M, n, n).  ``factor_scales`` is the one reader of a
 product metric's scales and ``metric_from_scales`` the one writer.  The
 value types ``ModelGeometry``, ``CurvatureData`` and ``CurvatureBatch`` are
 ``typing.NamedTuple`` records, with tuple semantics (``==`` compares them as
-tuples), and all operations are pure.
+tuples), except that models compare and hash by ``describe()``; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ class ModelGeometry(NamedTuple):
     for quotients ``ricci_terms``, those of the fixed-basis Ricci closed
     form (``ad[a, k, i] = c^k_{ai}``, its (n, n * n) reshape, the (n, n * n)
     reshape of ``c`` and the Killing form ``B``); for products ``layout``,
-    the block layout of ``_block_layout``, which no radius enters.
+    the block layout of ``_block_layout``, which no radius enters.  These
+    arrays follow from the description, so ``==`` and ``hash`` compare
+    ``describe()`` and never an array.
     """
 
     kind: str
@@ -143,6 +146,19 @@ class ModelGeometry(NamedTuple):
             "dim": self.dim,
             "factors": [[t, d, r] for (t, d, r) in self.factors],
         }
+
+    def _key(self) -> tuple:
+        return tuple((k, tuple(map(tuple, v)) if isinstance(v, list) else v)
+                     for k, v in self.describe().items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ModelGeometry) and self._key() == other._key()
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class CurvatureData(NamedTuple):
@@ -299,12 +315,17 @@ def build_model(spec: dict) -> ModelGeometry:
 
 def _ricci_terms(c: np.ndarray) -> tuple[np.ndarray, ...]:
     """Constants of ``_ricci_form`` from structure constants (..., n, n, n): ad,
-    ad and c reshaped to (..., n, n * n), and the Killing form c^k_{ai} c^i_{bk}."""
+    ad and c reshaped to (..., n, n * n), and the Killing form c^k_{ai} c^i_{bk}.
+
+    The Killing form of brackets near 1e154 or more overflows; that is no
+    warning here, since ``_quotient_batch`` names it as the model's overflow.
+    """
     ad = np.swapaxes(c, -3, -2).copy()                     # ad[a, k, i] = c^k_{ai}
     flat = ad.shape[:-2] + (ad.shape[-1] ** 2,)
     ad_flat = ad.reshape(flat)
-    terms = (ad, ad_flat, c.reshape(flat),
-             ad_flat @ np.swapaxes(np.swapaxes(ad, -1, -2).reshape(flat), -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        killing = ad_flat @ np.swapaxes(np.swapaxes(ad, -1, -2).reshape(flat), -1, -2)
+    terms = (ad, ad_flat, c.reshape(flat), killing)
     for a in terms:
         a.setflags(write=False)
     return terms

@@ -1133,3 +1133,90 @@ def test_no_cache_outlives_a_main_call(tmp_path):
         assert main(["sweep", *cfg, "--param", "metric_scale", "--values", "0.5,2"]) == 0
     assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"), *out]) == 0
     assert dicts == before
+
+
+_NOT_A_FLOAT = "could not convert string to float: 'abc'"
+
+
+@pytest.mark.parametrize("gamma, args, message", [
+    ("abc", [], f"bad.cfg:6: bad value for flow.gamma: {_NOT_A_FLOAT}"),
+    ("1.0", ["--override", "output.seed=abc"], "override#1: bad value for output.seed: "
+                                                "invalid literal for int() with base 10: 'abc'"),
+    ("1.0", ["--override", "flow.gamma=2", "--override", "flow.gamma=abc"],
+     f"override#2: bad value for flow.gamma: {_NOT_A_FLOAT}"),
+    ("1.0", ["--values", "1,abc"], f"--values: bad value for sweep.values: {_NOT_A_FLOAT}"),
+])
+def test_config_error_names_a_value_source_once(tmp_path, monkeypatch, capsys, gamma, args,
+                                                message):
+    # a file value names file:line, an override its position, a flag itself
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text("[model]\nkind = product_of_space_forms\n"
+                               f"factors = sphere 3 1.0\n\n[flow]\ngamma = {gamma}\n")
+    assert main(["sweep", "--config", "bad.cfg", "--param", "metric_scale", *args]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key, line", [("dim = 4", 4), ("covolume = 2.0", 4),
+                                       ("brackets = 1 2 3 1.0", 4)])
+def test_product_rejects_quotient_model_keys(cfgfile, tmp_path, capsys, key, line):
+    cfg = cfgfile(f"[model]\nkind = product_of_space_forms\nfactors = sphere 3 1.0\n{key}\n")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 2
+    name = key.split()[0]
+    assert capsys.readouterr().err == (f"config error: {cfg}:{line}: model.{name} does not "
+                                       "apply to product_of_space_forms models\n")
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+def test_quotient_rejects_factors_set_by_override(tmp_path, capsys):
+    assert main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"), "--out", str(tmp_path),
+                 "--override", "model.factors=sphere 3 1.0"]) == 2
+    assert capsys.readouterr().err == ("config error: override#1: model.factors does not "
+                                       "apply to lie_group_quotient models\n")
+
+
+@pytest.mark.parametrize("command", ["constants", "check"])
+def test_constants_n_must_match_the_model(cfgfile, tmp_path, capsys, command):
+    # the chain of a 3-dim model is the n = 3 chain, whichever command asks
+    cfg = cfgfile(HEIS_CFG + "\n[constants]\nn = 5\n")
+    extra = ["--trajectory", str(tmp_path / "absent.csv")] if command == "check" else []
+    assert main([command, "--config", cfg, "--out", str(tmp_path), *extra]) == 2
+    assert capsys.readouterr().err == (f"config error: {cfg}:13: constants.n = 5 differs "
+                                       "from the model's dimension 3\n")
+    cfg = cfgfile(HEIS_CFG + "\n[constants]\nn = 3\n", name="same.cfg")
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "constants.json").read_text())
+    assert payload["chain"]["n"] == 3
+
+
+def test_huge_brackets_name_the_overflow_without_a_warning(tmp_path, capsys):
+    # the Killing form of 1e160 brackets overflows while the model is built;
+    # the curvature pass names that, and no RuntimeWarning comes first
+    brackets = "2 3 1 1e160; 3 1 2 1e160; 1 2 3 1e160"
+    assert main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"), "--out", str(tmp_path),
+                 "--override", f"model.brackets={brackets}"]) == 2
+    assert capsys.readouterr().err == ("error: curvature of the model overflows at this "
+                                       "metric: largest bracket coefficient 1e+160\n")
+
+
+def test_filiform4_runs_every_command(tmp_path, monkeypatch):
+    # the shipped 4-dim quotient: Thorpe extremes -(1 + sqrt 5)/4 and 1/2 at
+    # unit scale, and the quotient verdicts of the benchmark's workloads
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)     # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    cfg = ["--config", str(CONFIGS / "filiform4.cfg"), "--out", str(tmp_path)]
+    assert main(["flow", *cfg]) == 0
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert (run["records"], run["meta"]["termination"]) == (513, "horizon-reached")
+    assert main(["check", *cfg, "--trajectory", str(tmp_path / "trajectory.csv")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {r["name"]: r["status"] for r in report} == workloads.QUOTIENT_VERDICTS
+    assert main(["sweep", *cfg, "--param", "metric_scale", "--values", "1"]) == 0
+    (row,) = _csv_rows(tmp_path / "sweep.csv")
+    assert math.isclose(float(row["sec_min"]), -(1.0 + math.sqrt(5.0)) / 4.0, rel_tol=1e-12)
+    assert math.isclose(float(row["sec_max"]), 0.5, rel_tol=1e-12)
