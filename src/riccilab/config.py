@@ -145,7 +145,7 @@ def parse_text(text: str, source: str = "<config>") -> dict[str, dict[str, tuple
             if not spec.listlike:
                 raise ConfigError(f"duplicate key {key!r} in [{section}]", source, lineno)
             prev, _ = out[section][key]
-            value = prev + ";" + value
+            value, lineno = prev + ";" + value, None     # set on more than one line
         out[section][key] = (value, lineno)
     return out
 
@@ -208,10 +208,10 @@ def _apply_overrides(raw: dict, overrides: tuple[str, ...],
 
 
 def _where(raw: dict, section: str, key: str, source: str) -> tuple[str, int | None]:
-    """Where section.key was set: the file and its line, or in place of a
-    line number the label an override or a flag stored (``override#k``,
-    ``--values``)."""
-    at = raw[section][key][1]
+    """Where section.key was set: the file and its line (no line for a key
+    set on several lines or not at all), or in place of a line number the
+    label an override or a flag stored (``override#k``, ``--values``)."""
+    at = raw.get(section, {}).get(key, (None, None))[1]
     return (at, None) if isinstance(at, str) else (source, at)
 
 
@@ -239,6 +239,7 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
     raw = parse_text(text, source)
     _apply_overrides(raw, tuple(overrides), tuple(flags))
     g = lambda s, k: _get(raw, s, k, source)
+    w = lambda s, k: _where(raw, s, k, source)
 
     model_spec = None
     if "model" in raw:
@@ -251,26 +252,25 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
         quotient = kind == "lie_group_quotient"
         for key in ("factors",) if quotient else ("dim", "covolume", "brackets"):
             if key in raw["model"]:
-                raise ConfigError(f"model.{key} does not apply to {kind} models",
-                                  *_where(raw, "model", key, source))
+                raise ConfigError(f"model.{key} does not apply to {kind} models", *w("model", key))
         if quotient:
             if g("model", "dim") is None:
                 raise ConfigError("model.dim is required for quotient models", source)
             model_spec["dim"] = g("model", "dim")
             model_spec["covolume"] = g("model", "covolume")
-            model_spec["brackets"] = [_model_entry(source, e, "brackets", (int, int, int, float))
+            model_spec["brackets"] = [_model_entry(w, e, "brackets", (int, int, int, float))
                                       for e in g("model", "brackets")]
         else:
-            model_spec["factors"] = [_model_entry(source, e, "factors", (str, int, float))
+            model_spec["factors"] = [_model_entry(w, e, "factors", (str, int, float))
                                      for e in g("model", "factors")]
         dim = model_spec["dim"] if quotient else sum(d for _, d, _ in model_spec["factors"])
         chain_n = g("constants", "n")
         if chain_n not in (None, dim):
             raise ConfigError(f"constants.n = {chain_n} differs from the model's dimension {dim}",
-                              *_where(raw, "constants", "n", source))
+                              *w("constants", "n"))
 
     # values are read before the constructors run: a bad one is a ConfigError
-    # that already names its source, and only the constructors' errors get the file
+    # that already names its source; a constructor's error starts with the key
     flow_values = {key: g("flow", key) for key in _SCHEMA["flow"]}
     c = {key: g("constants", key) for key, f in _SCHEMA["constants"].items() if not f.attr}
     try:
@@ -280,22 +280,24 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
             gallot=GallotConstant(c0=c["gallot_c0"], growth=c["gallot_growth"]),
             gromov_ruh_eps=c["gromov_ruh_eps"])
     except ValueError as exc:
-        raise ConfigError(str(exc), source) from None
+        key = str(exc).split(" ", 1)[0]
+        raise ConfigError(str(exc), *w("flow" if key in flow_values else "constants", key)) from None
     values = {f.attr: g(section, key) for section, fields in _SCHEMA.items()
               for key, f in fields.items() if f.attr}
     for section, fields in _SCHEMA.items():
         for key, f in fields.items():
             if f.bound is not None and not _BOUNDS[f.bound][1](values[f.attr]):
                 raise ConfigError(f"{section}.{key} must be {_BOUNDS[f.bound][0]}, "
-                                  f"got {values[f.attr]}", source)
+                                  f"got {values[f.attr]}", *w(section, key))
     return RunConfig(source=source, sections=frozenset(raw), model_spec=model_spec,
                      flow=flow, primitives=primitives, **values)
 
 
-def _model_entry(source: str, entry, key: str, types: tuple) -> list:
-    """One model.brackets or model.factors entry, converted token by token."""
+def _model_entry(where, entry, key: str, types: tuple) -> list:
+    """One model.brackets or model.factors entry, converted token by token;
+    ``where(section, key)`` names the source of a malformed one."""
     try:           # a wrong token count fails the strict zip with ValueError too
         return [t(token) for t, token in zip(types, entry, strict=True)]
     except ValueError:
         raise ConfigError(f"malformed model.{key} entry {' '.join(entry)!r}",
-                          source) from None
+                          *where("model", key)) from None

@@ -284,8 +284,8 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
     ``step-underflow``.
     """
     n = model.dim
-    row0 = geometry.curvature_batch(model, g0)      # validates g0
-    vol0, rm0 = float(row0.vol[0]), float(row0.rm_norm[0])
+    row0 = geometry._row(model, g0)[0]              # validates g0
+    vol0, rm0 = row0.vol, row0.rm_norm
     t_end = cfg.t_end if cfg.t_end is not None else constants.horizon_T0(
         cfg.gamma, vol0, cfg.cs0, n)
     max_rm = cfg.max_rm if cfg.max_rm is not None else 1e6 * max(1.0, rm0)

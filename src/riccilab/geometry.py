@@ -37,9 +37,10 @@ non-diagonal curvature operator report sampled inner values.
 A metric is an (n, n) float array in the fixed basis: SPD for quotients,
 block-scalar for products (each factor's scale times the identity on its
 block, zero off the blocks).  ``curvature_batch`` and ``factor_scales``
-also take a stack (M, n, n).  ``factor_scales`` is the one reader of a
-product metric's scales and ``metric_from_scales`` the one writer.  The
-value types ``ModelGeometry``, ``CurvatureData`` and ``CurvatureBatch`` are
+also take a stack (M, n, n); ``curvature`` and ``rm_norm`` read one metric as
+a row, bit for bit the batch's.  ``factor_scales`` is the one reader of a
+product metric's scales and ``metric_from_scales`` the one writer.  The value
+types ``ModelGeometry``, ``CurvatureData`` and ``CurvatureBatch`` are
 ``typing.NamedTuple`` records, with tuple semantics (``==`` compares them as
 tuples), except that models compare and hash by ``describe()``; all
 operations are pure.
@@ -434,7 +435,7 @@ def _metric_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_metric_array``, after validation."""
     _check_finite(mats)
     mats_t = np.swapaxes(mats, -1, -2)
-    if not (mats == mats_t).all():            # exact equality is the hot path
+    if mats.tobytes() != mats_t.tobytes():    # bitwise equality is the hot path
         idx = _first_deviation(mats, mats_t)
         if idx is not None:
             raise GeometryError(f"metric matrix is not symmetric at entry {idx}")
@@ -639,35 +640,52 @@ def _ricci_form(terms: tuple[np.ndarray, ...], g: np.ndarray,
     return out + out.swapaxes(-1, -2)
 
 
+def _frame_ricci(model: ModelGeometry, g: np.ndarray, evals: np.ndarray,
+                 vecs: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """L Ric L, L = g^(-1/2), of quotient metrics g (..., n, n) with eigenpairs (evals,
+    vecs); Ric is taken in the exactly rescaled basis e_i 2^-s_i, s (..., n), that puts
+    each g_ii in [1/2, 2).  An overflow is left as inf or NaN for the caller to name."""
+    vecs_t = vecs.swapaxes(-1, -2)
+    L = (vecs / np.sqrt(evals)[..., None, :]) @ vecs_t
+    ginv = (vecs / evals[..., None, :]) @ vecs_t
+    terms, left, right = model.ricci_terms, L, L
+    if s is not None:                 # None is s = 0: the flow's Ric, bit for bit
+        ss = s[..., :, None] + s[..., None, :]
+        terms = _ricci_terms(np.ldexp(model.structure_constants,
+                                      s[..., None, None] - ss[..., None, :, :]))
+        g, ginv = np.ldexp(g, -ss), np.ldexp(ginv, ss)
+        left, right = np.ldexp(L, s[..., None, :]), np.ldexp(L, s[..., :, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ric = left @ _ricci_form(terms, g, ginv) @ right
+        return 0.5 * (ric + ric.swapaxes(-1, -2))
+
+
+def _overflow(model: ModelGeometry) -> GeometryError:
+    return GeometryError("curvature of the model overflows at this metric: largest "
+                         f"bracket coefficient {float(np.abs(model.structure_constants).max())!r}")
+
+
+def _dim3_rm_norm(ric_eigs: np.ndarray, scalar):
+    """|Rm| = hypot(2 |Ric_0|, R / sqrt(3)) at n = 3, cancelling nothing near Einstein."""
+    traceless = np.hypot.reduce(ric_eigs.T - scalar / 3.0, axis=0)
+    return np.hypot(2.0 * traceless, scalar / math.sqrt(3.0))
+
+
 def _quotient_batch(model: ModelGeometry, mats: np.ndarray):
     """The batch of quotient metrics, from one stacked eigendecomposition,
-    and at n >= 4 their tensors (else None): Ricci L Ric L, L = g^(-1/2),
-    with Ric in the exactly rescaled basis e_i 2^-s_i that puts each g_ii in
-    [1/2, 2), where no entry over- or underflows (s = 0 keeps the flow's Ric
-    bit for bit).  |Rm| is hypot(2 |Ric_0|, R / sqrt(3)) at n = 3, Ric_0 the
-    traceless part, which cancels nothing near Einstein metrics."""
+    and at n >= 4 their tensors (else None); Ricci from ``_frame_ricci``."""
     n = model.dim
     evals, vecs = _metric_eigh(mats)
     mats, evals, vecs = mats.reshape(-1, n, n), evals.reshape(-1, n), vecs.reshape(-1, n, n)
-    L = (vecs / np.sqrt(evals)[:, None, :]) @ vecs.swapaxes(1, 2)
-    ginv = (vecs / evals[:, None, :]) @ vecs.swapaxes(1, 2)
     s = np.frexp(mats.diagonal(axis1=1, axis2=2))[1] // 2           # (M, n)
-    g, terms = mats, model.ricci_terms
-    if s.any():
-        ss = s[:, :, None] + s[:, None, :]
-        terms = _ricci_terms(np.ldexp(model.structure_constants, s[..., None, None] - ss[:, None]))
-        g, ginv = np.ldexp(mats, -ss), np.ldexp(ginv, ss)
+    ric = _frame_ricci(model, mats, evals, vecs, s if s.any() else None)
     with np.errstate(over="ignore", invalid="ignore"):         # checked below
-        ric = np.ldexp(L, s[:, None, :]) @ _ricci_form(terms, g, ginv) @ np.ldexp(L, s[:, :, None])
-        ric = 0.5 * (ric + ric.swapaxes(1, 2))
         scalar = np.trace(ric, axis1=1, axis2=2)
     if not (np.isfinite(ric).all() and np.isfinite(scalar).all()):
-        raise GeometryError("curvature of the model overflows at this metric: largest "
-                            f"bracket coefficient {float(np.abs(model.structure_constants).max())!r}")
+        raise _overflow(model)
     ric_eigs = np.linalg.eigvalsh(ric)
     if n == 3:
-        rm, traceless = None, np.hypot.reduce(ric_eigs - scalar[:, None] / 3.0, axis=1)
-        norms = np.hypot(2.0 * traceless, scalar / math.sqrt(3.0))
+        rm, norms = None, _dim3_rm_norm(ric_eigs, scalar)
     else:                                        # np.hypot neither under- nor overflows
         rm = _rm_from_structure(_frames(model, mats, (evals, vecs))[3])
         norms = np.hypot.reduce(rm.reshape(len(rm), -1), axis=1)
@@ -675,62 +693,88 @@ def _quotient_batch(model: ModelGeometry, mats: np.ndarray):
     return CurvatureBatch(ric=ric, scalar=scalar, rm_norm=norms, ric_eigs=ric_eigs, vol=vol), rm
 
 
+def _quotient_volume(model: ModelGeometry, evals: np.ndarray) -> float:
+    return math.prod(map(math.sqrt, evals.tolist())) * model.covolume  # the batch's, in order
+
+
 def _product_batch(model: ModelGeometry, scales: np.ndarray) -> CurvatureBatch:
-    """The batch of products at positive scales (M, num_factors), in closed
-    form: Ric is (d - 1) / s on each direction of a d-sphere of scale s and
-    0 on circles and flat tori; |Rm| adds sqrt(2 d (d - 1)) / s per d-sphere."""
+    """The batch of products at positive scales (M, num_factors), or a row at (num_factors,),
+    in closed form: Ric is (d - 1) / s on each direction of a d-sphere of scale s and 0
+    on circles and flat tori; |Rm| adds sqrt(2 d (d - 1)) / s per d-sphere."""
     ric_form, block, sphere, coeff = model.layout[2:]
-    ric = ric_form.diagonal() / scales[:, block]           # (M, n) per direction
-    vol = math.prod(_factor_volume(ftype, d, scales[:, f])
-                    for f, (ftype, d, _) in enumerate(model.factors))
-    norms = np.hypot.reduce(coeff / scales[:, sphere], axis=1, initial=0.0)
-    return CurvatureBatch(ric=ric[:, :, None] * np.eye(model.dim), scalar=ric.sum(axis=1),
-                          rm_norm=norms, ric_eigs=np.sort(ric, axis=1), vol=vol)
+    ric = ric_form.diagonal() / scales[..., block]         # (..., n) per direction
+    scalar = ric[..., 0]    # left to right: numpy's sum pairs terms by memory layout
+    for k in range(1, model.dim):
+        scalar = scalar + ric[..., k]
+    norms = np.hypot.reduce(coeff / scales[..., sphere], axis=-1, initial=0.0)
+    return CurvatureBatch(ric=ric[..., None] * np.eye(model.dim), scalar=scalar,
+                          rm_norm=norms, ric_eigs=np.sort(ric, axis=-1),
+                          vol=_product_volume(model, scales))
 
 
-def _batch(model: ModelGeometry, mats: np.ndarray, stack: bool = True) -> CurvatureBatch:
-    """``curvature_batch``; without ``stack``, one metric's (``rm_norm``, ``volume``)."""
-    mats = _metric_array(model, mats, stack)
-    if model.kind == LIE_GROUP_QUOTIENT:
-        return _quotient_batch(model, mats)[0]
-    return _product_batch(model, factor_scales(model, mats).reshape(-1, len(model.factors)))
+def _product_volume(model: ModelGeometry, scales: np.ndarray) -> np.ndarray:
+    return math.prod(_factor_volume(ftype, d, scales[..., f, None])  # array pow, as the batch's
+                     for f, (ftype, d, _) in enumerate(model.factors))[..., 0]
+
+
+def _row(model: ModelGeometry, g) -> tuple[CurvatureBatch, np.ndarray | None]:
+    """``curvature_batch``'s row of one metric g, bit for bit, with floats, and what
+    sec extremes need: a product's scales, an n >= 4 quotient's tensor, else None."""
+    g = _metric_array(model, g, stack=False)
+    if model.kind != LIE_GROUP_QUOTIENT:
+        row = _product_batch(model, extra := factor_scales(model, g))
+    elif model.dim > 3:
+        row, extra = _quotient_batch(model, g)
+        row, extra = CurvatureBatch(*(a[0] for a in row)), extra[0]
+    else:       # the batch's IEEE operations, in the same order, on 2-D arrays and floats
+        evals, vecs = _metric_eigh(g)
+        s = [math.frexp(x)[1] // 2 for x in g.diagonal().tolist()]
+        ric = _frame_ricci(model, g, evals, vecs, np.array(s) if any(s) else None)
+        a, b, c = ric.diagonal().tolist()
+        scalar = a + b + c
+        if not (math.isfinite(scalar) and np.isfinite(ric).all()):
+            raise _overflow(model)
+        ric_eigs = np.linalg.eigvalsh(ric)
+        return CurvatureBatch(ric, scalar, float(_dim3_rm_norm(ric_eigs, scalar)), ric_eigs,
+                              _quotient_volume(model, evals)), None
+    return CurvatureBatch(row.ric, float(row.scalar), float(row.rm_norm), row.ric_eigs,
+                          float(row.vol)), extra
 
 
 def curvature_batch(model: ModelGeometry, mats: np.ndarray) -> CurvatureBatch:
     """Ricci, scalar, |Rm|, Ricci eigenvalues and volume of a stack (M, n, n),
     or of one metric (n, n) as M = 1; no plane sampling."""
-    return _batch(model, mats)
+    mats = _metric_array(model, mats)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        return _quotient_batch(model, mats)[0]
+    return _product_batch(model, factor_scales(model, mats).reshape(-1, len(model.factors)))
 
 
 def curvature(model: ModelGeometry, g: np.ndarray, *,
               plane_samples: int = _DEFAULT_PLANE_SAMPLES,
               seed: int = 0) -> CurvatureData:
-    """The one-metric batch of (model, g) and its sectional-curvature extremes.
+    """The batch row of (model, g) and its sectional-curvature extremes.
     ``plane_samples`` and ``seed`` matter only where no exact extremes are
     known (see ``CurvatureData``)."""
-    g = _metric_array(model, g, stack=False)
-    if model.kind == LIE_GROUP_QUOTIENT:
-        cb, rm = _quotient_batch(model, g)
-        if rm is None:      # n = 3: the curvature operator's eigenvalues are R/2 - Ric_k
-            half = cb.scalar[0] / 2.0
-            lo, hi = float(half - cb.ric_eigs[0, -1]), float(half - cb.ric_eigs[0, 0])
-        else:
-            lo, hi = _sec_extremes(rm[0], plane_samples, seed)
-    else:                   # 1/s on a sphere plane, 0 on a mixed or flat plane
-        scales = factor_scales(model, g)
-        cb = _product_batch(model, scales[None])
-        hi = max((1.0 / s for (ftype, _, _), s in zip(model.factors, scales.tolist())
+    row, extra = _row(model, g)
+    if model.kind != LIE_GROUP_QUOTIENT:    # 1/s on a sphere plane, 0 on a mixed or flat one
+        hi = max((1.0 / s for (ftype, _, _), s in zip(model.factors, extra.tolist())
                   if ftype == FACTOR_SPHERE), default=0.0)
         lo = hi if len(model.factors) == 1 else 0.0
-    return CurvatureData(ric=_readonly(cb.ric[0]), scalar=float(cb.scalar[0]),
-                         rm_norm=float(cb.rm_norm[0]), sec_min=lo, sec_max=hi,
-                         ric_eigs=_readonly(cb.ric_eigs[0]), vol=float(cb.vol[0]))
+    elif extra is None:     # n = 3: the curvature operator's eigenvalues are R/2 - Ric_k
+        half = row.scalar / 2.0
+        lo, hi = half - float(row.ric_eigs[-1]), half - float(row.ric_eigs[0])
+    else:
+        lo, hi = _sec_extremes(extra, plane_samples, seed)
+    return CurvatureData(ric=_readonly(row.ric), scalar=row.scalar, rm_norm=row.rm_norm,
+                         sec_min=lo, sec_max=hi, ric_eigs=_readonly(row.ric_eigs),
+                         vol=row.vol)
 
 
 def rm_norm(model: ModelGeometry, g: np.ndarray) -> float:
-    """Pointwise |Rm| for the integrator's blow-up test: row 0 of the
-    one-metric batch, so it equals the recorded column bit for bit."""
-    return float(_batch(model, g, stack=False).rm_norm[0])
+    """Pointwise |Rm| for the integrator's blow-up test: the batch row's, so
+    it equals the recorded column bit for bit."""
+    return _row(model, g)[0].rm_norm
 
 
 def ricci_fixed_basis(model: ModelGeometry, g: np.ndarray) -> np.ndarray:
@@ -762,8 +806,11 @@ def _factor_volume(ftype: str, d: int, s):
 
 
 def volume(model: ModelGeometry, g: np.ndarray) -> float:
-    """Total volume of one metric: its batch row."""
-    return float(_batch(model, g, stack=False).vol[0])
+    """Total volume of one metric, its batch row's, computing no curvature."""
+    g = _metric_array(model, g, stack=False)
+    if model.kind == LIE_GROUP_QUOTIENT:
+        return _quotient_volume(model, _metric_eigh(g)[0])
+    return float(_product_volume(model, factor_scales(model, g)))
 
 
 def sphere_circle_note(model: ModelGeometry) -> str | None:

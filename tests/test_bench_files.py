@@ -1,9 +1,11 @@
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -70,3 +72,31 @@ def test_bench_file_merges_both_runs(tmp_path):
                                               "samples": 5, "unit": "s"}
     assert w["per_layer"]["flow.write_trajectory_csv.ms"] == {"median": 3.5, "unit": "ms"}
     assert w["counters"] == {"rhs_evals": 92}
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py as a module; its import sets the BLAS thread variables,
+    puts perfbench/ on sys.path and imports tracer and workloads by name, and
+    all of that is undone afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with mock.patch.dict(os.environ):
+        yield _load(ROOT / "perfbench" / "run.py", "perfbench_run")
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_iteration_keeps_the_benchmark_contracts(perfbench_run, tmp_path, workload):
+    # the trace must see every sweep row as one sampled curvature call and every
+    # RHS evaluation as one ricci_fixed_basis call, else the benchmark fails a run
+    run = perfbench_run
+    bench = run.Bench(run.WORKLOADS[workload], 101, tmp_path)
+    tracer = run.Tracer()
+    it = bench.iteration(tracer)
+    values = run.span_metrics({c: tracer.aggregate(*it[c].spans) for c in run.COMMANDS})
+    run._cross_check(bench, it, values, tracer.absent)
+    assert bench.failed == 0, bench.problems
+    assert tracer.absent == set()
+    assert values["geometry.curvature_sampled.calls"] == len(bench.values) == 8
+    assert values["geometry.ricci_fixed_basis.calls"] >= it["flow"].counters["rhs_evals"]

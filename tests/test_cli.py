@@ -465,8 +465,34 @@ def test_bad_constants_rejected_at_load(tmp_path, capsys, setting, need, command
                *(["--trajectory", str(tmp_path / "absent.csv")] if command == "check" else [])])
     assert rc == 2
     key = setting.split("=")[0]
-    assert capsys.readouterr().err == f"config error: {cfg}: {key} must be {need}\n"
+    assert capsys.readouterr().err == f"config error: override#1: {key} must be {need}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+_QUOTIENT = "[model]\nkind = lie_group_quotient\ndim = 3\nbrackets = 1 2 3 1.0\n"
+
+
+@pytest.mark.parametrize("config, args, message", [
+    pytest.param("heisenberg", ["--override", "flow.gamma=-1"],
+                 "override#1: gamma must be positive and finite, got -1.0", id="flow-override"),
+    pytest.param("heisenberg", ["--override", "model.brackets=1 2 x 1.0"],
+                 "override#1: malformed model.brackets entry '1 2 x 1.0'", id="model-override"),
+    pytest.param(_QUOTIENT + "[constants]\nvol0 = nan\n", [],
+                 "{cfg}:6: constants.vol0 must be positive and finite, got nan", id="bound-file"),
+    pytest.param(_QUOTIENT + "[flow]\ngamma = -1\n", [],
+                 "{cfg}:6: gamma must be positive and finite, got -1.0", id="flow-file"),
+    pytest.param(_QUOTIENT.replace("1 2 3 1.0", "1 2 x 1.0"), [],
+                 "{cfg}:4: malformed model.brackets entry '1 2 x 1.0'", id="model-file"),
+    pytest.param(_QUOTIENT + "brackets = 1 2 x 1.0\n", [],
+                 "{cfg}: malformed model.brackets entry '1 2 x 1.0'", id="model-two-lines"),
+])
+def test_load_errors_name_where_the_value_was_set(cfgfile, tmp_path, capsys, config, args,
+                                                  message):
+    # an override or flag by its label, a file value by file:line, or by the file
+    # alone where the key accumulates over several lines
+    cfg = str(CONFIGS / f"{config}.cfg") if "\n" not in config else cfgfile(config)
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path), *args]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
 
 
 @pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",
@@ -712,12 +738,16 @@ def _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume", "
 @pytest.mark.parametrize("name", ["heisenberg", "sphere"])
 def test_one_curvature_pass_per_command(tmp_path, monkeypatch, name):
     cfg = str(CONFIGS / f"{name}.cfg")
-    calls = _count_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, names=("curvature_batch", "curvature", "volume",
+                                             "rm_norm", "_row"))
     assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 0
     batches = [np.shape(args[1]) for args in calls["curvature_batch"]]
     records = json.loads((tmp_path / "run.json").read_text())["records"]
     n = batches[0][-1]
-    assert batches == [(n, n), (records, n, n)]       # row 0, then the assembly
+    # row 0 and each rm_norm call as one metric, the assembly as one stack
+    rows = [np.shape(args[1]) for args in calls["_row"]]
+    assert calls["rm_norm"] and rows == [(n, n)] * (1 + len(calls["rm_norm"]))
+    assert batches == [(records, n, n)]
     assert calls["volume"] == [] and calls["curvature"] == []
 
     calls = _count_calls(monkeypatch)

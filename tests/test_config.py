@@ -75,7 +75,8 @@ def test_malformed_entry_token_names_file_key_and_entry(tmp_path, key, entry):
     path.write_text(f"[model]\nkind = {kind}\n{key} = {entry}\n")
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert str(exc.value) == f"{path}: malformed model.{key} entry {entry!r}"
+    line = 4 if key == "brackets" else 3
+    assert str(exc.value) == f"{path}:{line}: malformed model.{key} entry {entry!r}"
 
 
 def test_enum_validation():

@@ -647,20 +647,91 @@ def test_curvature_batch_products_match_closed_forms(factors, data):
         assert math.isclose(cb.vol[m], volume(model, g), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("model", [
-    *(build_model({"kind": "product_of_space_forms", "factors": f}) for f in PRODUCT_FACTORS),
-    *QUOTIENT_MODELS.values()],
-    ids=[*(f"factors{i}" for i in range(len(PRODUCT_FACTORS))), *QUOTIENT_MODELS])
+ROW_MODELS = {**{f"factors{i}": build_model({"kind": "product_of_space_forms", "factors": f})
+                 for i, f in enumerate(PRODUCT_FACTORS)},
+              **QUOTIENT_MODELS}
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("model", ROW_MODELS.values(), ids=ROW_MODELS.keys())
 def test_product_rm_norm_is_the_batch_formula(model):
-    # the integrator's blow-up test and the recorded column agree bit for bit
-    base = reference_metric(model)
+    # curvature, rm_norm and volume read one metric without a stack axis, yet
+    # every field equals its batch row bit for bit, in a stack of one or many:
+    # the integrator's blow-up test, the sweep rows and the recorded columns agree
+    rng = np.random.default_rng(5)
     if model.kind == "lie_group_quotient":
-        base = random_spd(np.random.default_rng(5), model.dim)
-    mats = np.stack([scale_metric(base, s) for s in (1e-150, 0.3, 1.0, 7.0, 1e150)])
+        base = random_spd(rng, model.dim)
+    else:
+        base = metric_from_scales(model, rng.uniform(0.3, 3.0, len(model.factors)))
+    scales = [2.0 ** k for k in range(-6, 7)] + [1e-150, 0.3, 7.0, 1e150]
+    mats = np.stack([scale_metric(base, s) for s in scales])
+    if model.kind == "lie_group_quotient":      # both s = 0 and s != 0 in the rescaled basis
+        s = np.frexp(mats.diagonal(axis1=1, axis2=2))[1] // 2
+        assert (s == 0).all(axis=1).any() and (s != 0).all(axis=1).any()
     with np.errstate(over="ignore"):       # the 8-dim volume overflows at 1e150, |Rm| not
-        batch_norms = curvature_batch(model, mats).rm_norm
-        for g, batch_norm in zip(mats, batch_norms):
-            assert rm_norm(model, g) == batch_norm == curvature_batch(model, g).rm_norm[0]
+        batch = curvature_batch(model, mats)
+        for m, g in enumerate(mats):
+            one, curv = curvature_batch(model, g[None]), curvature(model, g, plane_samples=0)
+            for name in batch._fields:
+                want = _bits(getattr(batch, name)[m])
+                assert _bits(getattr(one, name)[0]) == want, name
+                assert _bits(getattr(curv, name)) == want, name
+            norm, vol = rm_norm(model, g), volume(model, g)
+            assert type(norm) is type(vol) is type(curv.scalar) is float
+            assert _bits(norm) == _bits(batch.rm_norm[m]) and _bits(vol) == _bits(batch.vol[m])
+
+
+ASYMMETRIC = _with_entries(np.eye(3), {(0, 1): 0.5})
+ASYMMETRIC[1, 0] = 0.2
+ONE_METRIC_ERRORS = {
+    "quotient-shape": (heisenberg_model(), np.ones((3, 4)), r"got shape \(3, 4\)"),
+    "quotient-non-finite": (heisenberg_model(), _with_entries(np.eye(3), {(0, 2): np.nan}),
+                            r"entry \(0, 2\) is not finite: nan"),
+    "quotient-asymmetric": (heisenberg_model(), ASYMMETRIC, r"not symmetric at entry \(0, 1\)"),
+    "quotient-non-spd": (heisenberg_model(), np.diag([1.0, -2.0, 1.0]),
+                         "not positive definite: minimum eigenvalue"),
+    "quotient-overflow": (heisenberg_model(bracket=1e200), np.eye(3),
+                          "curvature of the model overflows at this metric: largest "
+                          "bracket coefficient 1e\\+200"),
+    "filiform4-overflow": (build_model({**FILIFORM4, "brackets": [[1, 2, 3, 1e200],
+                                                                  [1, 3, 4, 1.0]]}),
+                           np.eye(4), "curvature of the model overflows"),
+    "product-shape": (sphere_circle_model(3, 0.5), np.ones((4, 3)), r"got shape \(4, 3\)"),
+    "product-non-finite": (sphere_circle_model(3, 0.5), _with_entries(PROD_G, {(3, 3): np.inf}),
+                           r"entry \(3, 3\) is not finite"),
+    "product-off-block": (sphere_circle_model(3, 0.5), _with_entries(PROD_G, {(0, 3): 0.1}),
+                          r"entry \(0, 3\) is 0.1, expected 0.0"),
+    "product-non-spd": (sphere_circle_model(3, 0.5), _with_entries(PROD_G, {(3, 3): -0.25}),
+                        r"not positive definite: entry \(3, 3\) is -0.25"),
+}
+
+
+@pytest.mark.parametrize("model,mat,match", ONE_METRIC_ERRORS.values(),
+                         ids=ONE_METRIC_ERRORS.keys())
+def test_one_metric_and_batch_calls_raise_the_same_message(model, mat, match):
+    with pytest.raises(GeometryError, match=match) as batch:
+        curvature_batch(model, mat)
+    # the batch's shape message also offers a stack; volume computes no curvature to overflow
+    want = str(batch.value).replace(" or a stack of them", "")
+    fns = [curvature, rm_norm] + ([] if "overflow" in want else [volume])
+    for fn in fns:
+        with pytest.raises(GeometryError) as one:
+            fn(model, mat)
+        assert str(one.value) == want, fn.__name__
+
+
+@pytest.mark.parametrize("model", [heisenberg_model(bracket=1e200),
+                                   heisenberg_model(bracket=-1e200, covolume=3.0)])
+def test_volume_reads_no_curvature(model):
+    # the curvature of 1e200 brackets overflows; the volume of the metric does not
+    from riccilab.flow import normalize_to_unit_volume
+    assert volume(model, np.eye(3)) == model.covolume
+    g = normalize_to_unit_volume(model, 2.0 * np.eye(3))
+    assert math.isclose(volume(model, g), 1.0, rel_tol=1e-15)
+    assert np.allclose(g, model.covolume ** (-2.0 / 3.0) * np.eye(3), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("factors", PRODUCT_FACTORS)
