@@ -82,35 +82,43 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # finite differences on the record grid
 
-_STENCIL_LEFT = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_STENCIL_RIGHT = np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0
+# fourth-order stencils over 12 h, one row each: one node in from the left end
+# (mirrored and negated at the right end), and centred
+_STENCILS = np.array([[-3.0, -10.0, 18.0, -6.0, 1.0], [1.0, -8.0, 0.0, 8.0, -1.0]])
 
 
-def grid_derivative(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def grid_derivative(times: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """d(values)/dt at the interior record times.
 
-    Returns (interior indices, derivative, order).  Order 4 on uniform
-    grids with at least five points, otherwise order 2 central differences.
+    Returns (interior indices, derivative, noise gain, order).  Order 4 on
+    uniform grids with at least five points, otherwise order 2 central
+    differences.  Record i's noise gain is sum |c| / (t[i+1] - t[i-1]), for
+    its stencil's weights c written over that span: values each off by at
+    most e move the derivative by at most gain * e.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if len(t) < 3:
         raise ValueError("need at least 3 recorded states for time derivatives")
     idx = np.arange(1, len(t) - 1)
+    span = t[2:] - t[:-2]
     dt = np.diff(t)
     h = dt[0]
     uniform = np.max(np.abs(dt - h)) <= 1e-9 * h
     if not uniform or len(t) < 5:
-        deriv = (v[idx + 1] - v[idx - 1]) / (t[idx + 1] - t[idx - 1])
-        return idx, deriv, 2
+        deriv = (v[2:] - v[:-2]) / span
+        return idx, deriv, 2.0 / span, 2
     deriv = np.empty(len(idx))
-    deriv[0] = _STENCIL_LEFT @ v[0:5] / h
-    deriv[-1] = _STENCIL_RIGHT @ v[-5:] / h
-    if len(idx) > 2:
-        core = np.arange(2, len(t) - 2)
-        deriv[1:-1] = (v[core - 2] - 8 * v[core - 1] + 8 * v[core + 1]
-                       - v[core + 2]) / (12.0 * h)
-    return idx, deriv, 4
+    deriv[0] = (_STENCILS[0] / 12.0) @ v[0:5] / h
+    deriv[-1] = (-_STENCILS[0, ::-1] / 12.0) @ v[-5:] / h
+    c = _STENCILS[1]
+    deriv[1:-1] = (c[0] * v[:-4] + c[1] * v[1:-3] + c[3] * v[3:-1] + c[4] * v[4:]) / (12.0 * h)
+    # span = 2 h: a stencil's weights over the span are its numerators / 6
+    end, centre = np.abs(_STENCILS).sum(axis=1) / 6.0
+    gain = np.full(len(idx), centre)
+    gain[0] = gain[-1] = end
+    return idx, deriv, gain / span, 4
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +135,7 @@ def _identity_report(name: str, traj: Trajectory, values: np.ndarray, rhs, tol: 
     caller's further findings.
     """
     t = traj.times
-    idx, deriv, order = grid_derivative(t, values)
+    idx, deriv, _, order = grid_derivative(t, values)
     target = rhs(idx)
     resid = np.abs(deriv - target) / (np.abs(target) + 1.0)
     max_resid = float(np.max(resid))
@@ -255,6 +263,25 @@ def _intermediate_time_readout(traj: Trajectory, t_ref: float) -> dict | None:
                     "reported, not asserted"}
 
 
+def _fit_report(name: str, ratios: np.ndarray, samples: int, details: dict,
+                notes: Sequence[str] = (), detail_fits: dict | None = None,
+                **fields) -> CheckReport:
+    """The fitted constant sup ``ratios`` (0 over none) of a check's usable
+    records, ``ratio-extracted``, or ``fail`` where it is not finite: a NaN
+    ratio is never dropped.  Each array of ``detail_fits`` is fitted alike
+    and reported in ``details``; a non-finite one fails the report too."""
+    sup = lambda r: float(np.max(r, initial=0.0))
+    fitted = sup(ratios)
+    fits = {key: sup(r) for key, r in (detail_fits or {}).items()}
+    if not all(map(math.isfinite, (fitted, *fits.values()))):
+        return CheckReport(name=name, status=FAIL, samples=samples, notes=tuple(notes),
+                           details={**details, "reason": "non-finite fitted constant"},
+                           **fields)
+    return CheckReport(name=name, status=RATIO, sup_ratio=fitted, fitted_constant=fitted,
+                       samples=samples, details={**details, **fits}, notes=tuple(notes),
+                       **fields)
+
+
 def check_c0_bound(traj: Trajectory, cs0: float) -> CheckReport:
     """Fitted constant of |Rm|(t) <= c (cs0^2 / t) ||Rm||_{n/2}(0) on (0, T0]."""
     n = traj.model.dim
@@ -269,23 +296,16 @@ def check_c0_bound(traj: Trajectory, cs0: float) -> CheckReport:
                 name="c0_bound", status=FAIL, samples=int(np.sum(window)),
                 details={"reason": "zero initial n/2 norm but nonzero later "
                                    "curvature: integrator defect"})
-        return CheckReport(name="c0_bound", status=RATIO, sup_ratio=0.0,
-                           fitted_constant=0.0, samples=int(np.sum(window)),
-                           notes=("vacuous: zero curvature throughout",),
-                           details={"T0": T0})
-    ratios = rm[window] * t[window] / (cs0 * cs0 * rm0_n2)
-    fitted = float(np.max(ratios)) if ratios.size else 0.0
-    if not math.isfinite(fitted):
-        return CheckReport(name="c0_bound", status=FAIL, samples=int(ratios.size),
-                           details={"reason": "non-finite fitted constant"})
-    worst_i = int(np.argmax(ratios)) if ratios.size else 0
-    t_last = float(t[window][-1]) if ratios.size else float(t[-1])
-    return CheckReport(
-        name="c0_bound", status=RATIO, sup_ratio=fitted, fitted_constant=fitted,
-        samples=int(ratios.size),
-        details={"T0": T0, "cs0": cs0,
-                 "worst_t": float(t[window][worst_i]) if ratios.size else None,
-                 "intermediate_time": _intermediate_time_readout(traj, t_last)})
+        return _fit_report("c0_bound", np.empty(0), int(np.sum(window)), {"T0": T0},
+                           notes=("vacuous: zero curvature throughout",))
+    t_in = t[window]
+    ratios = rm[window] * t_in / (cs0 * cs0 * rm0_n2)
+    return _fit_report(
+        "c0_bound", ratios, int(ratios.size),
+        {"T0": T0, "cs0": cs0,
+         "worst_t": float(t_in[np.argmax(ratios)]) if ratios.size else None,
+         "intermediate_time": _intermediate_time_readout(
+             traj, float(t_in[-1]) if ratios.size else float(t[-1]))})
 
 
 def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:
@@ -293,7 +313,8 @@ def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:
 
     The gradient term of the full evolution inequality vanishes identically
     on homogeneous models and is noted as such; the fit uses only times
-    where the derivative is positive beyond its rounding noise.
+    where the derivative is positive beyond its rounding noise, and so does
+    the pointwise variant d|Rm|/dt <= c |Rm|^2 reported as ``pointwise_fit``.
     """
     if not p >= 1.0:
         raise ValueError(f"exponent p must be >= 1, got {p}")
@@ -301,41 +322,25 @@ def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:
     rm = traj.derived["rm_norm"]
     vol = traj.derived["vol"]
     Jp = rm ** p * vol
-    idx, dJp, order = grid_derivative(t, Jp)
+    idx, dJp, gain, order = grid_derivative(t, Jp)
+    _, drm, _, _ = grid_derivative(t, rm)
+    # each value is off by at most 4 eps |value|; J = |Rm|^p vol spans 2.5 eps
+    # on sphere.cfg.  A NaN derivative or denominator is kept, so it reaches the fit
+    noise = 4.0 * np.finfo(float).eps * gain
     den = p * rm[idx] ** (p + 1.0) * vol[idx]
-    notes = ["gradient term identically zero at homogeneity"]
-    # positive only above the rounding noise sum |c| 4 eps |value| / h, with sum |c| = 18/12
-    # inside and 38/12 at the ends; J = |Rm|^p vol spans 2.5 eps on sphere.cfg
-    weight = 1.0 if order == 2 else np.where((idx > 1) & (idx < len(t) - 2), 18.0, 38.0) / 12.0
-    noise = 8.0 * np.finfo(float).eps * weight / (t[idx + 1] - t[idx - 1])
-    usable = den > 0.0
-    positive = usable & (dJp > noise * np.abs(Jp[idx]))
-    if not np.any(usable):
-        return CheckReport(name=f"lp_evolution_p{p:g}", status=RATIO, sup_ratio=0.0,
-                           fitted_constant=0.0, samples=0,
-                           notes=(*notes, "vacuous: zero curvature throughout"),
-                           details={"p": p, "fd_order": order})
-    if not np.any(positive):
-        fitted = 0.0
-        notes.append("norm nonincreasing along the run: fitted constant 0")
-    else:
-        fitted = float(np.max(dJp[positive] / den[positive]))
-    if not math.isfinite(fitted):
-        return CheckReport(name=f"lp_evolution_p{p:g}", status=FAIL,
-                           samples=int(np.sum(usable)),
-                           details={"p": p, "reason": "non-finite fitted constant"})
-    # pointwise variant d|Rm|/dt <= c |Rm|^2, spatially constant at homogeneity
-    _, drm, _ = grid_derivative(t, rm)
+    usable = den != 0.0
+    positive = usable & ~(dJp <= noise * np.abs(Jp[idx]))
     pw_den = rm[idx] ** 2
-    pw_pos = (pw_den > 0.0) & (drm > noise * rm[idx])
-    pw_fit = float(np.max(drm[pw_pos] / pw_den[pw_pos])) if np.any(pw_pos) else 0.0
-    return CheckReport(
-        name=f"lp_evolution_p{p:g}", status=RATIO, sup_ratio=fitted,
-        fitted_constant=fitted, samples=int(np.sum(usable)),
-        details={"p": p, "fd_order": order,
-                 "positive_derivative_samples": int(np.sum(positive)),
-                 "pointwise_fit": pw_fit},
-        notes=tuple(notes))
+    pw_pos = (pw_den != 0.0) & ~(drm <= noise * rm[idx])
+    notes = ["gradient term identically zero at homogeneity"]
+    if not np.any(usable):
+        notes.append("vacuous: zero curvature throughout")
+    elif not np.any(positive):
+        notes.append("norm nonincreasing along the run: fitted constant 0")
+    return _fit_report(
+        f"lp_evolution_p{p:g}", dJp[positive] / den[positive], int(np.sum(usable)),
+        {"p": p, "fd_order": order, "positive_derivative_samples": int(np.sum(positive))},
+        notes=notes, detail_fits={"pointwise_fit": drm[pw_pos] / pw_den[pw_pos]})
 
 
 # ---------------------------------------------------------------------------
@@ -573,22 +578,15 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
     witnesses = sobolev.witness_family(model, family)
     pick = ok_idx[np.unique(np.linspace(0, ok_idx.size - 1,
                                         min(_MAX_WITNESS_TIMES, ok_idx.size)).astype(int))]
-    fitted = 0.0
+    ratios = []
     for i in pick:
         envelope = math.exp(8.0 * d0 * float(t[i]) / n)
         for w in witnesses:
             wn = sobolev.witness_norms(model, traj.mats[i], w, grid=grid)
-            rhs = envelope * (cs0 * cs0 * wn.grad_sq + wn.l2_sq)
-            fitted = max(fitted, wn.lq_sq / rhs)
-    if not math.isfinite(fitted):
-        return CheckReport(name="sobolev_along_flow", status=FAIL,
-                           samples=int(pick.size),
-                           details={**details, "reason": "non-finite fit"})
+            ratios.append(wn.lq_sq / (envelope * (cs0 * cs0 * wn.grad_sq + wn.l2_sq)))
     details["witness_times"] = [float(t[i]) for i in pick]
-    return CheckReport(name="sobolev_along_flow", status=RATIO, sup_ratio=fitted,
-                       fitted_constant=fitted,
-                       samples=int(pick.size) * len(witnesses), details=details,
-                       primitives_echo=primitives.describe(), notes=tuple(notes))
+    return _fit_report("sobolev_along_flow", np.array(ratios), len(ratios), details,
+                       notes=notes, primitives_echo=primitives.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +727,10 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
         reports.append(check_n2_bound(traj, chain))
     if "c0_bound" in selected:
         reports.append(check_c0_bound(traj, cs0))
-    if "lp_evolution_n2" in selected:
-        rep = check_lp_evolution(traj, n / 2.0)
-        rep.name = "lp_evolution_n2"
-        reports.append(rep)
-    if "lp_evolution_p2" in selected:
-        rep = check_lp_evolution(traj, 2.0)
-        rep.name = "lp_evolution_p2"
-        reports.append(rep)
+    for name, p in (("lp_evolution_n2", n / 2.0), ("lp_evolution_p2", 2.0)):
+        if name in selected:
+            reports.append(check_lp_evolution(traj, p))
+            reports[-1].name = name
     if "holder" in selected:
         reports.append(holder_suite(n, p=2.0, seed=seed))
     if "diameter_bound" in selected:

@@ -196,7 +196,7 @@ class CurvatureData(NamedTuple):
 
 def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray:
     c = np.zeros((n, n, n))
-    seen: dict[tuple[int, int, int], float] = {}
+    given: dict[tuple[int, int, int], float] = {}
     for entry in entries:
         if len(entry) != 4:
             raise GeometryError(f"bracket entry needs 4 numbers 'i j k coeff', got {entry!r}")
@@ -209,15 +209,14 @@ def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray
                 raise GeometryError(f"bracket index out of range 1..{n} in {entry!r}")
         if i == j and coeff != 0.0:
             raise GeometryError(f"antisymmetry violated at index triple ({i+1},{j+1},{k+1})")
-        if (j, i, k) in seen and seen[(j, i, k)] != -coeff:
+        if (j, i, k) in given and given[(j, i, k)] != -coeff:
             raise GeometryError(
                 f"antisymmetry violated at index triple ({i+1},{j+1},{k+1}): "
-                f"c^{k+1}_{{{j+1}{i+1}}} = {seen[(j, i, k)]} conflicts with {coeff}"
+                f"c^{k+1}_{{{j+1}{i+1}}} = {given[(j, i, k)]} conflicts with {coeff}"
             )
-        if (i, j, k) in seen and seen[(i, j, k)] != coeff:
+        if (i, j, k) in given and given[(i, j, k)] != coeff:
             raise GeometryError(f"duplicate bracket entry for index triple ({i+1},{j+1},{k+1})")
-        seen[(i, j, k)] = coeff
-        seen[(j, i, k)] = -coeff
+        given[(i, j, k)] = coeff
         c[k, i, j] = coeff
         c[k, j, i] = -coeff
     cmax = float(np.max(np.abs(c)))
@@ -234,9 +233,10 @@ def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray
 
 def _check_jacobi(c: np.ndarray, e: int) -> None:
     """Reject ``c 2^e``, where max|c| is in [1/2, 1), if it breaks Jacobi."""
-    # cyclic sum c^m_{ij} c^l_{mk} + c^m_{jk} c^l_{mi} + c^m_{ki} c^l_{mj}
-    t1 = np.einsum("mij,lmk->lijk", c, c)
-    jac = t1 + np.einsum("mjk,lmi->lijk", c, c) + np.einsum("mki,lmj->lijk", c, c)
+    # cyclic sum c^m_{ij} c^l_{mk} + c^m_{jk} c^l_{mi} + c^m_{ki} c^l_{mj}: one
+    # contraction T[l, i, j, k] = c^m_{ij} c^l_{mk}, read at T[l, j, k, i] and T[l, k, i, j]
+    t = np.einsum("mij,lmk->lijk", c, c)
+    jac = t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1)
     tol = _JACOBI_TOL * float(np.max(np.abs(c))) ** 2
     worst = float(np.max(np.abs(jac)))
     if worst > tol:

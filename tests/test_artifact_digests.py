@@ -1,0 +1,27 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_artifact_digests_on_sphere():
+    # configs/sphere.cfg runs twice, once as a shipped config and once as an
+    # extra one given by the same relative path: the two blocks agree
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_digests.py"),
+                          "configs/sphere.cfg"], cwd=ROOT, capture_output=True, text=True,
+                         check=True, timeout=300).stdout.splitlines()
+    sphere = [line for line in out if "configs/sphere.cfg" in line]
+    shipped, extra = sphere[:len(sphere) // 2], sphere[len(sphere) // 2:]
+    assert shipped == extra
+    assert [re.sub(r"^[0-9a-f]{64}  ", "<sha256> ", line) for line in extra] == [
+        "configs/sphere.cfg flow exit 0",
+        "<sha256> configs/sphere.cfg/run.json",
+        "<sha256> configs/sphere.cfg/trajectory.csv",
+        "configs/sphere.cfg check exit 0",
+        "<sha256> configs/sphere.cfg/report.json",
+        "configs/sphere.cfg sweep exit 2",      # sphere.cfg has no sweep block
+    ]
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        assert {f"configs/{cfg.name} flow exit 0", f"configs/{cfg.name} check exit 0"} <= set(out)

@@ -30,7 +30,7 @@ from riccilab import (
 )
 from riccilab import checks as checks_module
 from riccilab.checks import FAIL, HYP_NOT_MET, PASS, RATIO, UNAVAILABLE, grid_derivative
-from riccilab.flow import validate_trajectory
+from riccilab.flow import Trajectory, validate_trajectory
 
 P = ConstantPrimitives()
 
@@ -45,17 +45,22 @@ def chain_for(traj, cs0=1.0, gamma=1.0):
 def test_grid_derivative_fourth_order():
     t = np.linspace(0.0, 1.0, 41)
     v = np.sin(3.0 * t)
-    idx, dv, order = grid_derivative(t, v)
+    idx, dv, gain, order = grid_derivative(t, v)
     assert order == 4
     assert np.abs(dv - 3.0 * np.cos(3.0 * t[idx])).max() < 2e-5
+    # sum |c| over the span 2h: (1 + 8 + 8 + 1) / 6 inside, (3 + 10 + 18 + 6 + 1) / 6 at the ends
+    span = t[idx + 1] - t[idx - 1]
+    assert np.allclose(gain * span, [38 / 6] + [18 / 6] * (len(idx) - 2) + [38 / 6],
+                       rtol=1e-15)
 
 
 def test_grid_derivative_nonuniform_fallback():
     t = np.array([0.0, 0.1, 0.25, 0.31, 0.5])
     v = 3.0 * t + 1.0
-    idx, dv, order = grid_derivative(t, v)
+    idx, dv, gain, order = grid_derivative(t, v)
     assert order == 2
     assert np.allclose(dv, 3.0, atol=1e-12)   # exact for affine data
+    assert np.array_equal(gain, 2.0 / (t[idx + 1] - t[idx - 1]))   # sum |c| = 1 + 1
 
 
 # -- volume identity -----------------------------------------------------------
@@ -425,6 +430,55 @@ def test_sobolev_along_flow_almost_flat_condition_holds(almost_flat_heis_traj):
     rep = check_sobolev_along_flow(almost_flat_heis_traj, 1.0, P)
     assert rep.status == UNAVAILABLE          # quotient: no witnesses
     assert rep.details["first_violation_time"] is None
+
+
+# -- the fit rule of the ratio-extracted checks ----------------------------------------
+
+NON_FINITE = "non-finite fitted constant"
+
+
+def test_a_nan_curvature_norm_fails_every_fit_it_reaches(s3_traj):
+    # record 100 (t ~ 0.04) lies in the C0 window; its NaN |Rm| makes its C0
+    # ratio and the lp derivatives around it NaN, which no fit may drop
+    derived = {**s3_traj.derived, "rm_norm": np.array(s3_traj.derived["rm_norm"])}
+    derived["rm_norm"][100] = np.nan
+    traj = Trajectory(s3_traj.model, s3_traj.times, s3_traj.mats, derived,
+                      dict(s3_traj.meta))
+    reports = run_suite(traj, chain_for(traj), P,
+                        checks=["c0_bound", "lp_evolution_n2", "lp_evolution_p2"])
+    assert [(r.name, r.status, r.details["reason"], r.fitted_constant) for r in reports] == [
+        ("c0_bound", FAIL, NON_FINITE, None), ("lp_evolution_n2", FAIL, NON_FINITE, None),
+        ("lp_evolution_p2", FAIL, NON_FINITE, None)]
+
+
+def test_a_nan_witness_ratio_fails_the_sobolev_fit(prod_traj, monkeypatch):
+    # the NaN is the second ratio, which a running max(fitted, ratio) would drop
+    assert check_sobolev_along_flow(prod_traj, 0.05, P).status == RATIO
+    real, calls = witness_norms, []
+
+    def norms(model, g, w, grid):
+        calls.append(w.name)
+        wn = real(model, g, w, grid=grid)
+        return wn._replace(lq_sq=math.nan) if len(calls) == 2 else wn
+
+    monkeypatch.setattr(checks_module.sobolev, "witness_norms", norms)
+    rep = check_sobolev_along_flow(prod_traj, 0.05, P)
+    assert (rep.status, rep.details["reason"], rep.samples) == (FAIL, NON_FINITE, len(calls))
+
+
+@pytest.mark.parametrize("ratios, detail, status, fitted", [
+    ([], [], RATIO, 0.0),                          # the supremum over no ratios
+    ([0.5, 2.0], [1.0], RATIO, 2.0),
+    ([0.5, math.inf], [1.0], FAIL, None),
+    ([0.5, 2.0], [1.0, math.nan], FAIL, None),    # a detail fit follows the same rule
+])
+def test_fit_report_rule(ratios, detail, status, fitted):
+    rep = checks_module._fit_report("fit", np.array(ratios), 7, {"k": 1},
+                                    detail_fits={"detail": np.array(detail)})
+    assert (rep.status, rep.fitted_constant, rep.sup_ratio, rep.samples) == \
+        (status, fitted, fitted, 7)
+    assert rep.details == ({"k": 1, "detail": max(detail, default=0.0)} if status == RATIO
+                           else {"k": 1, "reason": NON_FINITE})
 
 
 # -- hypothesis report ----------------------------------------------------------------

@@ -495,6 +495,109 @@ def test_load_errors_name_where_the_value_was_set(cfgfile, tmp_path, capsys, con
     assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
 
 
+_BRACKETS = "[model]\nkind = lie_group_quotient\ndim = 3\nbrackets = {}\n"
+_FACTORS = "[model]\nkind = product_of_space_forms\nfactors = {}\n"
+
+
+def _model_error(message):
+    return "config error: {cfg}: invalid model: " + message
+
+
+def _schema_error(message):
+    return "trajectory schema error: " + message
+
+
+def _header_only(lines):
+    del lines[1:]
+
+
+def _extra_column(lines):
+    lines[0] += ",x"
+
+
+# (config, extra arguments, trajectory edit, exit code, stderr): a config or
+# override is rejected by `flow`; a trajectory edit of a heisenberg run's file
+# by `check`.  "{cfg}" stands for the config's path.
+REJECTED = [
+    pytest.param(_BRACKETS.format("1 2 3"), [], None, 2,
+                 "config error: {cfg}:4: malformed model.brackets entry '1 2 3'",
+                 id="bracket-of-three-numbers"),
+    pytest.param(_BRACKETS.format("1 2 4 1.0"), [], None, 2,
+                 _model_error("bracket index out of range 1..3 in [1, 2, 4, 1.0]"),
+                 id="bracket-index-out-of-range"),
+    pytest.param(_BRACKETS.format("1 1 3 1.0"), [], None, 2,
+                 _model_error("antisymmetry violated at index triple (1,1,3)"),
+                 id="bracket-i-equals-j"),
+    pytest.param(_BRACKETS.format("1 2 3 1.0 ; 2 1 3 1.0"), [], None, 2,
+                 _model_error("antisymmetry violated at index triple (2,1,3): "
+                              "c^3_{{12}} = 1.0 conflicts with 1.0"),
+                 id="bracket-antisymmetry-conflict"),
+    pytest.param(_BRACKETS.format("1 2 3 1.0 ; 1 2 3 2.0"), [], None, 2,
+                 _model_error("duplicate bracket entry for index triple (1,2,3)"),
+                 id="bracket-duplicate"),
+    pytest.param("[model]\nkind = lie_group_quotient\ndim = 2\n", [], None, 2,
+                 _model_error("quotient models need dim >= 3, got 2"), id="quotient-dim-2"),
+    pytest.param("[model]\nkind = product_of_space_forms\n", [], None, 2,
+                 _model_error("product model needs at least one factor"), id="no-factors"),
+    pytest.param(_FACTORS.format("cube 3 1.0"), [], None, 2,
+                 _model_error("unknown factor type 'cube'"), id="unknown-factor-type"),
+    pytest.param(_FACTORS.format("sphere 1 1.0 ; flat_torus 2 1.0"), [], None, 2,
+                 _model_error("sphere factor needs dim >= 2, got 1"), id="sphere-dim-1"),
+    pytest.param(_FACTORS.format("circle 2 1.0 ; sphere 2 1.0"), [], None, 2,
+                 _model_error("circle factor has dim 1, got 2"), id="circle-dim-2"),
+    pytest.param(_FACTORS.format("flat_torus 0 1.0 ; sphere 3 1.0"), [], None, 2,
+                 _model_error("flat_torus factor needs dim >= 1, got 0"), id="flat-torus-dim-0"),
+    pytest.param("[model]\nkind = torus\n", [], None, 2,
+                 "config error: {cfg}:2: bad value for model.kind: must be one of "
+                 "['lie_group_quotient', 'product_of_space_forms']", id="unknown-kind"),
+    pytest.param("[model\nkind = torus\n", [], None, 2,
+                 "config error: {cfg}:1: malformed section header", id="section-header"),
+    pytest.param("[model]\nkind\n", [], None, 2,
+                 "config error: {cfg}:2: expected 'key = value'", id="no-key-value"),
+    pytest.param(HEIS_CFG, ["--override", "model.kind"], None, 2,
+                 "config error: override#1: override 'model.kind' is not of the form "
+                 "section.key=value", id="override-without-equals"),
+    pytest.param(HEIS_CFG, ["--override", "kind=torus"], None, 2,
+                 "config error: override#1: override key 'kind' needs a section prefix",
+                 id="override-without-section"),
+    pytest.param(HEIS_CFG, ["--override", "shape.kind=torus"], None, 2,
+                 "config error: override#1: unknown section [shape]",
+                 id="override-unknown-section"),
+    pytest.param(HEIS_CFG, ["--config", "{cfg}.missing"], None, 2,
+                 "config error: <config>: config file not found: {cfg}.missing",
+                 id="missing-file"),
+    pytest.param(_BRACKETS.replace("dim = 3\n", "").format("1 2 3 1.0"), [], None, 2,
+                 "config error: {cfg}: model.dim is required for quotient models",
+                 id="quotient-without-dim"),
+    pytest.param(HEIS_CFG, [], list.clear, 3, _schema_error("empty trajectory file"),
+                 id="empty-trajectory"),
+    pytest.param(HEIS_CFG, [], _header_only, 3, _schema_error("trajectory has no states"),
+                 id="header-only-trajectory"),
+    pytest.param(HEIS_CFG, [], _extra_column, 3, _schema_error("unexpected extra column 'x'"),
+                 id="extra-column"),
+    pytest.param(HEIS_CFG, [], _field(2, "t", "-1.0"), 3,
+                 _schema_error("column 't' must start at 0"), id="t-not-from-0"),
+]
+
+
+@pytest.mark.parametrize("config, args, edit, rc, message", REJECTED)
+def test_rejected_input_exits_naming_its_cause(cfgfile, tmp_path, capsys, config, args, edit,
+                                               rc, message):
+    cfg = cfgfile(config)
+    out = tmp_path / "out"
+    argv = ["flow", "--config", cfg, "--out", str(out), *(a.format(cfg=cfg) for a in args)]
+    if edit is not None:
+        assert main(argv) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        edit(lines)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "\n" for line in lines))
+        argv = ["check", "--config", cfg, "--out", str(out), "--trajectory", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == rc
+    assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+
+
 @pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",
                                      "sobolev.grid=0", "sobolev.grid=511",
                                      "constants.moser_k=0"])

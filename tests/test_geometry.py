@@ -94,6 +94,17 @@ def test_antisymmetry_violation_names_triple():
                      "brackets": [[1, 2, 3, 1.0], [2, 1, 3, 1.0]]})
 
 
+# rejected specs that a config cannot express: its schema checks entry lengths and kinds
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, 3]]},
+     "bracket entry needs 4 numbers 'i j k coeff', got [1, 2, 3]"),
+    ({"kind": "torus"}, "unknown model kind 'torus'"),
+])
+def test_specs_outside_the_config_schema_are_rejected(spec, message):
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        build_model(spec)
+
+
 def test_jacobi_violation_names_triple():
     # [e1,e2]=e1, [e2,e3]=e2 fails the cyclic identity
     with pytest.raises(GeometryError, match="Jacobi"):
@@ -484,6 +495,15 @@ def test_diameter_values(s3_model, heis_model):
                         math.sqrt(math.pi ** 2 + (math.pi * eps) ** 2),
                         rel_tol=1e-14)
     assert diameter(heis_model, reference_metric(heis_model)) is None
+
+
+@pytest.mark.parametrize("d, s", [(3, 1.0), (3, 2.5), (5, 0.04)])
+def test_flat_torus_diameter(d, s):
+    # a flat torus of scale s is R^d / (2 pi sqrt(s) Z)^d: its farthest point is
+    # half a period away along every axis
+    model = build_model({"kind": "product_of_space_forms", "factors": [["flat_torus", d, 1.0]]})
+    assert math.isclose(diameter(model, metric_from_scales(model, [s])),
+                        math.pi * math.sqrt(s * d), rel_tol=1e-15)
 
 
 def test_volume_requires_positive_scales(prod_model):
@@ -881,6 +901,20 @@ def test_product_sec_extremes_closed_form(factors, data):
     if len(factors) > 1 or any(ftype != "sphere" and d >= 2 for ftype, d, _ in factors):
         secs.append(0.0)
     assert (cv.sec_min, cv.sec_max) == (min(secs), max(secs))
+
+
+def test_diagonal_operator_at_dim4_reads_its_extremes_off_the_diagonal(monkeypatch):
+    # nil3 x R at the identity metric: sec(e1, e2) = -3/4, sec(e1, e3) = sec(e2, e3) = 1/4,
+    # and 0 on the planes through e4; the operator is diagonal, so no Thorpe search runs
+    model = build_model({"kind": "lie_group_quotient", "dim": 4, "covolume": 1.0,
+                         "brackets": [[1, 2, 3, 1.0]]})
+
+    def no_search(op):
+        raise AssertionError("Thorpe search on a diagonal operator")
+
+    monkeypatch.setattr("riccilab.geometry._thorpe_min", no_search)
+    cv = curvature(model, np.eye(4))
+    assert (cv.sec_min, cv.sec_max) == (-0.75, 0.25)
 
 
 def test_non_diagonal_dim5_uses_seeded_sampler():

@@ -1,0 +1,86 @@
+"""Print the sha256 of every artifact that ``flow``, ``check`` and ``sweep`` write.
+
+    python3 tools/artifact_digests.py [extra.cfg ...]
+
+Runs the three commands, in that order, on each config under ``configs/``
+and then on each config named on the command line, with the ``riccilab``
+package of this checkout (``src/``).  Every config gets its own temporary
+directory, which is the working directory while the commands write to
+``out/`` there: ``run.json`` records the trajectory's path, so that path is
+the same on every run.  ``check`` reads the trajectory ``flow`` wrote.  For
+each command the script prints its exit code, then one line per file the
+command wrote or changed: the sha256 and the file's name under the config's
+label (a shipped config's path relative to the repository root, an extra
+one's path as given).  Command output and warnings are discarded.  A sweep
+on a config without a sweep block exits 2 and writes nothing.
+
+Run it from two checkouts and ``diff`` the outputs: equal outputs mean the
+two write byte-identical artifacts on those configs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from riccilab.cli import main as riccilab_main
+
+COMMANDS = ("flow", "check", "sweep")
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.is_file()}
+
+
+def config_lines(config: Path, label: str) -> list[str]:
+    """The exit code and artifact digests of each command on one config."""
+    lines = []
+    config = config.resolve()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            out = Path("out")
+            out.mkdir()
+            before: dict[str, str] = {}
+            for command in COMMANDS:
+                argv = [command, "--config", str(config), "--out", str(out)]
+                if command == "check":
+                    argv += ["--trajectory", str(out / "trajectory.csv")]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = riccilab_main(argv)
+                lines.append(f"{label} {command} exit {rc}")
+                after = _digests(out)
+                lines += [f"{digest}  {label}/{name}" for name, digest in after.items()
+                          if before.get(name) != digest]
+                before = after
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    extras = sys.argv[1:] if argv is None else argv
+    configs = [(p, str(p.relative_to(ROOT))) for p in sorted((ROOT / "configs").glob("*.cfg"))]
+    configs += [(Path(p), p) for p in extras]
+    for config, label in configs:
+        if not config.is_file():
+            print(f"error: config file not found: {config}", file=sys.stderr)
+            return 2
+    for config, label in configs:
+        print("\n".join(config_lines(config, label)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
