@@ -66,12 +66,11 @@ class CheckReport:
 
     def __init__(self, name: str, status: str, sup_ratio: float | None = None,
                  fitted_constant: float | None = None, samples: int = 0,
-                 details: dict | None = None, primitives_echo: dict | None = None,
-                 notes: tuple[str, ...] = ()):
+                 details: dict | None = None, notes: tuple[str, ...] = ()):
         self.name, self.status, self.sup_ratio = name, status, sup_ratio
         self.fitted_constant, self.samples, self.notes = fitted_constant, samples, notes
         self.details = {} if details is None else details
-        self.primitives_echo = {} if primitives_echo is None else primitives_echo
+        self.primitives_echo = {}     # set by run_suite
 
     def to_jsonable(self) -> dict:
         out = {name: getattr(self, name) for name in self.__slots__}
@@ -206,39 +205,38 @@ def check_n2_bound(traj: Trajectory, chain: ConstantChain) -> CheckReport:
     report carries the margin instead of a verdict.
     """
     rm_n2 = traj.derived["rm_n2_norm"]
-    theta0 = float(rm_n2[0]) * chain.cs0 ** 2
-    margin = chain.eps_n_gamma - theta0
-    notes = []
-    vol0 = float(traj.derived["vol"][0])
-    if abs(vol0 - 1.0) > 1e-9:
-        notes.append(f"initial volume is {vol0!r}, not 1: rescaled statement")
-    if margin < 0.0:
-        return CheckReport(
-            name="n2_bound", status=HYP_NOT_MET, samples=len(traj),
-            details={"theta0": theta0, "threshold": chain.eps_n_gamma,
-                     "margin": margin},
-            primitives_echo=dict(chain.primitives), notes=tuple(notes))
-    window = traj.times <= chain.T0 * (1.0 + 1e-12)
     rm0 = float(rm_n2[0])
+    theta0 = rm0 * chain.cs0 ** 2
+    margin = chain.eps_n_gamma - theta0
+    notes = _rescaled_notes(traj)
+    details = {"theta0": theta0, "threshold": chain.eps_n_gamma, "margin": margin}
+    if margin < 0.0:
+        return CheckReport(name="n2_bound", status=HYP_NOT_MET, samples=len(traj),
+                           details=details, notes=tuple(notes))
+    details["T0"] = chain.T0
+    window = traj.times <= chain.T0 * (1.0 + 1e-12)
+    rm_max = float(np.max(rm_n2[window]))
     if rm0 == 0.0:
-        vacuous = bool(np.max(rm_n2[window]) == 0.0)
+        vacuous = rm_max == 0.0
         notes.append("vacuous: zero initial curvature norm")
         return CheckReport(
             name="n2_bound", status=PASS if vacuous else FAIL,
             sup_ratio=0.0 if vacuous else math.inf, samples=int(np.sum(window)),
-            details={"theta0": theta0, "threshold": chain.eps_n_gamma,
-                     "margin": margin, "T0": chain.T0},
-            primitives_echo=dict(chain.primitives), notes=tuple(notes))
-    sup_ratio = float(np.max(rm_n2[window]) / (2.0 * rm0))
-    ok = sup_ratio <= 1.0 + _REL_SLACK
-    worst_i = int(np.argmax(rm_n2[window]))
+            details=details, notes=tuple(notes))
+    sup_ratio = rm_max / (2.0 * rm0)
+    details.update(worst_t=float(traj.times[np.argmax(rm_n2[window])]), rm_n2_0=rm0,
+                   rm_n2_max=rm_max)
     return CheckReport(
-        name="n2_bound", status=PASS if ok else FAIL, sup_ratio=sup_ratio,
-        samples=int(np.sum(window)),
-        details={"theta0": theta0, "threshold": chain.eps_n_gamma, "margin": margin,
-                 "T0": chain.T0, "worst_t": float(traj.times[worst_i]),
-                 "rm_n2_0": rm0, "rm_n2_max": float(np.max(rm_n2[window]))},
-        primitives_echo=dict(chain.primitives), notes=tuple(notes))
+        name="n2_bound", status=PASS if sup_ratio <= 1.0 + _REL_SLACK else FAIL,
+        sup_ratio=sup_ratio, samples=int(np.sum(window)), details=details, notes=tuple(notes))
+
+
+def _rescaled_notes(traj: Trajectory) -> list[str]:
+    """The note of a statement normalized to volume 1 read at another initial volume."""
+    vol0 = float(traj.derived["vol"][0])
+    if abs(vol0 - 1.0) > 1e-9:
+        return [f"initial volume is {vol0!r}, not 1: rescaled statement"]
+    return []
 
 
 def _intermediate_time_readout(traj: Trajectory, t_ref: float) -> dict | None:
@@ -264,8 +262,7 @@ def _intermediate_time_readout(traj: Trajectory, t_ref: float) -> dict | None:
 
 
 def _fit_report(name: str, ratios: np.ndarray, samples: int, details: dict,
-                notes: Sequence[str] = (), detail_fits: dict | None = None,
-                **fields) -> CheckReport:
+                notes: Sequence[str] = (), detail_fits: dict | None = None) -> CheckReport:
     """The fitted constant sup ``ratios`` (0 over none) of a check's usable
     records, ``ratio-extracted``, or ``fail`` where it is not finite: a NaN
     ratio is never dropped.  Each array of ``detail_fits`` is fitted alike
@@ -275,11 +272,9 @@ def _fit_report(name: str, ratios: np.ndarray, samples: int, details: dict,
     fits = {key: sup(r) for key, r in (detail_fits or {}).items()}
     if not all(map(math.isfinite, (fitted, *fits.values()))):
         return CheckReport(name=name, status=FAIL, samples=samples, notes=tuple(notes),
-                           details={**details, "reason": "non-finite fitted constant"},
-                           **fields)
+                           details={**details, "reason": "non-finite fitted constant"})
     return CheckReport(name=name, status=RATIO, sup_ratio=fitted, fitted_constant=fitted,
-                       samples=samples, details={**details, **fits}, notes=tuple(notes),
-                       **fields)
+                       samples=samples, details={**details, **fits}, notes=tuple(notes))
 
 
 def check_c0_bound(traj: Trajectory, cs0: float) -> CheckReport:
@@ -550,10 +545,7 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
     bound = 1.0 / (n * (n - 1.0))
     violated = cond_lhs > bound
     first_violation = float(t[np.argmax(violated)]) if bool(np.any(violated)) else None
-    notes = []
-    vol0 = float(traj.derived["vol"][0])
-    if abs(vol0 - 1.0) > 1e-9:
-        notes.append(f"initial volume is {vol0!r}, not 1: rescaled statement")
+    notes = _rescaled_notes(traj)
     details = {
         "first_violation_time": first_violation,
         "condition_bound": bound,
@@ -561,20 +553,14 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
         "delta0": d0,
         "cs0": cs0,
     }
-    if model.kind == LIE_GROUP_QUOTIENT:
-        notes.append("witness family unavailable on quotient models; "
-                     "condition trace only")
-        return CheckReport(name="sobolev_along_flow", status=UNAVAILABLE,
-                           samples=len(traj), details=details,
-                           primitives_echo=primitives.describe(),
-                           notes=tuple(notes))
     ok_idx = np.flatnonzero(~violated)
-    if ok_idx.size == 0:
-        notes.append("condition violated at every record; no fit")
-        return CheckReport(name="sobolev_along_flow", status=HYP_NOT_MET,
-                           samples=len(traj), details=details,
-                           primitives_echo=primitives.describe(),
-                           notes=tuple(notes))
+    quotient = model.kind == LIE_GROUP_QUOTIENT
+    if quotient or ok_idx.size == 0:
+        notes.append("witness family unavailable on quotient models; condition trace only"
+                     if quotient else "condition violated at every record; no fit")
+        return CheckReport(name="sobolev_along_flow",
+                           status=UNAVAILABLE if quotient else HYP_NOT_MET,
+                           samples=len(traj), details=details, notes=tuple(notes))
     witnesses = sobolev.witness_family(model, family)
     pick = ok_idx[np.unique(np.linspace(0, ok_idx.size - 1,
                                         min(_MAX_WITNESS_TIMES, ok_idx.size)).astype(int))]
@@ -585,8 +571,7 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
             wn = sobolev.witness_norms(model, traj.mats[i], w, grid=grid)
             ratios.append(wn.lq_sq / (envelope * (cs0 * cs0 * wn.grad_sq + wn.l2_sq)))
     details["witness_times"] = [float(t[i]) for i in pick]
-    return _fit_report("sobolev_along_flow", np.array(ratios), len(ratios), details,
-                       notes=notes, primitives_echo=primitives.describe())
+    return _fit_report("sobolev_along_flow", np.array(ratios), len(ratios), details, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +675,7 @@ def hypothesis_report(n: int, invariants: dict, chain: ConstantChain,
     if "model_note" in invariants:
         details["model_note"] = invariants["model_note"]
     return CheckReport(name="hypothesis_report", status=PASS,
-                       samples=len(theorems), details=details,
-                       primitives_echo=primitives.describe())
+                       samples=len(theorems), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +740,7 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
         reports.append(hypothesis_report(n, inv, chain, primitives))
 
     for rep in reports:
-        if not rep.primitives_echo:
-            rep.primitives_echo = primitives.describe()
+        rep.primitives_echo = primitives.describe()
     return sorted(reports, key=lambda r: r.name)
 
 

@@ -161,44 +161,43 @@ def _check_sweep_value(parameter: str, value: float, source: str) -> None:
         raise ConfigError(f"sweep parameter {parameter} needs {need}, got {value!r}", source)
 
 
-def _sweep_points(model_spec: dict, parameter: str, source: str):
+def _sweep_points(model: geometry.ModelGeometry, parameter: str, source: str):
     """Parse and validate a sweep parameter once; return the function that
     gives the model and initial metric at one grid value.
 
-    ``metric_scale`` and ``factor_radius:<i>`` build the model and its
-    reference metric here, so a row only scales the metric or sets factor
-    i's scale to value^2 (no radius enters an invariant, only the scale).
-    ``bracket_scale`` builds each row's model in full, since scaled brackets
-    are validated anew (finite coefficients, Jacobi).  ``source`` names the
-    config in a ConfigError.
+    ``metric_scale`` and ``factor_radius:<i>`` keep the config's model, so a
+    row only scales its reference metric or sets factor i's scale to value^2
+    (no radius enters an invariant, only the scale).  ``bracket_scale``
+    builds each row's model in full, since scaled brackets are validated
+    anew (finite coefficients, Jacobi).  ``source`` names the config in a
+    ConfigError.
     """
-    def built(spec: dict):
-        model = geometry.build_model(spec)
-        return model, geometry.reference_metric(model)
-
     if parameter == "metric_scale":
-        model, g = built(model_spec)
+        g = geometry.reference_metric(model)
         return lambda v: (model, geometry.scale_metric(g, v * v))
     if parameter == "bracket_scale":
-        if model_spec.get("kind") != geometry.LIE_GROUP_QUOTIENT:
+        if model.kind != geometry.LIE_GROUP_QUOTIENT:
             raise ConfigError("bracket_scale sweeps need a quotient model", source)
-        return lambda v: built({**model_spec, "brackets": [
-            [i, j, k, c * v] for i, j, k, c in model_spec["brackets"]]})
+        spec = model.describe()
+
+        def scaled(v):
+            row = geometry.build_model({**spec, "brackets": [
+                [i, j, k, c * v] for i, j, k, c in spec["brackets"]]})
+            return row, geometry.reference_metric(row)
+        return scaled
     if not parameter.startswith("factor_radius:"):
         raise ConfigError(f"unknown sweep parameter {parameter!r}; use metric_scale, "
                           "bracket_scale or factor_radius:<index>", source)
-    if model_spec.get("kind") != geometry.PRODUCT_OF_SPACE_FORMS:
+    if model.kind != geometry.PRODUCT_OF_SPACE_FORMS:
         raise ConfigError("factor_radius sweeps need a product model", source)
-    factors = model_spec["factors"]
     text = parameter.split(":", 1)[1]
     try:
         idx = int(text)
     except ValueError:
         idx = -1
-    if not 0 <= idx < len(factors):
+    if not 0 <= idx < len(model.factors):
         raise ConfigError(f"sweep parameter {parameter} needs a factor index in "
-                          f"0..{len(factors) - 1}, got {text!r}", source)
-    model = geometry.build_model(model_spec)
+                          f"0..{len(model.factors) - 1}, got {text!r}", source)
     scales = [r * r for _, _, r in model.factors]
     return lambda v: (model, geometry.metric_from_scales(
         model, [*scales[:idx], v * v, *scales[idx + 1:]]))
@@ -281,13 +280,13 @@ def _sweep_failure(cfg: RunConfig, parameter: str, v: float, point) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    model = _build_model(cfg)
     out = _out_dir(cfg)
-    cfg.require_section("model")
     parameter, values = cfg.sweep_parameter, cfg.sweep_values
     if parameter is None or not values:
         raise ConfigError("sweep needs a parameter and a nonempty value grid "
                           "(sweep block or --param/--values)", cfg.source)
-    point = _sweep_points(cfg.model_spec, parameter, cfg.source)
+    point = _sweep_points(model, parameter, cfg.source)
     thresholds = {}
     rows = []
     for v in values:

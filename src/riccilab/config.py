@@ -234,7 +234,7 @@ def load_config(path: str | Path | None, overrides: tuple[str, ...] = (),
             raise ConfigError("no configuration given")
         p = Path(path)
         if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
+            raise ConfigError(f"config file not found: {p}", source)
         text = p.read_text()
     raw = parse_text(text, source)
     _apply_overrides(raw, tuple(overrides), tuple(flags))

@@ -523,11 +523,27 @@ def _nonfinite(ln: int, col: str, v: float) -> TrajectorySchemaError:
                                  "expected a finite number")
 
 
+def _read_field(field: str) -> float:
+    """``field`` as the bulk parse reads it, or ``float``'s ValueError.
+
+    ``float`` reads more than numpy does (underscores, non-ASCII digits), so
+    a field it reads must pass numpy's parser too.  numpy is asked second
+    because it warns, rather than raises, on an empty field.
+    """
+    value = float(field)
+    try:
+        np.loadtxt([field], dtype=float, delimiter=",", comments=None)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {field!r}") from None
+    return value
+
+
 def _scan_rows(lines: list[str], expected: list[str]) -> list[list[float]]:
     """Parse data lines one by one (the first is file line 2), skipping blanks.
 
     Raises on the first bad line, naming it; the bulk parse falls back to
-    this only when it fails, so every error reads as from a line-order scan.
+    this only when it fails, and every field it refuses is refused here, so
+    every error reads as from a line-order scan.
     """
     rows = []
     for ln, line in enumerate(lines, start=2):
@@ -538,7 +554,7 @@ def _scan_rows(lines: list[str], expected: list[str]) -> list[list[float]]:
             raise TrajectorySchemaError(f"line {ln}: expected {len(expected)} fields, "
                                         f"got {len(parts)}")
         try:
-            vals = [float(p) for p in parts]
+            vals = [_read_field(p) for p in parts]
         except ValueError as exc:
             raise TrajectorySchemaError(f"line {ln}: {exc}") from None
         for col, v in zip(expected, vals):

@@ -194,14 +194,21 @@ class CurvatureData(NamedTuple):
 # model construction
 
 
+def _entry(entry, types: tuple, what: str) -> list:
+    """One model entry converted item by item; a GeometryError names a malformed one."""
+    try:           # a wrong item count fails the strict zip with ValueError too
+        return [t(x) for t, x in zip(types, entry, strict=True)]
+    except (TypeError, ValueError):
+        raise GeometryError(f"{what}, got {entry!r}") from None
+
+
 def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray:
     c = np.zeros((n, n, n))
     given: dict[tuple[int, int, int], float] = {}
     for entry in entries:
-        if len(entry) != 4:
-            raise GeometryError(f"bracket entry needs 4 numbers 'i j k coeff', got {entry!r}")
-        i, j, k = (int(entry[0]) - 1, int(entry[1]) - 1, int(entry[2]) - 1)
-        coeff = float(entry[3])
+        i, j, k, coeff = _entry(entry, (int, int, int, float),
+                                "bracket entry needs 4 numbers 'i j k coeff'")
+        i, j, k = i - 1, j - 1, k - 1
         if not math.isfinite(coeff):
             raise GeometryError(f"bracket coefficient must be finite, got {entry!r}")
         for idx in (i, j, k):
@@ -212,7 +219,8 @@ def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray
         if (j, i, k) in given and given[(j, i, k)] != -coeff:
             raise GeometryError(
                 f"antisymmetry violated at index triple ({i+1},{j+1},{k+1}): "
-                f"c^{k+1}_{{{j+1}{i+1}}} = {given[(j, i, k)]} conflicts with {coeff}"
+                f"c^{k+1}_{{{j+1}{i+1}}} = {given[(j, i, k)]} conflicts with "
+                f"c^{k+1}_{{{i+1}{j+1}}} = {coeff}"
             )
         if (i, j, k) in given and given[(i, j, k)] != coeff:
             raise GeometryError(f"duplicate bracket entry for index triple ({i+1},{j+1},{k+1})")
@@ -294,7 +302,8 @@ def build_model(spec: dict) -> ModelGeometry:
             raise GeometryError("product model needs at least one factor")
         factors = []
         for f in raw:
-            ftype, d, r = str(f[0]).replace("-", "_"), int(f[1]), float(f[2])
+            ftype, d, r = _entry(f, (str, int, float), "factor entry needs 'type dim radius'")
+            ftype = ftype.replace("-", "_")
             if ftype not in (FACTOR_SPHERE, FACTOR_CIRCLE, FACTOR_FLAT_TORUS):
                 raise GeometryError(f"unknown factor type {f[0]!r}")
             if ftype == FACTOR_SPHERE and d < 2:

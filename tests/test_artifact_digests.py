@@ -21,7 +21,10 @@ def test_artifact_digests_on_sphere():
         "<sha256> configs/sphere.cfg/trajectory.csv",
         "configs/sphere.cfg check exit 0",
         "<sha256> configs/sphere.cfg/report.json",
-        "configs/sphere.cfg sweep exit 2",      # sphere.cfg has no sweep block
+        "configs/sphere.cfg sweep exit 0",      # over SWEEP_GRID: no sweep block
+        "<sha256> configs/sphere.cfg/sweep.csv",
     ]
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
-        assert {f"configs/{cfg.name} flow exit 0", f"configs/{cfg.name} check exit 0"} <= set(out)
+        assert {f"configs/{cfg.name} {command} exit 0"
+                for command in ("flow", "check", "sweep")} <= set(out)
+        assert f"configs/{cfg.name}/sweep.csv" in " ".join(out)

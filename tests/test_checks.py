@@ -88,6 +88,24 @@ def test_volume_identity_tiny_sphere(tiny_sphere_traj):
     assert math.isfinite(rep.details["r_norm_variant_gap"])
 
 
+def _hand_built(torus_model, times, **derived):
+    """A trajectory on the flat 3-torus carrying only the given derived columns."""
+    mats = np.broadcast_to(np.eye(3), (len(times), 3, 3))
+    return Trajectory(torus_model, times, mats, derived)
+
+
+def test_volume_identity_fails_above_the_frame_bound(torus_model):
+    # vol = e^-t with R = 1 keeps dvol/dt = -R vol, but |R| / |Rm| = 10 > sqrt(3)
+    t = np.linspace(0.0, 1.0, 65)
+    traj = _hand_built(torus_model, t, vol=np.exp(-t), scalar_R=np.ones_like(t),
+                       rm_norm=np.full_like(t, 0.1))
+    rep = check_volume_identity(traj)
+    assert rep.status == FAIL
+    assert rep.details["max_residual"] <= rep.details["tolerance"]
+    assert rep.fitted_constant == pytest.approx(10.0, rel=1e-15)
+    assert "fitted |R|/|Rm| exceeds the frame bound" in rep.notes
+
+
 def test_volume_identity_needs_states(s3_model):
     traj = integrate(s3_model, reference_metric(s3_model),
                      FlowConfig(t_end=0.01, record_every=0.01))
@@ -130,6 +148,19 @@ def test_c0_bound_flat_torus(torus_traj):
     rep = check_c0_bound(torus_traj, cs0=1.0)
     assert rep.status == RATIO
     assert rep.sup_ratio == 0.0
+
+
+def test_c0_bound_fails_on_curvature_from_a_flat_start(torus_model):
+    # a zero initial n/2 norm with later curvature is an integrator defect
+    t = np.linspace(0.0, 2.0, 9)
+    rm = np.zeros_like(t)
+    rm[3] = 1e-6
+    traj = _hand_built(torus_model, t, vol=np.ones_like(t), rm_norm=rm,
+                       rm_n2_norm=np.zeros_like(t))
+    rep = check_c0_bound(traj, cs0=1.0)
+    assert (rep.status, rep.samples, rep.fitted_constant) == (FAIL, 4, None)    # t in (0, 1]
+    assert rep.details == {"reason": "zero initial n/2 norm but nonzero later curvature: "
+                                     "integrator defect"}
 
 
 def test_c0_bound_sphere_finite_and_rescale_invariant(s3_traj):
@@ -586,6 +617,15 @@ def test_run_suite_quotient_diameter_unavailable(heis_traj):
     reports = run_suite(heis_traj, chain_for(heis_traj), P,
                         checks=["diameter_bound"])
     assert reports[0].status == UNAVAILABLE
+
+
+def test_run_suite_stamps_each_report_with_its_own_echo(s3_traj):
+    # a check called directly carries an empty echo; the suite stamps every report
+    assert check_n2_bound(s3_traj, chain_for(s3_traj)).primitives_echo == {}
+    reports = run_suite(s3_traj, chain_for(s3_traj), P)
+    assert len(reports) == len(checks_module.SUITE_CHECKS)
+    assert all(r.primitives_echo == P.describe() for r in reports)
+    assert len({id(r.primitives_echo) for r in reports}) == len(reports)
 
 
 def test_run_suite_sphere_circle_note_echoed(prod_traj):

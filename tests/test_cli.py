@@ -530,7 +530,7 @@ REJECTED = [
                  id="bracket-i-equals-j"),
     pytest.param(_BRACKETS.format("1 2 3 1.0 ; 2 1 3 1.0"), [], None, 2,
                  _model_error("antisymmetry violated at index triple (2,1,3): "
-                              "c^3_{{12}} = 1.0 conflicts with 1.0"),
+                              "c^3_{{12}} = 1.0 conflicts with c^3_{{21}} = 1.0"),
                  id="bracket-antisymmetry-conflict"),
     pytest.param(_BRACKETS.format("1 2 3 1.0 ; 1 2 3 2.0"), [], None, 2,
                  _model_error("duplicate bracket entry for index triple (1,2,3)"),
@@ -564,7 +564,7 @@ REJECTED = [
                  "config error: override#1: unknown section [shape]",
                  id="override-unknown-section"),
     pytest.param(HEIS_CFG, ["--config", "{cfg}.missing"], None, 2,
-                 "config error: <config>: config file not found: {cfg}.missing",
+                 "config error: {cfg}.missing: config file not found: {cfg}.missing",
                  id="missing-file"),
     pytest.param(_BRACKETS.replace("dim = 3\n", "").format("1 2 3 1.0"), [], None, 2,
                  "config error: {cfg}: model.dim is required for quotient models",
@@ -577,6 +577,13 @@ REJECTED = [
                  id="extra-column"),
     pytest.param(HEIS_CFG, [], _field(2, "t", "-1.0"), 3,
                  _schema_error("column 't' must start at 0"), id="t-not-from-0"),
+    # fields that float() reads but numpy's reader refuses
+    pytest.param(HEIS_CFG, [], _field(4, "g_0_1", "0_0.0"), 3,
+                 _schema_error("line 4: could not convert string to float: '0_0.0'"),
+                 id="underscore-in-number"),
+    pytest.param(HEIS_CFG, [], _field(5, "g_0_1", "\uff10.0"), 3,
+                 _schema_error("line 5: could not convert string to float: '\uff10.0'"),
+                 id="non-ascii-digit"),
 ]
 
 
@@ -796,7 +803,22 @@ def test_factor_radius_sweep_names_an_invalid_model_before_any_row(tmp_path, cap
     # not blamed on a grid value, also on the swept factor
     assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"), "--out", str(tmp_path),
                  "--override", f"model.factors={factors}"]) == 2
-    assert capsys.readouterr().err == "error: factor radius must be positive and finite, got 0.0\n"
+    assert capsys.readouterr().err == (
+        f"config error: {CONFIGS / 'collapse_sweep.cfg'}: invalid model: "
+        "factor radius must be positive and finite, got 0.0\n")
+
+
+@pytest.mark.parametrize("grid", [["bracket_scale", "0"], ["bracket_scale", "0.5"],
+                                  ["metric_scale", "1"]])
+def test_sweep_names_an_invalid_model_as_flow_does(cfgfile, tmp_path, capsys, grid):
+    # as in test_invalid_model_names_the_file: the model is named, not the
+    # value, also where the scaled brackets vanish
+    cfg = cfgfile(_BRACKETS.format("1 2 2 1.0"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                 "--param", grid[0], "--values", grid[1]]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {cfg}: invalid model: not unimodular: ")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_sec_extremes_exact_and_seed_free(tmp_path):
@@ -980,6 +1002,16 @@ def test_json_format_emits_extra_artifacts(cfgfile, tmp_path):
     rows = json.loads((out / "trajectory.json").read_text())
     assert rows[0]["t"] == 0.0
     assert (out / "trajectory.csv").exists()
+
+
+def test_sweep_json_rows_equal_the_csv_rows(tmp_path):
+    # heisenberg is a quotient, so the NaN diam column is compared too
+    assert main(["sweep", "--config", str(CONFIGS / "heisenberg.cfg"), "--out", str(tmp_path),
+                 "--format", "json", "--param", "metric_scale", "--values", "0.5,1,2"]) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())
+    assert [{k: str(v) for k, v in row.items()} for row in rows] \
+        == _csv_rows(tmp_path / "sweep.csv")
+    assert all(math.isnan(row["diam"]) for row in rows)
 
 
 ALMOST_FLAT_CFG = """

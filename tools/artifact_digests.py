@@ -11,8 +11,8 @@ the same on every run.  ``check`` reads the trajectory ``flow`` wrote.  For
 each command the script prints its exit code, then one line per file the
 command wrote or changed: the sha256 and the file's name under the config's
 label (a shipped config's path relative to the repository root, an extra
-one's path as given).  Command output and warnings are discarded.  A sweep
-on a config without a sweep block exits 2 and writes nothing.
+one's path as given).  Command output and warnings are discarded.  A config
+without a ``[sweep]`` block is swept with ``SWEEP_GRID``.
 
 Run it from two checkouts and ``diff`` the outputs: equal outputs mean the
 two write byte-identical artifacts on those configs.
@@ -32,8 +32,17 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from riccilab.cli import main as riccilab_main
+from riccilab.config import ConfigError, parse_text
 
 COMMANDS = ("flow", "check", "sweep")
+SWEEP_GRID = ["--param", "metric_scale", "--values", "0.5,1,2"]
+
+
+def _has_sweep_block(config: Path) -> bool:
+    try:
+        return "sweep" in parse_text(config.read_text(), str(config))
+    except ConfigError:
+        return True         # each command names the config's own error
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -45,6 +54,7 @@ def config_lines(config: Path, label: str) -> list[str]:
     """The exit code and artifact digests of each command on one config."""
     lines = []
     config = config.resolve()
+    sweep_args = [] if _has_sweep_block(config) else SWEEP_GRID
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -56,6 +66,8 @@ def config_lines(config: Path, label: str) -> list[str]:
                 argv = [command, "--config", str(config), "--out", str(out)]
                 if command == "check":
                     argv += ["--trajectory", str(out / "trajectory.csv")]
+                if command == "sweep":
+                    argv += sweep_args
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     rc = riccilab_main(argv)
