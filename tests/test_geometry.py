@@ -98,6 +98,7 @@ def test_antisymmetry_violation_names_triple():
 @pytest.mark.parametrize("spec, message", [
     ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, 3]]},
      "bracket entry needs 4 numbers 'i j k coeff', got [1, 2, 3]"),
+    ({"kind": "torus"}, "unknown model kind 'torus'"),
     ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, "x", 3, 1.0]]},
      "bracket entry needs 4 numbers 'i j k coeff', got [1, 'x', 3, 1.0]"),
     ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, 3, None]]},
@@ -110,7 +111,6 @@ def test_antisymmetry_violation_names_triple():
      "factor entry needs 'type dim radius', got ['sphere', 'three', 1.0]"),
     ({"kind": "product_of_space_forms", "factors": [3]},
      "factor entry needs 'type dim radius', got 3"),
-    ({"kind": "torus"}, "unknown model kind 'torus'"),
 ])
 def test_specs_outside_the_config_schema_are_rejected(spec, message):
     with pytest.raises(GeometryError, match=re.escape(message)):
