@@ -318,18 +318,20 @@ def _fmt_cell(v) -> str:
     return repr(float(v))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="run configuration file")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="also emit JSON variants of tabular artifacts")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--override", action="append", metavar="SECTION.KEY=VALUE",
-                   help="config override, repeatable")
+# the arguments every subcommand takes, as (flag, add_argument keywords)
+_COMMON = (
+    ("--config", {"required": True, "help": "run configuration file"}),
+    ("--out", {"default": None, "help": "output directory"}),
+    ("--format", {"choices": ("csv", "json"), "default": None,
+                  "help": "also emit JSON variants of tabular artifacts"}),
+    ("--seed", {"type": int, "default": None, "help": "seed override"}),
+    ("--override", {"action": "append", "metavar": "SECTION.KEY=VALUE",
+                    "help": "config override, repeatable"}),
+)
 
 
 # one entry per subcommand: name -> help, handler and the arguments it adds
-# to the common ones, as (flag, add_argument keywords)
+# to the common ones
 _COMMANDS = {
     "flow": ("integrate a flow and persist the trajectory", cmd_flow, ()),
     "check": ("run the estimate checks on a trajectory", cmd_check, (
@@ -344,8 +346,7 @@ _COMMANDS = {
 
 
 def _add_command(p: argparse.ArgumentParser, name: str, func, extra) -> None:
-    _add_common(p)
-    for flag, kwargs in extra:
+    for flag, kwargs in (*_COMMON, *extra):
         p.add_argument(flag, **kwargs)
     p.set_defaults(command=name, func=func)
 
@@ -361,23 +362,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace of ``build_parser().parse_args(argv)``, parsed by the
-    command's own parser where that gives the same result.
+def _read_flags(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace of a known command whose arguments are exact
+    ``--flag value`` pairs, read from the flag table with the keywords
+    argparse gets; None where argparse might parse them otherwise or fail.
 
-    A known command is parsed by one parser holding only its arguments,
-    under the full parser's subcommand prog, so its help and errors read the
-    same.  Arguments it leaves over go to the full parser, whose
-    "unrecognized arguments" error carries the top-level usage line; so do
-    help, an empty argv and an unknown command.
+    A value starting with "-" (argparse may take it for a flag), a flag that
+    is not exactly one of the command's (help, "--", an abbreviation,
+    "--flag=value"), a value that ``type`` or ``choices`` refuses and a
+    missing required flag all give None.
     """
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        _, func, extra = _COMMANDS[name]
-        parser = argparse.ArgumentParser(prog=f"riccilab {name}")
-        _add_command(parser, name, func, extra)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
+    _, func, extra = _COMMANDS[name]
+    table = dict((*_COMMON, *extra))
+    if len(tokens) % 2:
+        return None
+    ns = dict.fromkeys(flag[2:] for flag in table)
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        kwargs = table.get(flag)
+        if kwargs is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        dest = flag[2:]
+        ns[dest] = [*(ns[dest] or ()), value] if kwargs.get("action") == "append" else value
+    if any(kwargs.get("required") and ns[flag[2:]] is None for flag, kwargs in table.items()):
+        return None
+    return argparse.Namespace(command=name, func=func, **ns)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``.
+
+    A known command whose arguments are exact ``--flag value`` pairs is read
+    from the flag table by ``_read_flags``, with no parser built.  Every
+    other argv (help, errors, abbreviations, "--flag=value", an empty argv,
+    an unknown command) goes to the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args = _read_flags(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

@@ -324,7 +324,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
     h = h0 = _starting_step(f, y, k0, t_end, cfg.abs_tol + cfg.rel_tol * np.abs(y))
     steps, err_norms = [], []
     termination = TERM_HORIZON
-    recorded_y = [y.copy()]
+    recorded = [y[None]]           # blocks of recorded states, one row or more
     next_rec = 1
     rejected = False
     while t < t_end:
@@ -364,11 +364,11 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
         inside = int(np.searchsorted(record_times, t_new, side="left"))
         if inside > next_rec:
             x = (record_times[next_rec:inside] - t) / h_eff
-            recorded_y.extend(_dense_output(f, t, y, y_new, K, h_eff, x))
+            recorded.append(_dense_output(f, t, y, y_new, K, h_eff, x))
             stats["dense_evals"] += 3
             next_rec = inside
         if next_rec <= n_rec and record_times[next_rec] == t_new:
-            recorded_y.append(y_new)
+            recorded.append(y_new[None])
             next_rec += 1
         grow = _MAX_FAC if enorm == 0.0 else min(_MAX_FAC, _SAFETY * enorm ** _ERR_EXP)
         if rejected:
@@ -376,8 +376,9 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
         t, y, k0 = t_new, y_new, K[_dop.N_STAGES]
         h, rejected = h_eff * max(_MIN_FAC, grow), False
 
+    recorded_y = np.concatenate(recorded)
     times = record_times[:len(recorded_y)]
-    mats = unpack(np.array(recorded_y))
+    mats = unpack(recorded_y)
     meta = {
         "model": model.describe(),
         "gamma": cfg.gamma,

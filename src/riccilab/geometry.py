@@ -194,19 +194,36 @@ class CurvatureData(NamedTuple):
 # model construction
 
 
+def _integer(x) -> int:
+    """``int(x)``, refusing a number that int() would truncate."""
+    n = int(x)
+    if not isinstance(x, str) and n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def _entry(entry, types: tuple, what: str) -> list:
     """One model entry converted item by item; a GeometryError names a malformed one."""
     try:           # a wrong item count fails the strict zip with ValueError too
         return [t(x) for t, x in zip(types, entry, strict=True)]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise GeometryError(f"{what}, got {entry!r}") from None
+
+
+def _field(spec: dict, key: str, convert, default, what: str):
+    """``spec[key]`` (or the default) converted; a GeometryError names the field."""
+    value = spec.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError(f"{key} must be {what}, got {value!r}") from None
 
 
 def _validate_brackets(n: int, entries: Sequence[Sequence[float]]) -> np.ndarray:
     c = np.zeros((n, n, n))
     given: dict[tuple[int, int, int], float] = {}
     for entry in entries:
-        i, j, k, coeff = _entry(entry, (int, int, int, float),
+        i, j, k, coeff = _entry(entry, (_integer, _integer, _integer, float),
                                 "bracket entry needs 4 numbers 'i j k coeff'")
         i, j, k = i - 1, j - 1, k - 1
         if not math.isfinite(coeff):
@@ -287,10 +304,10 @@ def build_model(spec: dict) -> ModelGeometry:
     """
     kind = spec.get("kind")
     if kind == LIE_GROUP_QUOTIENT:
-        n = int(spec.get("dim", 0))
+        n = _field(spec, "dim", _integer, 0, "an integer")
         if n < 3:
             raise GeometryError(f"quotient models need dim >= 3, got {n}")
-        covolume = float(spec.get("covolume", 1.0))
+        covolume = _field(spec, "covolume", float, 1.0, "a number")
         if not 0 < covolume < math.inf:
             raise GeometryError(f"covolume must be positive and finite, got {covolume}")
         c = _validate_brackets(n, spec.get("brackets", ()))
@@ -302,7 +319,7 @@ def build_model(spec: dict) -> ModelGeometry:
             raise GeometryError("product model needs at least one factor")
         factors = []
         for f in raw:
-            ftype, d, r = _entry(f, (str, int, float), "factor entry needs 'type dim radius'")
+            ftype, d, r = _entry(f, (str, _integer, float), "factor entry needs 'type dim radius'")
             ftype = ftype.replace("-", "_")
             if ftype not in (FACTOR_SPHERE, FACTOR_CIRCLE, FACTOR_FLAT_TORUS):
                 raise GeometryError(f"unknown factor type {f[0]!r}")

@@ -28,3 +28,8 @@ def test_artifact_digests_on_sphere():
         assert {f"configs/{cfg.name} {command} exit 0"
                 for command in ("flow", "check", "sweep")} <= set(out)
         assert f"configs/{cfg.name}/sweep.csv" in " ".join(out)
+    # constants runs where there is a [constants] block: heisenberg.cfg only
+    assert [line for line in out if " constants exit " in line] == [
+        "configs/heisenberg.cfg constants exit 0"]
+    assert re.search(r"^[0-9a-f]{64}  configs/heisenberg.cfg/constants.json$", "\n".join(out),
+                     re.MULTILINE)

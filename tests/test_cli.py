@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import signal
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccilab import geometry
-from riccilab.cli import main
+from riccilab.cli import _COMMANDS, _COMMON, main
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -1198,7 +1202,7 @@ def test_sweep_blames_the_value_when_the_reference_metric_is_finite(tmp_path, ca
         f"got {float(value)!r}\n")
 
 
-# -- one parser per invocation ---------------------------------------------------
+# -- reading the command line --------------------------------------------------
 
 _PARSER_CASES = [
     ["flow", "-h"], ["check", "-h"], ["constants", "-h"], ["sweep", "-h"], ["flow"],
@@ -1217,6 +1221,11 @@ _PARSER_CASES = [
     ["sweep", "--config", "x.cfg", "--format", "xml", "-h"],
     ["flow", "--config", "x.cfg", "--"], ["flow", "--config", "x.cfg", "--", "extra"],
     ["bogus", "--config", "x.cfg"], [], ["-h"],
+    ["flow", "--config", "x.cfg", "--seed", "-3"],          # a value starting with "-"
+    ["flow", "--config", "x.cfg", "--out", ""],
+    ["flow", "--config", "x.cfg", "--seed", "1", "--seed", "2"],
+    ["sweep", "--config", "x.cfg", "--override", "a.b=1", "--override", "a.b=2"],
+    ["flow", "--config", "x.cfg", "--seed", "5_0"],
 ]
 
 
@@ -1239,36 +1248,89 @@ def test_one_command_parser_parses_and_prints_as_the_full_parser(argv, capsys):
         assert result[0]["command"] == argv[0]
 
 
-def test_main_builds_one_parser_per_call(tmp_path, monkeypatch):
+# values both paths read alike, and tokens that argparse reads in more than
+# one way: help, "--", abbreviations, "=" forms, values starting with "-" and
+# a flag of another command
+_PLAIN_VALUES = ["x.cfg", "", "3", "5_0", " 7", "\u0663", "csv", "json", "xml", "a.b=1"]
+_ODD_TOKENS = ["-h", "--help", "--", "--conf", "--ov", "--traj", "--seed=3", "--format=json",
+               "--bogus", "-s", "-5", "--trajectory", "--values", "extra"]
+
+
+def _units(command, noisy):
+    """(flag, value) pairs of every flag the command declares; if noisy, odd
+    tokens and pairs with odd values too."""
+    extra = _COMMANDS[command][2] if command in _COMMANDS else ()
+    flags = st.sampled_from([flag for flag, _ in (*_COMMON, *extra)])
+    pair = st.tuples(flags, st.sampled_from(_PLAIN_VALUES))
+    if not noisy:
+        return st.lists(pair, max_size=4)
+    tokens = st.sampled_from(_PLAIN_VALUES + _ODD_TOKENS)
+    return st.lists(st.one_of(pair, st.tuples(tokens), st.tuples(flags, tokens)), max_size=4)
+
+
+_ARGV_UNITS = {(command, noisy): _units(command, noisy)
+               for command in (*_COMMANDS, "bogus") for noisy in (False, True)}
+
+
+@st.composite
+def _argvs(draw):
+    """A command, its required flags and drawn units in any order; a noisy
+    draw may leave required flags out."""
+    command = draw(st.sampled_from([*_COMMANDS, "bogus"]))
+    noisy = draw(st.booleans())
+    required = [("--config", "x.cfg"), ("--trajectory", "t.csv")][:1 + (command == "check")]
+    if noisy:
+        required = required[:draw(st.integers(0, 2))]
+    units = draw(st.permutations(required + draw(_ARGV_UNITS[command, noisy])))
+    return [command, *(token for unit in units for token in unit)]
+
+
+def _outcome_redirected(parse, argv):
+    """The namespace or exit code of ``parse(argv)``, then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_parse_args_agrees_with_the_full_parser(argv):
+    from riccilab.cli import _parse_args, build_parser
+    assert _outcome_redirected(_parse_args, argv) == \
+        _outcome_redirected(build_parser().parse_args, argv)
+
+
+def test_main_builds_a_parser_only_for_a_malformed_call(tmp_path, monkeypatch):
     import argparse
 
     from riccilab import cli
 
-    def record(cls, log):
-        init = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *a, **kw: log.append(self)
-                            or init(self, *a, **kw))
-
-    parsers, subparsers, full = [], [], []
-    record(argparse.ArgumentParser, parsers)
-    record(argparse._SubParsersAction, subparsers)
+    parsers, full = [], []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: parsers.append(self) or init(self, *a, **kw))
     real_build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: full.append(real_build()) or full[-1])
     out = ["--out", str(tmp_path)]
     sphere = ["--config", str(CONFIGS / "sphere.cfg"), *out]
-    sweep = ["sweep", *sphere, "--param", "metric_scale", "--values", "1"]
     for argv in (["flow", *sphere],
                  ["check", *sphere, "--trajectory", str(tmp_path / "trajectory.csv")],
-                 ["constants", "--config", str(CONFIGS / "heisenberg.cfg"), *out], sweep):
-        parsers.clear()
+                 ["constants", "--config", str(CONFIGS / "heisenberg.cfg"), *out],
+                 ["sweep", *sphere, "--param", "metric_scale", "--values", "1"]):
         assert main(argv) == 0
-        assert len(parsers) == 1 and not subparsers and not full
-    parsers.clear()
-    assert main(sweep) == 0 and main(sweep) == 0    # each call builds its own parser
-    assert len(parsers) == 2 and parsers[0] is not parsers[1]
-    with pytest.raises(SystemExit):                 # the top-level "unrecognized" error
-        main(["flow", *sphere, "extra"])
-    assert len(full) == 1 and len(subparsers) == 1
+    assert not parsers and not full             # well-formed: read from the flag table
+    for _ in range(2):                          # the top-level "unrecognized" error
+        with pytest.raises(SystemExit):
+            main(["flow", *sphere, "extra"])
+    assert len(full) == 2 and full[0] is not full[1]
+    # each call builds the top-level parser and one per command, nothing else
+    per_call = 1 + len(cli._COMMANDS)
+    assert len(parsers) == 2 * per_call
+    assert parsers[0] is full[0] and parsers[per_call] is full[1]
 
 
 def test_no_cache_outlives_a_main_call(tmp_path):

@@ -117,6 +117,25 @@ def test_specs_outside_the_config_schema_are_rejected(spec, message):
         build_model(spec)
 
 
+# scalars are converted as entries are, and an integer field is never truncated
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "lie_group_quotient", "dim": "x"}, "dim must be an integer, got 'x'"),
+    ({"kind": "lie_group_quotient", "dim": None}, "dim must be an integer, got None"),
+    ({"kind": "lie_group_quotient", "dim": 3.7}, "dim must be an integer, got 3.7"),
+    ({"kind": "lie_group_quotient", "dim": 3, "covolume": "big"},
+     "covolume must be a number, got 'big'"),
+    ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1.9, 2, 3, 1.0]]},
+     "bracket entry needs 4 numbers 'i j k coeff', got [1.9, 2, 3, 1.0]"),
+    ({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, math.inf, 1.0]]},
+     "bracket entry needs 4 numbers 'i j k coeff', got [1, 2, inf, 1.0]"),
+    ({"kind": "product_of_space_forms", "factors": [["sphere", 3.5, 1.0]]},
+     "factor entry needs 'type dim radius', got ['sphere', 3.5, 1.0]"),
+])
+def test_non_integral_or_unconvertible_fields_are_rejected(spec, message):
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        build_model(spec)
+
+
 def test_jacobi_violation_names_triple():
     # [e1,e2]=e1, [e2,e3]=e2 fails the cyclic identity
     with pytest.raises(GeometryError, match="Jacobi"):

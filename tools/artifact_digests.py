@@ -1,8 +1,9 @@
-"""Print the sha256 of every artifact that ``flow``, ``check`` and ``sweep`` write.
+"""Print the sha256 of every artifact that ``flow``, ``check``, ``sweep`` and
+``constants`` write.
 
     python3 tools/artifact_digests.py [extra.cfg ...]
 
-Runs the three commands, in that order, on each config under ``configs/``
+Runs the commands, in that order, on each config under ``configs/``
 and then on each config named on the command line, with the ``riccilab``
 package of this checkout (``src/``).  Every config gets its own temporary
 directory, which is the working directory while the commands write to
@@ -12,7 +13,8 @@ each command the script prints its exit code, then one line per file the
 command wrote or changed: the sha256 and the file's name under the config's
 label (a shipped config's path relative to the repository root, an extra
 one's path as given).  Command output and warnings are discarded.  A config
-without a ``[sweep]`` block is swept with ``SWEEP_GRID``.
+without a ``[sweep]`` block is swept with ``SWEEP_GRID``, and ``constants``
+runs only on a config with a ``[constants]`` block.
 
 Run it from two checkouts and ``diff`` the outputs: equal outputs mean the
 two write byte-identical artifacts on those configs.
@@ -34,13 +36,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from riccilab.cli import main as riccilab_main
 from riccilab.config import ConfigError, parse_text
 
-COMMANDS = ("flow", "check", "sweep")
+COMMANDS = ("flow", "check", "sweep", "constants")
 SWEEP_GRID = ["--param", "metric_scale", "--values", "0.5,1,2"]
 
 
-def _has_sweep_block(config: Path) -> bool:
+def _has_block(config: Path, section: str) -> bool:
     try:
-        return "sweep" in parse_text(config.read_text(), str(config))
+        return section in parse_text(config.read_text(), str(config))
     except ConfigError:
         return True         # each command names the config's own error
 
@@ -54,7 +56,8 @@ def config_lines(config: Path, label: str) -> list[str]:
     """The exit code and artifact digests of each command on one config."""
     lines = []
     config = config.resolve()
-    sweep_args = [] if _has_sweep_block(config) else SWEEP_GRID
+    sweep_args = [] if _has_block(config, "sweep") else SWEEP_GRID
+    commands = COMMANDS if _has_block(config, "constants") else COMMANDS[:-1]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -62,7 +65,7 @@ def config_lines(config: Path, label: str) -> list[str]:
             out = Path("out")
             out.mkdir()
             before: dict[str, str] = {}
-            for command in COMMANDS:
+            for command in commands:
                 argv = [command, "--config", str(config), "--out", str(out)]
                 if command == "check":
                     argv += ["--trajectory", str(out / "trajectory.csv")]
