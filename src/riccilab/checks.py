@@ -293,14 +293,17 @@ def check_c0_bound(traj: Trajectory, cs0: float) -> CheckReport:
                                    "curvature: integrator defect"})
         return _fit_report("c0_bound", np.empty(0), int(np.sum(window)), {"T0": T0},
                            notes=("vacuous: zero curvature throughout",))
+    if not np.any(window):      # nothing to fit: a sup over no record is no constant
+        return CheckReport(name="c0_bound", status=UNAVAILABLE,
+                           details={"T0": T0, "cs0": cs0,
+                                    "reason": "no record in (0, T0]: lower flow.record_every "
+                                              "to put one there"})
     t_in = t[window]
     ratios = rm[window] * t_in / (cs0 * cs0 * rm0_n2)
     return _fit_report(
         "c0_bound", ratios, int(ratios.size),
-        {"T0": T0, "cs0": cs0,
-         "worst_t": float(t_in[np.argmax(ratios)]) if ratios.size else None,
-         "intermediate_time": _intermediate_time_readout(
-             traj, float(t_in[-1]) if ratios.size else float(t[-1]))})
+        {"T0": T0, "cs0": cs0, "worst_t": float(t_in[np.argmax(ratios)]),
+         "intermediate_time": _intermediate_time_readout(traj, float(t_in[-1]))})
 
 
 def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:

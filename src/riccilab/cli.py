@@ -38,7 +38,8 @@ def _json_bytes(obj) -> str:
 
 def _out_dir(cfg: RunConfig) -> Path:
     path = Path(cfg.out_dir or os.environ.get(OUTDIR_ENV) or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    if not path.is_dir():       # mkdir would raise and catch FileExistsError
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -253,12 +254,10 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float, point, thresholds: dict
 def _try_sweep_row(cfg: RunConfig, parameter: str, v: float, point,
                    thresholds: dict) -> tuple[dict | None, str | None]:
     """``_sweep_row`` at v and None, or None and why its invariants are not
-    finite: the error it raised or its first non-finite column."""
+    finite: the error it raised or its first non-finite column.  Called under
+    ``cmd_sweep``'s ``np.errstate``, so an overflow raises."""
     try:
-        # an invariant that overflows (the volume scales like value^n) is
-        # an error here, not a numpy warning followed by an inf row
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            row = _sweep_row(cfg, parameter, v, point, thresholds)
+        row = _sweep_row(cfg, parameter, v, point, thresholds)
     except (ArithmeticError, geometry.GeometryError) as exc:
         return None, str(exc)
     bad = next((c for c in _SWEEP_FINITE if not math.isfinite(row[c])), None)
@@ -289,17 +288,22 @@ def cmd_sweep(args) -> int:
     point = _sweep_points(model, parameter, cfg.source)
     thresholds = {}
     rows = []
-    for v in values:
-        _check_sweep_value(parameter, v, cfg.source)
-        row = _try_sweep_row(cfg, parameter, v, point, thresholds)[0]
-        if row is None:
-            raise ConfigError(_sweep_failure(cfg, parameter, v, point), cfg.source)
-        rows.append(row)
+    # an invariant that overflows (the volume scales like value^n) is an
+    # error in every row, and in _sweep_failure's reference row, not a
+    # numpy warning followed by an inf row
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for v in values:
+            _check_sweep_value(parameter, v, cfg.source)
+            row = _try_sweep_row(cfg, parameter, v, point, thresholds)[0]
+            if row is None:
+                raise ConfigError(_sweep_failure(cfg, parameter, v, point), cfg.source)
+            rows.append(row)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(_SWEEP_COLS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(row[c]) for c in _SWEEP_COLS) + "\n")
+        for row in rows:    # parameter, value and n, then one float per column
+            fh.write(",".join([row["parameter"], repr(row["value"]), str(row["n"]),
+                               *[repr(float(row[c])) for c in _SWEEP_COLS[3:]]]) + "\n")
     if cfg.out_format == "json":
         (out / "sweep.json").write_text(_json_bytes(rows))
     print(f"wrote {csv_path} ({len(rows)} rows)")
@@ -308,14 +312,6 @@ def cmd_sweep(args) -> int:
 
 def _nan(x) -> float:
     return math.nan if x is None else float(x)
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return repr(float(v))
 
 
 # the arguments every subcommand takes, as (flag, add_argument keywords)

@@ -7,6 +7,7 @@ import pytest
 from riccilab import (
     ConstantPrimitives,
     FlowConfig,
+    build_model,
     check_c0_bound,
     check_diameter_bound,
     check_holder,
@@ -161,6 +162,21 @@ def test_c0_bound_fails_on_curvature_from_a_flat_start(torus_model):
     assert (rep.status, rep.samples, rep.fitted_constant) == (FAIL, 4, None)    # t in (0, 1]
     assert rep.details == {"reason": "zero initial n/2 norm but nonzero later curvature: "
                                      "integrator defect"}
+
+
+def test_c0_bound_is_unavailable_without_a_record_in_its_window():
+    # e(2) from the identity: T0 = 1, but the first record after 0 is at 1.5625
+    model = build_model({"kind": "lie_group_quotient", "dim": 3,
+                         "brackets": [[2, 3, 1, 1.0], [3, 1, 2, 2.0]]})
+    traj = integrate(model, reference_metric(model), FlowConfig(t_end=100.0,
+                                                                record_every=1.5625))
+    assert traj.times[1] == 1.5625 and traj.derived["rm_n2_norm"][0] > 0.0
+    rep = check_c0_bound(traj, cs0=1.0)
+    assert (rep.status, rep.samples, rep.sup_ratio, rep.fitted_constant, rep.notes) == \
+        (UNAVAILABLE, 0, None, None, ())
+    assert rep.details == {"T0": 1.0, "cs0": 1.0,
+                           "reason": "no record in (0, T0]: lower flow.record_every "
+                                     "to put one there"}
 
 
 def test_c0_bound_sphere_finite_and_rescale_invariant(s3_traj):

@@ -588,6 +588,11 @@ REJECTED = [
     pytest.param(HEIS_CFG, [], _field(5, "g_0_1", "\uff10.0"), 3,
                  _schema_error("line 5: could not convert string to float: '\uff10.0'"),
                  id="non-ascii-digit"),
+    # an output directory that is a file, or lies below one
+    pytest.param(HEIS_CFG, ["--out", "{cfg}"], None, 2,
+                 "error: [Errno 17] File exists: '{cfg}'", id="out-is-a-file"),
+    pytest.param(HEIS_CFG, ["--out", "{cfg}/sub"], None, 2,
+                 "error: [Errno 20] Not a directory: '{cfg}/sub'", id="out-below-a-file"),
 ]
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import re
 import warnings
 from pathlib import Path
@@ -649,15 +651,16 @@ def test_ricci_terms_are_read_only_model_constants(heis_model, prod_model):
 def test_product_layout_is_a_read_only_model_constant_free_of_radii(heis_model, prod_model):
     # each product builds its own layout, from factor types and dimensions only
     other = sphere_circle_model(3, circle_radius=7.0, sphere_radius=1e-40)
-    assert len(other.layout) == len(prod_model.layout) == 6
+    assert len(other.layout) == len(prod_model.layout) == 7
     for mine, theirs in zip(prod_model.layout, other.layout):
         assert np.array_equal(mine, theirs) and mine is not theirs
         assert not mine.flags.writeable
-    starts, spread, ric_form, block, sphere, coeff = prod_model.layout
+    starts, spread, ric_form, block, sphere, coeff, eye = prod_model.layout
     assert starts.tolist() == [0, 15] and block.tolist() == [0, 0, 0, 1]
     assert np.array_equal(spread.reshape(2, 4, 4).sum(axis=0), np.eye(4))
     assert np.array_equal(ric_form, np.diag([2.0, 2.0, 2.0, 0.0]))
     assert sphere.tolist() == [0] and coeff.tolist() == [math.sqrt(12.0)]
+    assert np.array_equal(eye, np.eye(4)) and eye.dtype == float
     assert heis_model.layout is None
 
 
@@ -674,6 +677,7 @@ PRODUCT_FACTORS = [
     [["sphere", 3, 1.0]],
     [["sphere", 3, 1.0], ["circle", 1, 0.5]],
     [["sphere", 2, 1.0], ["flat_torus", 2, 1.0], ["sphere", 4, 2.0]],
+    [["sphere", 2, 1.0], ["sphere", 3, 0.7], ["flat_torus", 3, 2.0], ["circle", 1, 0.1]],
 ]
 
 
@@ -695,6 +699,8 @@ def test_curvature_batch_products_match_closed_forms(factors, data):
         assert np.abs(cb.ric[m] - np.diag(ric)).max() <= 1e-12 * scale
         assert np.abs(cb.ric_eigs[m] - np.sort(ric)).max() <= 1e-12 * scale
         assert abs(cb.scalar[m] - ric.sum()) <= 1e-12 * scale
+        # bit for bit the left-to-right sum, which numpy's sum is not from n = 8 on
+        assert cb.scalar[m] == functools.reduce(operator.add, ric.tolist())
         assert math.isclose(cb.vol[m], volume(model, g), rel_tol=1e-12)
 
 
