@@ -394,9 +394,8 @@ def _block_layout(factors: Sequence[tuple[str, int, float]]) -> tuple[np.ndarray
     n * n entries, as read-only arrays: the index of each factor block's
     first diagonal entry, the 0/1 map (num_factors, n * n) that puts each
     scale on its block's diagonal, the fixed-basis Ricci form (n, n), the
-    same at every scale, the factor of each direction (n,), the factor
-    and sqrt(2 d (d - 1)) of each d-sphere (num_spheres,), and the identity
-    (n, n) that puts the Ricci eigenvalues on a diagonal."""
+    same at every scale, the factor of each direction (n,), and the factor
+    and sqrt(2 d (d - 1)) of each d-sphere (num_spheres,)."""
     dims = [d for _, d, _ in factors]
     n = sum(dims)
     # plain lists first: a few numpy calls build the arrays, in every model build
@@ -407,7 +406,7 @@ def _block_layout(factors: Sequence[tuple[str, int, float]]) -> tuple[np.ndarray
     sphere = [f for f, (ftype, _, _) in enumerate(factors) if ftype == FACTOR_SPHERE]
     out = (np.array([sum(dims[:f]) * (n + 1) for f in range(len(dims))]), spread,
            np.diag(ric), np.array(block), np.array(sphere, dtype=np.intp),
-           np.array([math.sqrt(2.0 * dims[f] * (dims[f] - 1)) for f in sphere]), np.eye(n))
+           np.array([math.sqrt(2.0 * dims[f] * (dims[f] - 1)) for f in sphere]))
     for a in out:
         a.setflags(write=False)
     return out
@@ -728,13 +727,13 @@ def _product_batch(model: ModelGeometry, scales: np.ndarray) -> CurvatureBatch:
     """The batch of products at positive scales (M, num_factors), or a row at (num_factors,),
     in closed form: Ric is (d - 1) / s on each direction of a d-sphere of scale s and 0
     on circles and flat tori; |Rm| adds sqrt(2 d (d - 1)) / s per d-sphere."""
-    ric_form, block, sphere, coeff, eye = model.layout[2:]
-    ric = ric_form.diagonal() / scales[..., block]         # (..., n) per direction
-    # left to right, as numpy's sum is not (it pairs terms by memory layout): a row in one
-    # accumulate, a stack by columns, where accumulate is slower than n - 1 vector adds
-    scalar = np.add.accumulate(ric)[-1] if ric.ndim == 1 else sum(ric.T[1:], ric.T[0])
+    ric_form, block, sphere, coeff = model.layout[2:]
+    ric_mat = ric_form / scales[..., block, None]         # (..., n, n), 0 off the diagonal
+    ric = ric_mat.diagonal(axis1=-2, axis2=-1)             # (..., n) per direction
+    # left to right, as accumulate always adds; numpy's sum pairs terms by memory layout
+    scalar = np.add.accumulate(ric, axis=-1)[..., -1]
     norms = np.hypot.reduce(coeff / scales[..., sphere], axis=-1, initial=0.0)
-    return CurvatureBatch(ric=ric[..., None] * eye, scalar=scalar,
+    return CurvatureBatch(ric=ric_mat, scalar=scalar,
                           rm_norm=norms, ric_eigs=np.sort(ric, axis=-1),
                           vol=_product_volume(model, scales))
 
