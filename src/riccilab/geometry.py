@@ -730,7 +730,7 @@ def _product_batch(model: ModelGeometry, scales: np.ndarray) -> CurvatureBatch:
     ric_form, block, sphere, coeff = model.layout[2:]
     ric_mat = ric_form / scales[..., block, None]         # (..., n, n), 0 off the diagonal
     ric = ric_mat.diagonal(axis1=-2, axis2=-1)             # (..., n) per direction
-    # left to right, as accumulate always adds; numpy's sum pairs terms by memory layout
+    # left to right, which numpy's sum is not: it pairs terms by memory layout
     scalar = np.add.accumulate(ric, axis=-1)[..., -1]
     norms = np.hypot.reduce(coeff / scales[..., sphere], axis=-1, initial=0.0)
     return CurvatureBatch(ric=ric_mat, scalar=scalar,
