@@ -56,6 +56,7 @@ _REL_SLACK = 1e-12
 _IDENTITY_TOL = 1e-7          # residual tolerance of the two exact identities
 _WORST_TOP = 3                # worst residuals listed per identity report
 _MAX_WITNESS_TIMES = 17       # record times at which Sobolev witnesses are evaluated
+_DERIVATIVE_RECORDS = 3       # fewest records grid_derivative differentiates
 
 
 class CheckReport:
@@ -98,8 +99,9 @@ def grid_derivative(times: np.ndarray,
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if len(t) < 3:
-        raise ValueError("need at least 3 recorded states for time derivatives")
+    if len(t) < _DERIVATIVE_RECORDS:
+        raise ValueError(f"need at least {_DERIVATIVE_RECORDS} recorded states "
+                         "for time derivatives")
     idx = np.arange(1, len(t) - 1)
     span = t[2:] - t[:-2]
     dt = np.diff(t)
@@ -122,6 +124,17 @@ def grid_derivative(times: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # trajectory checks
+
+
+def _too_few_records(name: str, traj: Trajectory) -> CheckReport | None:
+    """The ``unavailable`` report of a time-derivative check on too few records."""
+    if len(traj) >= _DERIVATIVE_RECORDS:
+        return None
+    return CheckReport(name=name, status=UNAVAILABLE,
+                       details={"records": len(traj),
+                                "reason": f"time derivatives need at least "
+                                          f"{_DERIVATIVE_RECORDS} recorded states, "
+                                          f"got {len(traj)}"})
 
 
 def _identity_report(name: str, traj: Trajectory, values: np.ndarray, rhs, tol: float,
@@ -154,7 +167,10 @@ def check_volume_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> Check
     is an equality on homogeneous spaces and is asserted as such; the
     curvature-norm variant only fixes |R| <= c |Rm| up to the frame bound
     sqrt(n(n-1)/2), so its constant is fitted and checked against that bound.
+    Fewer than 3 records make it ``unavailable``.
     """
+    if (report := _too_few_records("volume_identity", traj)) is not None:
+        return report
     n = traj.model.dim
     vol = traj.derived["vol"]
     R = traj.derived["scalar_R"]
@@ -191,7 +207,10 @@ def check_scalar_identity(traj: Trajectory, tol: float = _IDENTITY_TOL) -> Check
     """dR/dt = 2 |Ric|^2, the homogeneous reduction of the scalar evolution.
 
     |Ric|^2 is the sum of the squared Ricci eigenvalues stored per record.
+    Fewer than 3 records make it ``unavailable``.
     """
+    if (report := _too_few_records("scalar_identity", traj)) is not None:
+        return report
     ric = traj.derived["ric_eigs"]
     return _identity_report("scalar_identity", traj, traj.derived["scalar_R"],
                             lambda i: 2.0 * np.sum(ric[i] ** 2, axis=1), tol)
@@ -313,9 +332,12 @@ def check_lp_evolution(traj: Trajectory, p: float) -> CheckReport:
     on homogeneous models and is noted as such; the fit uses only times
     where the derivative is positive beyond its rounding noise, and so does
     the pointwise variant d|Rm|/dt <= c |Rm|^2 reported as ``pointwise_fit``.
+    Fewer than 3 records make it ``unavailable``.
     """
     if not p >= 1.0:
         raise ValueError(f"exponent p must be >= 1, got {p}")
+    if (report := _too_few_records(f"lp_evolution_p{p:g}", traj)) is not None:
+        return report
     t = traj.times
     rm = traj.derived["rm_norm"]
     vol = traj.derived["vol"]

@@ -498,25 +498,48 @@ _OVERFLOWED = {"J": ": J = ||Rm||_{n/2}^{n/2} overflowed",
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write ``trajectory_table(traj)`` under a ``csv_columns`` header.
 
-    Each field is ``repr`` of the float, byte for byte.  Most values repeat
-    (a block-scalar metric, zero off-diagonals, θ = ‖Rm‖_{n/2} at cs0 = 1),
-    so each distinct value is formatted once.  Values are told apart by
-    their bits, not by float equality, which would merge 0.0 with -0.0.
-    A non-finite field raises ValueError, naming it as the reader would,
-    before the file is opened.
+    Each field is ``repr`` of the float, byte for byte.  The table is
+    formatted one column at a time: a column whose bits equal an earlier
+    column's (zero off-diagonals, a block-scalar metric, θ = ‖Rm‖_{n/2} at
+    cs0 = 1) reuses that column's strings.  A strictly monotone column (t,
+    most metric and derived columns of a flow) is formatted value by value
+    with no sort; any other formats each of its distinct values once.
+    Values are told apart by their bits, not by float equality, which would
+    merge 0.0 with -0.0.  A non-finite field raises ValueError, naming it
+    as the reader would, before the file is opened.
     """
-    table, cols = np.ascontiguousarray(trajectory_table(traj)), csv_columns(traj.model.dim)
+    table, cols = trajectory_table(traj), csv_columns(traj.model.dim)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"cannot write {path}: "
                          f"{_nonfinite(row + 2, cols[col], float(table[row, col]))}"
                          f"{_OVERFLOWED.get(cols[col], '')}")
-    keys, where = np.unique(table.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    lines = [",".join(cols)]
-    lines += [",".join(row) for row in text[where.reshape(table.shape)].tolist()]
+    columns = np.ascontiguousarray(table.T)
+    seen: dict[bytes, list[str]] = {}
+    text = []
+    for col in columns:
+        key = col.tobytes()
+        if key not in seen:
+            seen[key] = _column_text(col)
+        text.append(seen[key])
+    lines = [",".join(cols), *map(",".join, zip(*text))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _column_text(col: np.ndarray) -> list[str]:
+    """``repr`` of each value of a finite column, each distinct value formatted once.
+
+    A strictly monotone column repeats no value, so it needs no sort; any
+    other is deduplicated on its bit patterns.  Monotonicity compares
+    ``col[1:]`` with ``col[:-1]``: ``np.diff`` would overflow next to ±max.
+    """
+    later, earlier = col[1:], col[:-1]
+    if (later > earlier).all() or (later < earlier).all():
+        return list(map(repr, col.tolist()))
+    keys, where = np.unique(col.view(np.int64), return_inverse=True)
+    distinct = list(map(repr, keys.view(np.float64).tolist()))
+    return [distinct[i] for i in where.tolist()]
 
 
 def _nonfinite(ln: int, col: str, v: float) -> TrajectorySchemaError:

@@ -64,6 +64,14 @@ def test_grid_derivative_nonuniform_fallback():
     assert np.array_equal(gain, 2.0 / (t[idx + 1] - t[idx - 1]))   # sum |c| = 1 + 1
 
 
+@pytest.mark.parametrize("records", [1, 2])
+def test_grid_derivative_needs_three_states(records):
+    t = np.arange(records, dtype=float)
+    with pytest.raises(ValueError, match="^need at least 3 recorded states for time "
+                                         "derivatives$"):
+        grid_derivative(t, t)
+
+
 # -- volume identity -----------------------------------------------------------
 
 def test_volume_identity_flat_torus(torus_traj):
@@ -108,10 +116,20 @@ def test_volume_identity_fails_above_the_frame_bound(torus_model):
 
 
 def test_volume_identity_needs_states(s3_model):
+    # two records give no time derivative: each derivative check is unavailable,
+    # naming the record count, and the run goes on
     traj = integrate(s3_model, reference_metric(s3_model),
                      FlowConfig(t_end=0.01, record_every=0.01))
-    with pytest.raises(ValueError, match="at least 3"):
-        check_volume_identity(traj)
+    assert len(traj) == 2
+    reports = [check_volume_identity(traj), check_scalar_identity(traj),
+               check_lp_evolution(traj, 1.5), check_lp_evolution(traj, 2.0)]
+    assert [r.name for r in reports] == ["volume_identity", "scalar_identity",
+                                         "lp_evolution_p1.5", "lp_evolution_p2"]
+    for rep in reports:
+        assert (rep.status, rep.samples, rep.sup_ratio, rep.fitted_constant, rep.notes) == \
+            (UNAVAILABLE, 0, None, None, ())
+        assert rep.details == {"records": 2, "reason": "time derivatives need at least 3 "
+                                                       "recorded states, got 2"}
 
 
 # -- scalar identity -------------------------------------------------------------

@@ -519,9 +519,23 @@ def _extra_column(lines):
     lines[0] += ",x"
 
 
+def _unedited(lines):
+    pass
+
+
+def _one_record(lines):
+    del lines[2:]
+
+
+# the checks that take a time derivative, unavailable on fewer than 3 records
+DERIVATIVE_CHECKS = ("lp_evolution_n2", "lp_evolution_p2", "scalar_identity",
+                     "volume_identity")
+
 # (config, extra arguments, trajectory edit, exit code, stderr): a config or
 # override is rejected by `flow`; a trajectory edit of a heisenberg run's file
-# by `check`.  "{cfg}" stands for the config's path.
+# by `check`.  "{cfg}" stands for the config's path.  A trajectory of 1 or 2
+# records is not rejected: `check` exits 0, silent, with DERIVATIVE_CHECKS
+# unavailable and a verdict from every other check.
 REJECTED = [
     pytest.param(_BRACKETS.format("1 2 3"), [], None, 2,
                  "config error: {cfg}:4: malformed model.brackets entry '1 2 3'",
@@ -579,6 +593,9 @@ REJECTED = [
                  id="header-only-trajectory"),
     pytest.param(HEIS_CFG, [], _extra_column, 3, _schema_error("unexpected extra column 'x'"),
                  id="extra-column"),
+    pytest.param(HEIS_CFG, ["--override", "flow.t_end=1e-300"], _unedited, 0, "",
+                 id="two-record-trajectory"),
+    pytest.param(HEIS_CFG, [], _one_record, 0, "", id="one-record-trajectory"),
     pytest.param(HEIS_CFG, [], _field(2, "t", "-1.0"), 3,
                  _schema_error("column 't' must start at 0"), id="t-not-from-0"),
     # fields that float() reads but numpy's reader refuses
@@ -611,7 +628,14 @@ def test_rejected_input_exits_naming_its_cause(cfgfile, tmp_path, capsys, config
         argv = ["check", "--config", cfg, "--out", str(out), "--trajectory", str(bad)]
     capsys.readouterr()
     assert main(argv) == rc
-    assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+    assert capsys.readouterr().err == (message.format(cfg=cfg) + "\n" if message else "")
+    if rc == 0:
+        report = json.loads((out / "report.json").read_text())
+        unavailable = {r["name"] for r in report if r["status"] == "unavailable"}
+        assert unavailable - {"c0_bound", "diameter_bound", "sobolev_along_flow"} == \
+            set(DERIVATIVE_CHECKS)
+        assert all(r["details"]["records"] == len(lines) - 1 for r in report
+                   if r["name"] in DERIVATIVE_CHECKS)
 
 
 @pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",

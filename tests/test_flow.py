@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -608,8 +609,9 @@ def _assert_csv_is_per_value_repr(model, table, path):
 
 
 def test_csv_writer_keeps_every_bit_pattern(heis_model, tmp_path):
-    # the writer formats each distinct value once; these are the values a
-    # dedup on float equality, or a wrong notation switch, would get wrong;
+    # the writer formats each distinct column once and dedupes a column that
+    # is not strictly monotone; these are the values a dedup on float
+    # equality, or a wrong notation switch, would get wrong;
     # every row of the first table holds inf, -inf and nan, the second none
     sub = 5e-324
     edge = [0.0, -0.0, math.inf, -math.inf, math.nan, sub, 3 * sub, 2.2e-308,
@@ -627,23 +629,59 @@ def test_csv_writer_keeps_every_bit_pattern(heis_model, tmp_path):
 _SIGNED_ZEROS_NAN = np.array([0.0, -0.0, math.nan, -math.nan]).view(np.int64).tolist()
 
 
-@settings(max_examples=50, deadline=None)
+_FLOAT_MAX = sys.float_info.max
+_TIES = [-_FLOAT_MAX, -1.5, -0.0, 0.0, 5e-324, 1.0, _FLOAT_MAX]
+
+
+def _draw_column(data, rows, earlier):
+    """One column of a structured table: sorted either way, strictly or with
+    ties, a bitwise copy of an earlier column, constant, or with -0.0 next to
+    0.0 or -max next to max in an otherwise sorted column."""
+    kind = data.draw(st.sampled_from(["strict", "ties", "copy", "constant", "zeros", "max"]))
+    if kind == "copy" and earlier:
+        return earlier[data.draw(st.integers(0, len(earlier) - 1))].copy()
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "constant":
+        return np.full(rows, data.draw(st.one_of(st.sampled_from(_TIES), finite)))
+    if kind == "ties":
+        values = data.draw(st.lists(st.sampled_from(_TIES), min_size=rows, max_size=rows))
+    else:
+        values = data.draw(st.lists(finite, min_size=rows, max_size=rows, unique=True))
+    values = sorted(values, reverse=data.draw(st.booleans()))
+    if kind in ("zeros", "max"):
+        pair = [-0.0, 0.0] if kind == "zeros" else [-_FLOAT_MAX, _FLOAT_MAX]
+        i = data.draw(st.integers(0, max(rows - 2, 0)))
+        values[i:i + 2] = pair[::data.draw(st.sampled_from([1, -1]))][:rows]
+    return np.array(values)
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_csv_writer_matches_per_value_repr_on_bit_patterns(heis_model, tmp_path_factory,
                                                            data):
-    # a small pool of arbitrary bit patterns, drawn with repeats, as in a real table
-    pool = np.array(data.draw(st.lists(
-        st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_SIGNED_ZEROS_NAN)),
-        min_size=1, max_size=8)), dtype=np.int64)
-    shape = (data.draw(st.integers(1, 6)), len(csv_columns(heis_model.dim)))
-    pick = data.draw(arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
     path = tmp_path_factory.mktemp("bits") / "t.csv"
-    _assert_csv_is_per_value_repr(heis_model, pool[pick].view(np.float64), path)
-    # the same draw over the pool's finite patterns only, which the writer keeps
-    finite = pool[np.isfinite(pool.view(np.float64))]
-    if finite.size:
-        _assert_csv_is_per_value_repr(heis_model, finite[pick % finite.size].view(np.float64),
-                                      path)
+    shape = (data.draw(st.integers(1, 6)), len(csv_columns(heis_model.dim)))
+    if data.draw(st.booleans(), label="structured columns"):
+        # columns as a trajectory's are: repeated, monotone or constant
+        columns = []
+        for _ in range(shape[1]):
+            columns.append(_draw_column(data, shape[0], columns))
+        tables = [np.column_stack(columns)]
+    else:
+        # a small pool of arbitrary bit patterns, drawn with repeats, as in a real table
+        pool = np.array(data.draw(st.lists(
+            st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_SIGNED_ZEROS_NAN)),
+            min_size=1, max_size=8)), dtype=np.int64)
+        pick = data.draw(arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
+        tables = [pool[pick].view(np.float64)]
+        # the same draw over the pool's finite patterns only, which the writer keeps
+        finite = pool[np.isfinite(pool.view(np.float64))]
+        if finite.size:
+            tables.append(finite[pick % finite.size].view(np.float64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # an overflowing monotonicity test fails
+        for table in tables:
+            _assert_csv_is_per_value_repr(heis_model, table, path)
 
 
 _EDGE_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
