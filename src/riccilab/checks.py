@@ -111,8 +111,10 @@ def grid_derivative(times: np.ndarray,
         deriv = (v[2:] - v[:-2]) / span
         return idx, deriv, 2.0 / span, 2
     deriv = np.empty(len(idx))
-    deriv[0] = (_STENCILS[0] / 12.0) @ v[0:5] / h
-    deriv[-1] = (-_STENCILS[0, ::-1] / 12.0) @ v[-5:] / h
+    # divide after the dot product: the integer weights sum to exactly 0, the
+    # weights over 12 do not
+    deriv[0] = _STENCILS[0] @ v[0:5] / (12.0 * h)
+    deriv[-1] = -_STENCILS[0, ::-1] @ v[-5:] / (12.0 * h)
     c = _STENCILS[1]
     deriv[1:-1] = (c[0] * v[:-4] + c[1] * v[1:-3] + c[3] * v[3:-1] + c[4] * v[4:]) / (12.0 * h)
     # span = 2 h: a stencil's weights over the span are its numerators / 6

@@ -20,8 +20,8 @@ the same schema.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .constants import ConstantPrimitives
 from .flow import FlowConfig
@@ -38,14 +38,15 @@ class ConfigError(ValueError):
         super().__init__(where + message)
 
 
-class _Field(NamedTuple):
-    kind: str            # float|int|posint|str|enum|entries|floats|optfloat
-    default: object = None
-    choices: tuple[str, ...] = ()
-    listlike: bool = False
-    minimum: int = 1     # posint only
-    attr: str | None = None   # RunConfig attribute of a plain key
-    bound: str | None = None  # "positive" or "nonnegative", checked with finiteness
+_Field = namedtuple("_Field", (
+    "kind",       # str: float|int|posint|str|enum|entries|floats|optfloat
+    "default",    # object
+    "choices",    # tuple[str, ...]
+    "listlike",   # bool
+    "minimum",    # int, posint only
+    "attr",       # str | None: RunConfig attribute of a plain key
+    "bound",      # str | None: "positive" or "nonnegative", checked with finiteness
+), defaults=(None, (), False, 1, None, None))
 
 
 _BOUNDS = {"positive": ("positive and finite", lambda v: 0.0 < v < math.inf),

@@ -23,16 +23,18 @@ on a closed-form bracket down to float resolution; the unique root feeds
 the threshold chain.  The Moser schedule fields are kept in exact rational
 arithmetic so the limit identities ``sum 1/q_{k+1} = (n-2)/n`` and
 ``sum 1/q_k = 1 - 4/n^2`` are checked without floating error.
-``ConstantChain`` and ``MoserSchedule`` are ``typing.NamedTuple`` records
-with tuple semantics; ``ConstantPrimitives`` is a slot class.
+``ConstantChain``, ``ChainThresholds`` and ``MoserSchedule`` are
+``collections.namedtuple`` records with tuple semantics, whose field types
+are comments, so that importing the module compiles no ``ForwardRef``;
+``ConstantPrimitives`` is a slot class.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .sobolev import DEFAULT_GALLOT, GallotConstant
 
@@ -145,23 +147,25 @@ def solve_c_n_gamma(primitives: ConstantPrimitives, n: int, gamma: float) -> flo
     return x
 
 
-class ConstantChain(NamedTuple):
+class ConstantChain(namedtuple("ConstantChain", (
+        "n",              # int
+        "gamma",          # float
+        "vol0",           # float
+        "cs0",            # float
+        "rm_n2_0",        # float
+        "delta0",         # float
+        "c_n_gamma",      # float
+        "b_n_gamma",      # float
+        "eps_n_gamma",    # float
+        "eps1_n_gamma",   # float
+        "eps_n_main",     # float
+        "T0",             # float
+        "T1",             # float
+        "primitives",     # dict
+))):
     """Every derived threshold, a deterministic function of the primitives."""
 
-    n: int
-    gamma: float
-    vol0: float
-    cs0: float
-    rm_n2_0: float
-    delta0: float
-    c_n_gamma: float
-    b_n_gamma: float
-    eps_n_gamma: float
-    eps1_n_gamma: float
-    eps_n_main: float
-    T0: float
-    T1: float
-    primitives: dict
+    __slots__ = ()
 
     def describe(self) -> dict:
         out = self._asdict()
@@ -169,17 +173,18 @@ class ConstantChain(NamedTuple):
         return out
 
 
-class ChainThresholds(NamedTuple):
-    """The fields of a ``ConstantChain`` that depend on (primitives, n, gamma) only."""
-
-    n: int
-    gamma: float
-    c_n_gamma: float
-    b_n_gamma: float
-    eps_n_gamma: float
-    eps1_n_gamma: float
-    eps_n_main: float
-    primitives: dict
+ChainThresholds = namedtuple("ChainThresholds", (
+    "n",              # int
+    "gamma",          # float
+    "c_n_gamma",      # float
+    "b_n_gamma",      # float
+    "eps_n_gamma",    # float
+    "eps1_n_gamma",   # float
+    "eps_n_main",     # float
+    "primitives",     # dict
+))
+ChainThresholds.__doc__ = (
+    """The fields of a ``ConstantChain`` that depend on (primitives, n, gamma) only.""")
 
 
 def chain_thresholds(primitives: ConstantPrimitives, n: int, gamma: float) -> ChainThresholds:
@@ -244,7 +249,23 @@ def theorem_c_threshold(chain: ConstantChain, primitives: ConstantPrimitives,
     return chain.eps_n_main / (c * c)
 
 
-class MoserSchedule(NamedTuple):
+class MoserSchedule(namedtuple("MoserSchedule", (
+        "n",                      # int
+        "t_prime",                # float
+        "k_max",                  # int
+        "p0",                     # Fraction
+        "q0",                     # Fraction
+        "mu",                     # Fraction
+        "q",                      # tuple[Fraction, ...]
+        "tau",                    # tuple[float, ...]
+        "sum_inv_q_next",         # Fraction: sum_{k=0..K} 1/q_{k+1}
+        "sum_inv_q",              # Fraction: sum_{k=0..K} 1/q_k
+        "sum_k_over_q",           # Fraction: sum_{k=0..K} k/q_k
+        "limit_sum_inv_q_next",   # Fraction
+        "limit_sum_inv_q",        # Fraction
+        "limit_sum_k_over_q",     # Fraction
+        "limit_exponents",        # tuple[Fraction, Fraction, Fraction, Fraction]
+))):
     """Exponent and time ladders of the iteration, with exact rational sums.
 
     ``q[k] = q0 * mu^k`` with mu = 1 + 2/n and q0 = n^2 / (2(n-2));
@@ -253,21 +274,7 @@ class MoserSchedule(NamedTuple):
     are exact as well, so the identities are checked without rounding.
     """
 
-    n: int
-    t_prime: float
-    k_max: int
-    p0: Fraction
-    q0: Fraction
-    mu: Fraction
-    q: tuple[Fraction, ...]
-    tau: tuple[float, ...]
-    sum_inv_q_next: Fraction       # sum_{k=0..K} 1/q_{k+1}
-    sum_inv_q: Fraction            # sum_{k=0..K} 1/q_k
-    sum_k_over_q: Fraction         # sum_{k=0..K} k/q_k
-    limit_sum_inv_q_next: Fraction
-    limit_sum_inv_q: Fraction
-    limit_sum_k_over_q: Fraction
-    limit_exponents: tuple[Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ()
 
     def tail_inv_q(self, k: int) -> Fraction:
         """Exact geometric tail sum_{j>k} 1/q_j."""

@@ -41,17 +41,19 @@ also take a stack (M, n, n); ``curvature`` and ``rm_norm`` read one metric as
 a row, bit for bit the batch's.  ``factor_scales`` is the one reader of a
 product metric's scales and ``metric_from_scales`` the one writer.  The value
 types ``ModelGeometry``, ``CurvatureData`` and ``CurvatureBatch`` are
-``typing.NamedTuple`` records, with tuple semantics (``==`` compares them as
-tuples), except that models compare and hash by ``describe()``; all
-operations are pure.
+``collections.namedtuple`` records, with tuple semantics (``==`` compares
+them as tuples), except that models compare and hash by ``describe()``; all
+operations are pure.  Their field types are comments, so that importing
+the module compiles no ``ForwardRef``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from decimal import Decimal
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,7 +106,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ModelGeometry(NamedTuple):
+class ModelGeometry(namedtuple("ModelGeometry", (
+        "kind",                 # str
+        "dim",                  # int
+        "structure_constants",  # np.ndarray | None
+        "covolume",             # float | None
+        "factors",              # tuple[tuple[str, int, float], ...] | None
+        "ricci_terms",          # tuple[np.ndarray, ...] | None
+        "layout",               # tuple[np.ndarray, ...] | None
+), defaults=(None,) * 5)):
     """Descriptor of a homogeneous model space.
 
     ``structure_constants`` is stored as ``c[k, i, j] = c^k_{ij}`` for
@@ -118,13 +128,7 @@ class ModelGeometry(NamedTuple):
     ``describe()`` and never an array.
     """
 
-    kind: str
-    dim: int
-    structure_constants: np.ndarray | None = None
-    covolume: float | None = None
-    factors: tuple[tuple[str, int, float], ...] | None = None
-    ricci_terms: tuple[np.ndarray, ...] | None = None
-    layout: tuple[np.ndarray, ...] | None = None
+    __slots__ = ()
 
     def describe(self) -> dict:
         """JSON-serializable description (round-trips through build_model)."""
@@ -162,8 +166,16 @@ class ModelGeometry(NamedTuple):
         return hash(self._key())
 
 
-class CurvatureData(NamedTuple):
-    """Orthonormal-frame curvature of one metric.
+CurvatureData = namedtuple("CurvatureData", (
+    "ric",        # np.ndarray
+    "scalar",     # float
+    "rm_norm",    # float
+    "sec_min",    # float
+    "sec_max",    # float
+    "ric_eigs",   # np.ndarray
+    "vol",        # float
+))
+CurvatureData.__doc__ = """Orthonormal-frame curvature of one metric.
 
     Every field but ``sec_min``/``sec_max`` is the metric's ``CurvatureBatch``
     row.  ``sec_min``/``sec_max`` are the extremes of the sectional curvature
@@ -180,14 +192,6 @@ class CurvatureData(NamedTuple):
 
     ``curvature``, the one builder, makes the arrays read-only.
     """
-
-    ric: np.ndarray
-    scalar: float
-    rm_norm: float
-    sec_min: float
-    sec_max: float
-    ric_eigs: np.ndarray
-    vol: float
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +642,15 @@ def _sec_extremes(rm: np.ndarray, plane_samples: int, seed: int) -> tuple[float,
     return _sampled_sec_extremes(op, plane_samples, seed)
 
 
-class CurvatureBatch(NamedTuple):
-    """Curvature of a stack of M metrics, one row per metric: see
+CurvatureBatch = namedtuple("CurvatureBatch", (
+    "ric",        # np.ndarray (M, n, n) orthonormal-frame Ricci
+    "scalar",     # np.ndarray (M,)
+    "rm_norm",    # np.ndarray (M,) pointwise |Rm|
+    "ric_eigs",   # np.ndarray (M, n) ascending Ricci eigenvalues
+    "vol",        # np.ndarray (M,) total volume
+))
+CurvatureBatch.__doc__ = """Curvature of a stack of M metrics, one row per metric: see
     ``_quotient_batch`` and ``_product_batch``."""
-
-    ric: np.ndarray         # (M, n, n) orthonormal-frame Ricci
-    scalar: np.ndarray      # (M,)
-    rm_norm: np.ndarray     # (M,) pointwise |Rm|
-    ric_eigs: np.ndarray    # (M, n) ascending Ricci eigenvalues
-    vol: np.ndarray         # (M,) total volume
 
 
 def _ricci_form(terms: tuple[np.ndarray, ...], g: np.ndarray,

@@ -11,13 +11,15 @@ bound from explicit test functions (any single u bounds the defining sup
 from below).  On homogeneous models every integrand is constant, so the
 curvature norms reduce to closed forms.  ``GallotConstant``,
 ``SobolevEstimate``, ``Witness``, ``WitnessNorms`` and ``LowerBound`` are
-``typing.NamedTuple`` records with tuple semantics.
+``collections.namedtuple`` records with tuple semantics, whose field types
+are comments, so that importing the module compiles no ``ForwardRef``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,7 +61,10 @@ FAMILY_NAMES = ("eigenfunction", "bump", "cap")
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-class GallotConstant(NamedTuple):
+class GallotConstant(namedtuple("GallotConstant", (
+        "c0",       # float
+        "growth",   # str
+), defaults=(1.0, "exp_sqrt"))):
     """Configurable constant c(n, kappa) for the diameter/volume Sobolev bound.
 
     The default grows like exp(sqrt(kappa)) from a flat table value at
@@ -67,8 +72,7 @@ class GallotConstant(NamedTuple):
     way it is monotone nondecreasing in kappa and is echoed into reports.
     """
 
-    c0: float = 1.0
-    growth: str = "exp_sqrt"
+    __slots__ = ()
 
     def __call__(self, n: int, kappa: float) -> float:
         if not kappa >= 0:
@@ -86,16 +90,16 @@ class GallotConstant(NamedTuple):
 DEFAULT_GALLOT = GallotConstant()
 
 
-class SobolevEstimate(NamedTuple):
-    """Two-sided estimate; either side may be absent (None)."""
-
-    upper: float | None
-    lower: float | None
-    kappa: float
-    witness: str | None = None
-    lower_clamped: bool = False
-    lower_exceeds_upper: bool = False
-    strategy: dict | None = None
+SobolevEstimate = namedtuple("SobolevEstimate", (
+    "upper",                 # float | None
+    "lower",                 # float | None
+    "kappa",                 # float
+    "witness",               # str | None
+    "lower_clamped",         # bool
+    "lower_exceeds_upper",   # bool
+    "strategy",              # dict | None
+), defaults=(None, False, False, None))
+SobolevEstimate.__doc__ = """Two-sided estimate; either side may be absent (None)."""
 
 
 def lp_norm_of_constant(value: float, vol: float, p: float) -> float:
@@ -143,29 +147,30 @@ def integral_ricci_deficit(curv: CurvatureData, vol: float, p: float,
 # test-function witnesses (1D profiles on a sphere/circle factor of a product)
 
 
-class Witness(NamedTuple):
-    """Piecewise-smooth profile on one factor, with analytic derivative.
+Witness = namedtuple("Witness", (
+    "name",           # str
+    "factor_index",   # int
+    "profile",        # Callable[[np.ndarray], np.ndarray]
+    "dprofile",       # Callable[[np.ndarray], np.ndarray]
+    "breakpoints",    # tuple[float, ...]
+), defaults=((),))
+Witness.__doc__ = """Piecewise-smooth profile on one factor, with analytic derivative.
 
     ``breakpoints`` lists interior coordinates where the profile is not
     smooth (cap kinks); quadrature splits there so each piece converges at
     second order.
     """
 
-    name: str
-    factor_index: int
-    profile: Callable[[np.ndarray], np.ndarray]
-    dprofile: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...] = ()
 
-
-class WitnessNorms(NamedTuple):
-    name: str
-    l2_sq: float
-    lq_sq: float      # ||u||_q^2 with q = 2n/(n-2)
-    grad_sq: float
-    quotient: float   # (||u||_q - vol^{-1/n} ||u||_2) / ||grad u||_2
-    grid_used: int
-    converged: bool
+WitnessNorms = namedtuple("WitnessNorms", (
+    "name",        # str
+    "l2_sq",       # float
+    "lq_sq",       # float: ||u||_q^2 with q = 2n/(n-2)
+    "grad_sq",     # float
+    "quotient",    # float: (||u||_q - vol^{-1/n} ||u||_2) / ||grad u||_2
+    "grid_used",   # int
+    "converged",   # bool
+))
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -333,12 +338,13 @@ def witness_norms(model: ModelGeometry, g: np.ndarray, w: Witness,
                         quotient=quot, grid_used=grid, converged=converged)
 
 
-class LowerBound(NamedTuple):
-    value: float
-    witness: str | None
-    clamped: bool
-    skipped: tuple[str, ...]
-    norms: tuple[WitnessNorms, ...]
+LowerBound = namedtuple("LowerBound", (
+    "value",     # float
+    "witness",   # str | None
+    "clamped",   # bool
+    "skipped",   # tuple[str, ...]
+    "norms",     # tuple[WitnessNorms, ...]
+))
 
 
 def sobolev_lower(model: ModelGeometry, g: np.ndarray,

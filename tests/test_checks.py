@@ -64,6 +64,17 @@ def test_grid_derivative_nonuniform_fallback():
     assert np.array_equal(gain, 2.0 / (t[idx + 1] - t[idx - 1]))   # sum |c| = 1 + 1
 
 
+@pytest.mark.parametrize("h", [1e-3, 9.77e-304])
+@pytest.mark.parametrize("value", [1.0, 2.0 ** -40, 2.0 ** 100])
+def test_grid_derivative_of_a_constant_is_exactly_zero(h, value):
+    # exact, since the integer weights sum to 0; weights divided by 12 first
+    # sum to about 1e-16 and would read 1e-16 * value / h at either end
+    t = h * np.arange(17)
+    idx, dv, _, order = grid_derivative(t, np.full(len(t), value))
+    assert order == 4
+    assert np.array_equal(dv, np.zeros(len(idx)))
+
+
 @pytest.mark.parametrize("records", [1, 2])
 def test_grid_derivative_needs_three_states(records):
     t = np.arange(records, dtype=float)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import re
@@ -421,6 +422,79 @@ def test_cli_import_builds_no_dataclass_and_defers_nothing():
     loaded = set(out.stdout.split())
     assert "dataclasses" not in loaded
     assert [name for name in CLI_MODULES if name not in loaded] == []
+
+
+def test_cli_import_compiles_no_forward_ref():
+    # a typed record class compiles one typing.ForwardRef per string annotation
+    code = ("import numpy, typing\n"
+            "count = [0]\n"
+            "init = typing.ForwardRef.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    count[0] += 1\n"
+            "    init(self, *args, **kwargs)\n"
+            "typing.ForwardRef.__init__ = counted\n"
+            "import riccilab.cli\n"
+            "print(count[0])\n")
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "0"
+
+
+# (module, record type) -> (_fields, _field_defaults)
+RECORD_TYPES = {
+    ("geometry", "ModelGeometry"): (
+        ("kind", "dim", "structure_constants", "covolume", "factors", "ricci_terms",
+         "layout"),
+        {"structure_constants": None, "covolume": None, "factors": None,
+         "ricci_terms": None, "layout": None}),
+    ("geometry", "CurvatureData"): (
+        ("ric", "scalar", "rm_norm", "sec_min", "sec_max", "ric_eigs", "vol"), {}),
+    ("geometry", "CurvatureBatch"): (("ric", "scalar", "rm_norm", "ric_eigs", "vol"), {}),
+    ("sobolev", "GallotConstant"): (("c0", "growth"), {"c0": 1.0, "growth": "exp_sqrt"}),
+    ("sobolev", "SobolevEstimate"): (
+        ("upper", "lower", "kappa", "witness", "lower_clamped", "lower_exceeds_upper",
+         "strategy"),
+        {"witness": None, "lower_clamped": False, "lower_exceeds_upper": False,
+         "strategy": None}),
+    ("sobolev", "Witness"): (("name", "factor_index", "profile", "dprofile", "breakpoints"),
+                             {"breakpoints": ()}),
+    ("sobolev", "WitnessNorms"): (
+        ("name", "l2_sq", "lq_sq", "grad_sq", "quotient", "grid_used", "converged"), {}),
+    ("sobolev", "LowerBound"): (("value", "witness", "clamped", "skipped", "norms"), {}),
+    ("constants", "ConstantChain"): (
+        ("n", "gamma", "vol0", "cs0", "rm_n2_0", "delta0", "c_n_gamma", "b_n_gamma",
+         "eps_n_gamma", "eps1_n_gamma", "eps_n_main", "T0", "T1", "primitives"), {}),
+    ("constants", "ChainThresholds"): (
+        ("n", "gamma", "c_n_gamma", "b_n_gamma", "eps_n_gamma", "eps1_n_gamma",
+         "eps_n_main", "primitives"), {}),
+    ("constants", "MoserSchedule"): (
+        ("n", "t_prime", "k_max", "p0", "q0", "mu", "q", "tau", "sum_inv_q_next",
+         "sum_inv_q", "sum_k_over_q", "limit_sum_inv_q_next", "limit_sum_inv_q",
+         "limit_sum_k_over_q", "limit_exponents"), {}),
+    ("config", "_Field"): (
+        ("kind", "default", "choices", "listlike", "minimum", "attr", "bound"),
+        {"default": None, "choices": (), "listlike": False, "minimum": 1, "attr": None,
+         "bound": None}),
+}
+
+
+@pytest.mark.parametrize("module,name", list(RECORD_TYPES), ids="{0[1]}".format)
+def test_record_types_keep_their_fields_and_defaults(module, name):
+    record = getattr(importlib.import_module(f"riccilab.{module}"), name)
+    fields, defaults = RECORD_TYPES[module, name]
+    assert issubclass(record, tuple)
+    assert (record._fields, record._field_defaults) == (fields, defaults)
+
+
+def test_model_geometry_compares_and_hashes_by_its_description():
+    a = build_model({"kind": "lie_group_quotient", "dim": 3, "brackets": [[1, 2, 3, 1.0]]})
+    b = build_model(a.describe())
+    assert a.structure_constants is not b.structure_constants
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != a._replace(covolume=2.0)
+    assert a != tuple(a) and a._asdict()["kind"] == "lie_group_quotient"
 
 
 # -- horizon -----------------------------------------------------------------
