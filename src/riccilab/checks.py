@@ -432,27 +432,23 @@ def _holder_args(n: int, p: float, eps_grid: Sequence[float], count: int = 1) ->
         raise ValueError(f"count must be >= 1, got {count}")
     eps = np.asarray(eps_grid, dtype=float)
     if eps.ndim != 1 or not np.all(np.isfinite(eps) & (eps > 0.0)):
-        raise ValueError(f"eps_grid/epsilon entries must be positive and finite, got {eps_grid}")
+        raise ValueError(f"every epsilon in eps_grid must be positive and finite, got {eps_grid}")
     return eps
 
 
 def check_holder(samples: Sequence[tuple[float, float]], p: float, n: int,
-                 epsilon: float | None = None,
                  eps_grid: Sequence[float] | None = None) -> CheckReport:
     """All four discrete inequalities on one weighted sample set.
 
     ``samples`` is a list of (value, weight) atoms defining the measure.
-    The split inequality is swept over ``eps_grid`` (or the single
-    ``epsilon``); near-equality at the optimal epsilon is flagged.  Raises
-    ``ValueError`` unless n >= 3, p is finite and >= 1, every epsilon is
-    positive and finite, every value finite and >= 0 and every weight
-    finite and > 0.
+    The split inequality is swept over ``eps_grid``; near-equality at the
+    optimal epsilon is flagged.  Raises ``ValueError`` unless n >= 3, p is
+    finite and >= 1, every epsilon is positive and finite, every value
+    finite and >= 0 and every weight finite and > 0.
     """
     if not samples:
         raise ValueError("need a nonempty sample list")
-    if eps_grid is None:
-        eps_grid = _DEFAULT_EPS_GRID if epsilon is None else [epsilon]
-    eps_grid = _holder_args(n, p, eps_grid)
+    eps_grid = _holder_args(n, p, _DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     f = np.array([s[0] for s in samples], dtype=float)
     w = np.array([s[1] for s in samples], dtype=float)
     if not np.all(np.isfinite(f) & (f >= 0.0)):
@@ -552,8 +548,7 @@ def check_diameter_bound(A: float, B: float, n: int, diam: float, vol: float,
 
 def check_sobolev_along_flow(traj: Trajectory, cs0: float,
                              primitives: ConstantPrimitives,
-                             family: str = "eigenfunction",
-                             grid: int = sobolev.MIN_GRID) -> CheckReport:
+                             family: str = "eigenfunction") -> CheckReport:
     """Trace the flow-time Sobolev condition; fit the inequality's constant.
 
     The condition a_n ||Rm||_{n/2}(t) cs0^2 e^{8 delta0 t / n} <= 1/(n(n-1))
@@ -595,7 +590,7 @@ def check_sobolev_along_flow(traj: Trajectory, cs0: float,
     for i in pick:
         envelope = math.exp(8.0 * d0 * float(t[i]) / n)
         for w in witnesses:
-            wn = sobolev.witness_norms(model, traj.mats[i], w, grid=grid)
+            wn = sobolev.witness_norms(model, traj.mats[i], w)
             ratios.append(wn.lq_sq / (envelope * (cs0 * cs0 * wn.grad_sq + wn.l2_sq)))
     details["witness_times"] = [float(t[i]) for i in pick]
     return _fit_report("sobolev_along_flow", np.array(ratios), len(ratios), details, notes=notes)
@@ -716,8 +711,7 @@ SUITE_CHECKS = ("volume_identity", "scalar_identity", "n2_bound", "c0_bound",
 def run_suite(traj: Trajectory, chain: ConstantChain,
               primitives: ConstantPrimitives, *,
               a_const: float = 1.0, b_const: float = 1.0,
-              family: str = "eigenfunction", grid: int = sobolev.MIN_GRID,
-              kappa: float = 0.0, seed: int = 0,
+              family: str = "eigenfunction", kappa: float = 0.0, seed: int = 0,
               checks: Sequence[str] | None = None) -> list[CheckReport]:
     """Run the named checks (default all) at ``chain.cs0``; reports sorted by name."""
     model = traj.model
@@ -752,13 +746,12 @@ def run_suite(traj: Trajectory, chain: ConstantChain,
                 name="diameter_bound", status=UNAVAILABLE,
                 notes=("diameter declared unavailable on quotient models",)))
         else:
-            wns = [sobolev.witness_norms(model, g0, w, grid=grid)
+            wns = [sobolev.witness_norms(model, g0, w)
                    for w in sobolev.witness_family(model, family)]
             reports.append(check_diameter_bound(
                 a_const, b_const, n, diam, float(traj.derived["vol"][0]), wns))
     if "sobolev_along_flow" in selected:
-        reports.append(check_sobolev_along_flow(traj, cs0, primitives,
-                                                family=family, grid=grid))
+        reports.append(check_sobolev_along_flow(traj, cs0, primitives, family=family))
     if "hypothesis_report" in selected:
         d = traj.derived
         inv = hypothesis_invariants(model, traj.mats[0], float(d["rm_norm"][0]),

@@ -110,9 +110,8 @@ def cmd_check(args) -> int:
         cfg.flow.cs0, traj.meta["rm_n2_0"])
     selected = args.checks.split(",") if args.checks else None
     reports = checks.run_suite(
-        traj, chain, cfg.primitives, a_const=cfg.a_const,
-        b_const=cfg.b_const, family=cfg.family, grid=cfg.grid,
-        kappa=cfg.kappa, seed=cfg.seed, checks=selected)
+        traj, chain, cfg.primitives, a_const=cfg.a_const, b_const=cfg.b_const,
+        family=cfg.family, kappa=cfg.kappa, seed=cfg.seed, checks=selected)
     payload = [r.to_jsonable() for r in reports]
     (out / "report.json").write_text(_json_bytes(payload))
     for r in reports:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .constants import ConstantPrimitives
 from .flow import FlowConfig
-from .sobolev import FAMILY_NAMES, MIN_GRID, GallotConstant
+from .sobolev import FAMILY_NAMES, GallotConstant
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_text"]
 
@@ -43,10 +43,9 @@ _Field = namedtuple("_Field", (
     "default",    # object
     "choices",    # tuple[str, ...]
     "listlike",   # bool
-    "minimum",    # int, posint only
     "attr",       # str | None: RunConfig attribute of a plain key
     "bound",      # str | None: "positive" or "nonnegative", checked with finiteness
-), defaults=(None, (), False, 1, None, None))
+), defaults=(None, (), False, None, None))
 
 
 _BOUNDS = {"positive": ("positive and finite", lambda v: 0.0 < v < math.inf),
@@ -84,7 +83,6 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     },
     "sobolev": {
         "family": _Field("enum", "eigenfunction", FAMILY_NAMES, attr="family"),
-        "grid": _Field("posint", MIN_GRID, minimum=MIN_GRID, attr="grid"),
         "a_const": _Field("float", 1.0, attr="a_const", bound="positive"),
         "b_const": _Field("float", 1.0, attr="b_const", bound="positive"),
         "kappa": _Field("float", 0.0, attr="kappa", bound="nonnegative"),
@@ -160,8 +158,8 @@ def _coerce(section: str, key: str, text: str, source: str, line: int | None):
             return None if text.lower() in ("auto", "none") else float(text)
         if spec.kind in ("int", "posint"):
             val = int(text)
-            if spec.kind == "posint" and val < spec.minimum:
-                raise ValueError(f"must be >= {spec.minimum}, got {val}")
+            if spec.kind == "posint" and val < 1:
+                raise ValueError(f"must be >= 1, got {val}")
             return val
         if spec.kind == "str":
             return text

@@ -454,9 +454,8 @@ def _check_finite(g: np.ndarray) -> None:
 
 def _first_deviation(g: np.ndarray, ref: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first entry of g that differs from ref by more than 1e-12
-    relative to max(1, max |g|) of its metric, or None."""
-    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1), keepdims=True))
-    bad = np.argwhere(np.abs(g - ref) > 1e-12 * scale)
+    relative to max |g| of its metric, at every scale, or None."""
+    bad = np.argwhere(np.abs(g - ref) > 1e-12 * np.abs(g).max(axis=(-2, -1), keepdims=True))
     return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 

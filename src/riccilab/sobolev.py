@@ -55,7 +55,7 @@ __all__ = [
 
 _REFINE_TOL = 1e-6
 _MAX_GRID = 1 << 17
-MIN_GRID = 512                 # starting resolution of witness_norms' refinement
+_START_GRID = 512
 FAMILY_NAMES = ("eigenfunction", "bump", "cap")
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -260,13 +260,16 @@ def _segment_nodes(length: float, breaks: Sequence[float], grid: int) -> list[np
 
 
 def _factor_integrals(model: ModelGeometry, g: np.ndarray, w: Witness,
-                      exponents: Sequence[float], grid: int) -> list[float]:
-    """Trapezoid integrals of |u|^e over the whole manifold plus |grad u|^2.
+                      grid: int) -> tuple[float, float, float]:
+    """Trapezoid integrals of |u|^2, |u|^q with q = 2n/(n-2) and |grad u|^2
+    over the whole manifold.
 
     ``grid`` counts quadrature intervals; the domain is split at the
     witness's breakpoints so discontinuous derivatives (caps) still
     converge at second order.
     """
+    n = model.dim
+    q = 2.0 * n / (n - 2.0)
     ftype, d, _ = model.factors[w.factor_index]
     scales = factor_scales(model, g).tolist()
     s = scales[w.factor_index]
@@ -275,7 +278,7 @@ def _factor_integrals(model: ModelGeometry, g: np.ndarray, w: Witness,
         if idx != w.factor_index:
             rest *= _factor_volume(ft, fd, fs)
     length = math.pi if ftype == FACTOR_SPHERE else 2.0 * math.pi
-    out = [0.0] * (len(exponents) + 1)
+    i2 = iq = igrad = 0.0
     for x in _segment_nodes(length, w.breakpoints, grid):
         if ftype == FACTOR_SPHERE:
             weight = unit_sphere_volume(d - 1) * s ** (d / 2.0) * np.sin(x) ** (d - 1)
@@ -289,38 +292,30 @@ def _factor_integrals(model: ModelGeometry, g: np.ndarray, w: Witness,
         shift = 1e-9 * (x[1] - x[0])
         xs[0] += shift
         xs[-1] -= shift
-        u = np.asarray(w.profile(x), dtype=float)
+        u = np.abs(np.asarray(w.profile(x), dtype=float))
         du = np.asarray(w.dprofile(xs), dtype=float)
-        for i, e in enumerate(exponents):
-            out[i] += rest * float(_trapezoid(np.abs(u) ** e * weight, x))
-        out[-1] += rest * float(_trapezoid(du * du / s * weight, x))
-    return out
+        i2 += rest * float(_trapezoid(u ** 2.0 * weight, x))
+        iq += rest * float(_trapezoid(u ** q * weight, x))
+        igrad += rest * float(_trapezoid(du * du / s * weight, x))
+    return i2, iq, igrad
 
 
-def _require_grid(grid: int) -> None:
-    if not grid >= MIN_GRID:
-        raise ValueError(f"grid must be >= {MIN_GRID}, got {grid}")
-
-
-def witness_norms(model: ModelGeometry, g: np.ndarray, w: Witness,
-                  grid: int = MIN_GRID) -> WitnessNorms:
+def witness_norms(model: ModelGeometry, g: np.ndarray, w: Witness) -> WitnessNorms:
     """Norms of one witness, grid-refined until two resolutions agree to 1e-6.
 
-    ``grid`` is the starting number of quadrature intervals; it doubles until
-    the norms converge or reach 2**17.  It must be at least ``MIN_GRID``.
+    The quadrature starts at 512 intervals and doubles until the norms
+    converge or reach 2**17.
     """
-    _require_grid(grid)
-    grid = int(grid)
     n = model.dim
     if n < 3:
         raise GeometryError(f"Sobolev norms need dim >= 3, got {n}")
     q = 2.0 * n / (n - 2.0)
     vol = volume(model, g)
+    grid = _START_GRID
     prev = None
     converged = False
     while True:
-        i2, iq, igrad = _factor_integrals(model, g, w, (2.0, q), grid)
-        vals = (i2, iq, igrad)
+        vals = i2, iq, igrad = _factor_integrals(model, g, w, grid)
         if prev is not None:
             if all(abs(a - b) <= _REFINE_TOL * abs(b) or a == b
                    for a, b in zip(prev, vals)):
@@ -348,20 +343,21 @@ LowerBound = namedtuple("LowerBound", (
 
 
 def sobolev_lower(model: ModelGeometry, g: np.ndarray,
-                  family: str | Sequence[Witness] = "eigenfunction",
-                  grid: int = MIN_GRID) -> LowerBound:
+                  family: str | Sequence[Witness] = "eigenfunction") -> LowerBound:
     """Best lower bound on the Sobolev constant over a witness family.
 
-    Witnesses with vanishing gradient norm are skipped; a negative best
-    value (possible only through roundoff) is clamped to 0 with a flag.
+    A witness is skipped when its gradient vanishes relative to its own
+    norm, grad_sq <= 1e-30 lq_sq: both scale as s^((n-2)/2) under g -> s g,
+    so the test holds at every scale.  A negative best value (possible
+    only through roundoff) is clamped to 0 with a flag.
     """
     witnesses = witness_family(model, family) if isinstance(family, str) else list(family)
     if not witnesses:
         raise ValueError("empty test-function family")
     best, best_name, skipped, norms = -math.inf, None, [], []
     for w in witnesses:
-        wn = witness_norms(model, g, w, grid=grid)
-        if wn.grad_sq <= 1e-30:
+        wn = witness_norms(model, g, w)
+        if wn.grad_sq <= 1e-30 * wn.lq_sq:
             skipped.append(w.name)
             continue
         norms.append(wn)
@@ -379,7 +375,6 @@ def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
                      kappa: float = 0.0,
                      c_strategy: GallotConstant = DEFAULT_GALLOT,
                      family: str = "eigenfunction",
-                     grid: int = MIN_GRID,
                      diam_bound: float | None = None) -> SobolevEstimate:
     """Combine upper and lower estimates; either side degrades to None.
 
@@ -388,7 +383,6 @@ def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
     configured strategy can make lower exceed upper; that is flagged, not
     raised.
     """
-    _require_grid(grid)      # raised here, not swallowed with the lower bound
     n = model.dim
     vol = volume(model, g)
     diam = diameter(model, g)
@@ -398,7 +392,7 @@ def sobolev_estimate(model: ModelGeometry, g: np.ndarray, *,
     lower = witness = None
     clamped = False
     try:
-        lb = sobolev_lower(model, g, family=family, grid=grid)
+        lb = sobolev_lower(model, g, family=family)
         lower, witness, clamped = lb.value, lb.witness, lb.clamped
     except (GeometryError, ValueError):
         pass

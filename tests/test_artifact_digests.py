@@ -8,9 +8,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_artifact_digests_on_sphere():
     # configs/sphere.cfg runs twice, once as a shipped config and once as an
-    # extra one given by the same relative path: the two blocks agree
+    # extra one given by its absolute path: both are labelled by the path
+    # relative to the repository, and the two blocks agree
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_digests.py"),
-                          "configs/sphere.cfg"], cwd=ROOT, capture_output=True, text=True,
+                          str(ROOT / "configs" / "sphere.cfg")], cwd=ROOT, capture_output=True, text=True,
                          check=True, timeout=300).stdout.splitlines()
     sphere = [line for line in out if "configs/sphere.cfg" in line]
     shipped, extra = sphere[:len(sphere) // 2], sphere[len(sphere) // 2:]

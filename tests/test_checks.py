@@ -310,9 +310,9 @@ def test_holder_domain_errors():
     ([(math.inf, 1.0)], {}, "values"),
     ([(1.0, math.nan)], {}, "weights"),
     ([(1.0, math.inf)], {}, "weights"),
-    ([(1.0, 1.0)], {"epsilon": 0.0}, "epsilon"),
-    ([(1.0, 1.0)], {"epsilon": -1.0}, "epsilon"),
-    ([(1.0, 1.0)], {"epsilon": math.nan}, "epsilon"),
+    ([(1.0, 1.0)], {"eps_grid": [0.0]}, "epsilon"),
+    ([(1.0, 1.0)], {"eps_grid": [-1.0]}, "epsilon"),
+    ([(1.0, 1.0)], {"eps_grid": [math.nan]}, "epsilon"),
     ([(1.0, 1.0)], {"eps_grid": [1.0, math.inf]}, "eps_grid"),
     ([(1.0, 1.0)], {"eps_grid": [0.0, 1.0]}, "eps_grid"),
     ([(1.0, 1.0)], {"p": math.nan}, "p must"),
@@ -532,9 +532,9 @@ def test_a_nan_witness_ratio_fails_the_sobolev_fit(prod_traj, monkeypatch):
     assert check_sobolev_along_flow(prod_traj, 0.05, P).status == RATIO
     real, calls = witness_norms, []
 
-    def norms(model, g, w, grid):
+    def norms(model, g, w):
         calls.append(w.name)
-        wn = real(model, g, w, grid=grid)
+        wn = real(model, g, w)
         return wn._replace(lq_sq=math.nan) if len(calls) == 2 else wn
 
     monkeypatch.setattr(checks_module.sobolev, "witness_norms", norms)
@@ -602,6 +602,10 @@ def test_hypothesis_report_missing_invariant_marks_unavailable(torus_traj):
     by_name = {t["theorem"]: t for t in rep.details["theorems"]}
     assert by_name["pinching_main"]["holds"] is None
     assert "unavailable" in by_name["pinching_main"]["note"]
+    rep = hypothesis_report(3, {"rm_n2": 1e-4, "vol": 1.0}, chain, P)
+    assert [(t["theorem"], t["holds"], t["note"]) for t in rep.details["theorems"][:2]] == [
+        (name, None, "unavailable: missing cs_upper")
+        for name in ("pinching_main", "flow_existence")]
 
 
 def test_hypothesis_report_threshold_monotone(torus_traj):

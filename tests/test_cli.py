@@ -642,15 +642,16 @@ def test_rejected_input_exits_naming_its_cause(cfgfile, tmp_path, capsys, config
                                      "sobolev.grid=0", "sobolev.grid=511",
                                      "constants.moser_k=0"])
 def test_flow_rejects_stride_and_grid_below_one(tmp_path, capsys, setting):
-    # [sobolev] grid starts the witness-norm refinement, at 512 intervals or more
+    # [sobolev] grid is retired: the witness quadrature picks its own
+    # resolution, so any grid value is an unknown key
     rc = main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"),
                "--out", str(tmp_path), "--override", setting])
     assert rc == 2
     err = capsys.readouterr().err
     key = setting.split("=")[0]
-    minimum = 512 if key == "sobolev.grid" else 1
     assert err.startswith("config error: ")
-    assert f"bad value for {key}: must be >= {minimum}" in err
+    assert ("override#1: unknown key 'grid' in [sobolev]" if key == "sobolev.grid"
+            else f"bad value for {key}: must be >= 1") in err
     assert not (tmp_path / "trajectory.csv").exists()
 
 

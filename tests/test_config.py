@@ -40,6 +40,9 @@ def test_unknown_section_line_number():
 def test_unknown_key_line_number():
     with pytest.raises(ConfigError, match=r"<config>:3: unknown key 'speed'"):
         load_config(None, text="\n[flow]\nspeed = 9\n")
+    # the witness quadrature picks its own resolution: no [sobolev] grid
+    with pytest.raises(ConfigError, match=r"<config>:2: unknown key 'grid' in \[sobolev\]"):
+        load_config(None, text="[sobolev]\ngrid = 1024\n")
 
 
 def test_duplicate_scalar_key_rejected():

@@ -474,9 +474,8 @@ RECORD_TYPES = {
          "sum_inv_q", "sum_k_over_q", "limit_sum_inv_q_next", "limit_sum_inv_q",
          "limit_sum_k_over_q", "limit_exponents"), {}),
     ("config", "_Field"): (
-        ("kind", "default", "choices", "listlike", "minimum", "attr", "bound"),
-        {"default": None, "choices": (), "listlike": False, "minimum": 1, "attr": None,
-         "bound": None}),
+        ("kind", "default", "choices", "listlike", "attr", "bound"),
+        {"default": None, "choices": (), "listlike": False, "attr": None, "bound": None}),
 }
 
 

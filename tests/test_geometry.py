@@ -255,6 +255,27 @@ def test_product_layout_tolerance_and_stack_index(prod_model):
         curvature_batch(prod_model, stack)
 
 
+def test_layout_and_symmetry_tolerances_are_relative_at_every_scale():
+    # 1e-12 of the metric's own largest entry: a deviation of half the
+    # circle scale is rejected at 1e-80, one of 1e-14 passes at any scale
+    model, heis = sphere_circle_model(3, 0.5), heisenberg_model()
+    off_block = metric_from_scales(model, [1e-80, 1e-81])
+    off_block[0, 3] = off_block[3, 0] = 5e-81
+    with pytest.raises(GeometryError, match=r"entry \(0, 3\) is 5e-81, expected 0.0"):
+        factor_scales(model, off_block)
+    asymmetric = _with_entries(1e-80 * np.eye(3), {(0, 1): 1e-80})
+    asymmetric[1, 0] = 0.0
+    with pytest.raises(GeometryError, match=r"not symmetric at entry \(0, 1\)"):
+        volume(heis, asymmetric)
+    for s in (1e-150, 1e150):
+        near = metric_from_scales(model, [s, s / 4.0])
+        near[0, 3] = near[3, 0] = 1e-14 * s
+        assert factor_scales(model, near).tolist() == [s, s / 4.0]
+        near = s * np.eye(3)
+        near[0, 1] = 1e-14 * s
+        assert volume(heis, near) == volume(heis, s * np.eye(3))
+
+
 def test_no_metric_wrapper_type_is_exported():
     # a metric is its (n, n) array: no *State value type wraps it
     import riccilab

@@ -18,8 +18,9 @@ from riccilab import (
     witness_family,
     witness_norms,
 )
+from riccilab import sobolev as sobolev_module
 from riccilab.geometry import GeometryError
-from riccilab.sobolev import Witness
+from riccilab.sobolev import Witness, _factor_integrals
 
 
 UNIT = GallotConstant(growth="constant")
@@ -116,19 +117,20 @@ def test_rm_n2_times_cs_squared_scale_invariant(prod_model):
 
 # -- lower bounds from witnesses ---------------------------------------------
 
+CONSTANT = Witness(name="constant", factor_index=0, profile=lambda t: np.ones_like(t),
+                   dprofile=lambda t: np.zeros_like(t))
+
+
 def test_constant_witness_is_null(s3_model):
     # u == 1: the numerator vanishes identically and the witness is skipped
-    const = Witness(name="constant", factor_index=0,
-                    profile=lambda t: np.ones_like(t),
-                    dprofile=lambda t: np.zeros_like(t))
-    wn = witness_norms(s3_model, reference_metric(s3_model), const)
+    wn = witness_norms(s3_model, reference_metric(s3_model), CONSTANT)
     vol = volume(s3_model, reference_metric(s3_model))
     lq = math.sqrt(wn.lq_sq)
     l2 = math.sqrt(wn.l2_sq)
     assert abs(lq - vol ** (-1.0 / 3.0) * l2) < 1e-9
     assert wn.grad_sq < 1e-20
     with pytest.raises(ValueError, match="degenerate"):
-        sobolev_lower(s3_model, reference_metric(s3_model), [const])
+        sobolev_lower(s3_model, reference_metric(s3_model), [CONSTANT])
 
 
 def test_sphere_eigenfunction_lower_bound_exact(s3_model):
@@ -146,21 +148,36 @@ def test_sphere_eigenfunction_lower_bound_exact(s3_model):
 
 
 def test_lower_bound_two_resolution_agreement(s3_model):
+    # each refined cap quotient agrees with one quadrature at 4096 intervals
     g = reference_metric(s3_model)
-    coarse = sobolev_lower(s3_model, g, "cap", grid=512)
-    fine = sobolev_lower(s3_model, g, "cap", grid=4096)
-    assert math.isclose(coarse.value, fine.value, rel_tol=0, abs_tol=2e-6)
+    coarse = sobolev_lower(s3_model, g, "cap")
     assert all(wn.converged for wn in coarse.norms)
+    vol = volume(s3_model, g)
+    for wn, w in zip(coarse.norms, witness_family(s3_model, "cap"), strict=True):
+        i2, iq, igrad = _factor_integrals(s3_model, g, w, 4096)
+        fine = (iq ** (1.0 / 6.0) - vol ** (-1.0 / 3.0) * math.sqrt(i2)) / math.sqrt(igrad)
+        assert math.isclose(wn.quotient, fine, rel_tol=0, abs_tol=2e-6)
 
 
-@pytest.mark.parametrize("grid", [0, 100, 511, math.nan])
-def test_grid_below_refinement_start_is_error(s3_model, grid):
-    g = reference_metric(s3_model)
-    w = witness_family(s3_model, "cap")[0]
-    with pytest.raises(ValueError, match="grid must be >= 512"):
-        witness_norms(s3_model, g, w, grid=grid)
-    with pytest.raises(ValueError, match="grid must be >= 512"):
-        sobolev_estimate(s3_model, g, grid=grid)
+def test_witness_norms_stop_unconverged_at_the_grid_cap(s3_model, monkeypatch):
+    monkeypatch.setattr(sobolev_module, "_REFINE_TOL", 0.0)
+    monkeypatch.setattr(sobolev_module, "_MAX_GRID", 2048)
+    wn = witness_norms(s3_model, reference_metric(s3_model), witness_family(s3_model, "cap")[0])
+    assert wn.converged is False and wn.grid_used == 2048
+
+
+def test_lower_bound_and_degenerate_witness_at_every_scale(s3_model):
+    # the bound is scale-invariant, and so is the test that skips a witness
+    # whose gradient vanishes: 0.0657256 on round S^3 at every scale
+    family = [*witness_family(s3_model, "eigenfunction"), CONSTANT]
+    base = sobolev_lower(s3_model, reference_metric(s3_model), family)
+    assert math.isclose(base.value, 0.0657256, rel_tol=1e-6)
+    for s in (1e-120, 1e-80, 1.0, 1e80, 1e120):
+        g = s * reference_metric(s3_model)
+        lb = sobolev_lower(s3_model, g, family)
+        assert lb.skipped == ("constant",)
+        assert math.isclose(lb.value, base.value, rel_tol=1e-9)
+        assert math.isclose(sobolev_estimate(s3_model, g).lower, base.value, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("family", ["eigenfunction", "bump", "cap"])

@@ -11,8 +11,9 @@ directory, which is the working directory while the commands write to
 the same on every run.  ``check`` reads the trajectory ``flow`` wrote.  For
 each command the script prints its exit code, then one line per file the
 command wrote or changed: the sha256 and the file's name under the config's
-label (a shipped config's path relative to the repository root, an extra
-one's path as given).  Command output and warnings are discarded.  A config
+label.  The label is the config's path relative to the repository root, or
+for a config outside the repository its path as given, so two checkouts
+print the same lines.  Command output and warnings are discarded.  A config
 without a ``[sweep]`` block is swept with ``SWEEP_GRID``, and ``constants``
 runs only on a config with a ``[constants]`` block.
 
@@ -84,10 +85,16 @@ def config_lines(config: Path, label: str) -> list[str]:
     return lines
 
 
+def _label(config: Path) -> str:
+    """The config's path relative to the repository root, else as given."""
+    path = config.resolve()
+    return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(config)
+
+
 def main(argv: list[str] | None = None) -> int:
     extras = sys.argv[1:] if argv is None else argv
-    configs = [(p, str(p.relative_to(ROOT))) for p in sorted((ROOT / "configs").glob("*.cfg"))]
-    configs += [(Path(p), p) for p in extras]
+    configs = [(p, _label(p))
+               for p in [*sorted((ROOT / "configs").glob("*.cfg")), *map(Path, extras)]]
     for config, label in configs:
         if not config.is_file():
             print(f"error: config file not found: {config}", file=sys.stderr)
