@@ -12,12 +12,12 @@ RICCILAB_OUTDIR is used, then the working directory.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -347,7 +347,13 @@ def _add_command(p: argparse.ArgumentParser, name: str, func, extra) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of every subcommand, as ``riccilab -h`` shows it."""
+    """The argument parser of every subcommand, as ``riccilab -h`` shows it.
+
+    Only help and malformed command lines get here, so argparse (and the
+    gettext it loads) is imported here and nowhere else.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="riccilab",
         description="Curvature flow laboratory on homogeneous model geometries")
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_flags(name: str, tokens: list[str]) -> argparse.Namespace | None:
+def _read_flags(name: str, tokens: list[str]) -> SimpleNamespace | None:
     """The namespace of a known command whose arguments are exact
     ``--flag value`` pairs, read from the flag table with the keywords
     argparse gets; None where argparse might parse them otherwise or fail.
@@ -386,16 +392,18 @@ def _read_flags(name: str, tokens: list[str]) -> argparse.Namespace | None:
         ns[dest] = [*(ns[dest] or ()), value] if kwargs.get("action") == "append" else value
     if any(kwargs.get("required") and ns[flag[2:]] is None for flag, kwargs in table.items()):
         return None
-    return argparse.Namespace(command=name, func=func, **ns)
+    return SimpleNamespace(command=name, func=func, **ns)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace of ``build_parser().parse_args(argv)``.
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``, or one with the
+    same attributes.
 
     A known command whose arguments are exact ``--flag value`` pairs is read
-    from the flag table by ``_read_flags``, with no parser built.  Every
-    other argv (help, errors, abbreviations, "--flag=value", an empty argv,
-    an unknown command) goes to the full parser.
+    from the flag table by ``_read_flags``, with no parser built and argparse
+    not imported.  Every other argv (help, errors, abbreviations,
+    "--flag=value", an empty argv, an unknown command) goes to the full
+    parser.
     """
     if argv and argv[0] in _COMMANDS:
         args = _read_flags(argv[0], argv[1:])

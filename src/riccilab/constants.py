@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
 from .sobolev import DEFAULT_GALLOT, GallotConstant
 
@@ -306,6 +305,8 @@ def moser_schedule(n: int, t_prime: float = 1.0, k_max: int = 64) -> MoserSchedu
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not t_prime > 0:
         raise ValueError(f"t_prime must be positive, got {t_prime}")
+    from fractions import Fraction      # only the constants command builds a schedule
+
     p0 = Fraction(n * n, n - 2)
     q0 = p0 / 2
     mu = 1 + Fraction(2, n)

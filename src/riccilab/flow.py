@@ -228,6 +228,15 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v) / len(v))
 
 
+def _median(xs: list[float]) -> float:
+    """``float(np.median(xs))`` of a nonempty list of finite floats, bit for
+    bit, without the numpy.ma import that np.median makes on its first call:
+    the middle value, or the mean of the two middle values."""
+    s = sorted(xs)
+    mid = len(s) // 2
+    return float(s[mid]) if len(s) % 2 else float((s[mid - 1] + s[mid]) / 2)
+
+
 def _rms_ratio(v: np.ndarray, scale: np.ndarray) -> tuple[float, float]:
     """rms(v / scale) and its natural logarithm.  Where v / scale overflows,
     the rms is inf and the logarithm is taken without forming the quotient,
@@ -397,7 +406,7 @@ def integrate(model: ModelGeometry, g0: np.ndarray, cfg: FlowConfig) -> Trajecto
             "h0": h0,
             "h_min": min(steps, default=None),
             "h_max": max(steps, default=None),
-            "h_median": float(np.median(steps)) if steps else None,
+            "h_median": _median(steps) if steps else None,
             "max_err_norm": max(err_norms, default=None),
             "rhs_evals_per_record": stats["rhs_evals"] / len(times),
         },

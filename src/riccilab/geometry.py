@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -292,6 +291,8 @@ def _scaled(x: float, e: int, spec: str) -> str:
     x = float(x)
     if x == 0.0 or -1021 <= math.frexp(x)[1] + e <= 1024:
         return format(math.ldexp(x, e), spec)
+    from decimal import Decimal         # only an error message at an extreme exponent
+
     exact = Decimal(x) * Decimal(2) ** e
     k = exact.adjusted()                     # exact = m 10^k with |m| in [1, 10)
     mantissa, _, exponent = format(float(exact.scaleb(-k)), spec).partition("e")

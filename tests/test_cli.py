@@ -1,9 +1,13 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1361,6 +1365,57 @@ def test_main_builds_a_parser_only_for_a_malformed_call(tmp_path, monkeypatch):
     per_call = 1 + len(cli._COMMANDS)
     assert len(parsers) == 2 * per_call
     assert parsers[0] is full[0] and parsers[per_call] is full[1]
+
+
+def _fresh_cli(*argv):
+    """The exit code, stdout and stderr of ``python -m riccilab.cli argv`` in a
+    fresh interpreter, where argparse, fractions and decimal are not loaded
+    yet (pytest has loaded all three); argparse wraps help at 80 columns, as
+    in ``_in_process``."""
+    path = [str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "COLUMNS": "80"}
+    done = subprocess.run([sys.executable, "-m", "riccilab.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(argv, capsys, monkeypatch):
+    """The exit code, stdout and stderr of ``main(argv)`` in this process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_fresh_help_and_malformed_calls_import_argparse_on_demand(capsys, monkeypatch):
+    # argparse is imported only inside build_parser, which these two reach
+    help_argv = ["flow", "-h"]
+    extra_argv = ["flow", "--config", str(CONFIGS / "sphere.cfg"), "extra"]
+    fresh = [_fresh_cli(*argv) for argv in (help_argv, extra_argv)]
+    assert fresh == [_in_process(argv, capsys, monkeypatch) for argv in (help_argv, extra_argv)]
+    (rc, out, err), (extra_rc, extra_out, extra_err) = fresh
+    assert rc == 0 and out.startswith("usage: riccilab flow [-h] --config CONFIG") and err == ""
+    assert extra_rc == 2 and extra_out == ""
+    assert extra_err.endswith("riccilab: error: unrecognized arguments: extra\n")
+
+
+def test_fresh_constants_writes_the_pinned_bytes(tmp_path):
+    # the Moser schedule imports fractions on its first call; constants.json
+    # is byte for byte what the eager import wrote
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    argv = ["constants", "--config", str(CONFIGS / "heisenberg.cfg"), "--out"]
+    rc, out, err = _fresh_cli(*argv, str(fresh))
+    assert rc == 0 and err == ""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, str(here)]) == 0
+    data = (fresh / "constants.json").read_bytes()
+    assert data == (here / "constants.json").read_bytes()
+    assert out == data.decode()
+    assert hashlib.sha256(data).hexdigest() == \
+        "a0ff2911d029b3c2422ca67e402b6c2db7c8fd406458a807b9e58dba04467d21"
 
 
 def test_no_cache_outlives_a_main_call(tmp_path):

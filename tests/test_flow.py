@@ -37,6 +37,7 @@ from riccilab.flow import (
     TERM_UNDERFLOW,
     Trajectory,
     TrajectorySchemaError,
+    _median,
     _parse_rows,
     _rms_ratio,
     _sym_from_tri,
@@ -90,6 +91,27 @@ def test_heisenberg_closed_form(heis_traj):
     # rel_tol 1e-9, abs_tol 1e-12, 512 records: every record, interpolated or not
     assert len(heis_traj) == 513
     assert _isenberg_jackson_error(heis_traj) <= 1e-8
+
+
+def test_filiform4_cfg_closed_form():
+    # a nilsoliton: Ric = -(3/2) I + D with D = diag(1/2, 1, 3/2, 2) a derivation,
+    # so g(t) = diag(u^{2/3}, u^{1/3}, 1, u^{-1/3}), u = 1 + 3t (Lauret 2001),
+    # vol = u^{1/3}, and |Rm| = sqrt 5 / u and R = -1 / u at every record
+    cfg = load_config(CONFIGS / "filiform4.cfg")
+    model = build_model(cfg.model_spec)
+    traj = integrate(model, reference_metric(model), cfg.flow)
+    assert traj.meta["termination"] == TERM_HORIZON and len(traj) == 513
+    u = 1.0 + 3.0 * traj.times
+    exact = np.zeros_like(traj.mats)
+    diag = np.arange(4)
+    exact[:, diag, diag] = np.stack([u ** (2 / 3), u ** (1 / 3), np.ones_like(u),
+                                     u ** (-1 / 3)], axis=1)
+    tol = cfg.flow.rel_tol
+    # relative to each record's largest entry, u^{2/3}; off-diagonals included
+    assert (np.abs(traj.mats - exact).max(axis=(1, 2)) / u ** (2 / 3)).max() <= tol
+    for key, closed in (("vol", u ** (1 / 3)), ("rm_norm", math.sqrt(5.0) / u),
+                        ("scalar_R", -1.0 / u)):
+        assert (np.abs(traj.derived[key] - closed) / np.abs(closed)).max() <= tol, key
 
 
 def test_flat_torus_is_fixed_point(torus_traj):
@@ -285,6 +307,12 @@ def test_sym_from_tri_matches_scatter():
     assert np.array_equal(_sym_from_tri(4, tri[3]), ref[3])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40))
+def test_median_is_np_median_bit_for_bit(steps):
+    assert _median(steps).hex() == float(np.median(steps)).hex()
+
+
 def test_tiny_sphere_neither_overflows_nor_stops(tiny_sphere_traj):
     traj, model = tiny_sphere_traj, tiny_sphere_traj.model
     assert traj.meta["termination"] == TERM_HORIZON and len(traj) == 1025
@@ -403,25 +431,46 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
-# Every module `import riccilab.cli` loads after numpy.  One that goes missing
-# was deferred into a function body: the benchmark's in-process runs would
-# stop timing it, while every CLI call still pays for it.
+# Every module `import riccilab.cli` loads after numpy and every `flow` and
+# `check` uses.  One that goes missing was deferred into a function body: the
+# benchmark's in-process runs would stop timing it, while every CLI call
+# still pays for it.
 CLI_MODULES = (
-    "__future__", "_decimal", "_json", "argparse", "decimal", "fractions", "gettext",
-    "json", "json.decoder", "json.encoder", "json.scanner", "riccilab",
-    "riccilab._dop853", "riccilab.checks", "riccilab.cli", "riccilab.config",
+    "__future__", "_json", "json", "json.decoder", "json.encoder", "json.scanner",
+    "riccilab", "riccilab._dop853", "riccilab.checks", "riccilab.cli", "riccilab.config",
     "riccilab.constants", "riccilab.flow", "riccilab.geometry", "riccilab.sobolev")
 
+# Modules no well-formed flow, check or sweep uses: argparse (and its gettext)
+# for help and errors, fractions for the constants command's Moser schedule,
+# decimal for an error message at an extreme exponent, and numpy.ma, which
+# np.median imports on its first call.
+UNUSED_MODULES = ("argparse", "gettext", "fractions", "decimal", "numpy.ma")
 
-def test_cli_import_builds_no_dataclass_and_defers_nothing():
-    code = "import sys, numpy, riccilab.cli; print(' '.join(sys.modules))"
+_COMMANDS_IN_ONE_PROCESS = """\
+import contextlib, io, sys, numpy
+import riccilab.cli
+print(' '.join(sys.modules))
+out, cfg = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["flow"], ["check", "--trajectory", out + "/trajectory.csv"],
+                 ["sweep", "--param", "metric_scale", "--values", "0.5,2"]):
+        assert riccilab.cli.main([*argv, "--config", cfg, "--out", out]) == 0
+print(' '.join(sys.modules))
+"""
+
+
+def test_cli_import_is_eager_and_well_formed_commands_load_no_unused_module(tmp_path):
+    # a fresh interpreter, since pytest has argparse, fractions and decimal loaded
     path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    loaded = set(out.stdout.split())
-    assert "dataclasses" not in loaded
-    assert [name for name in CLI_MODULES if name not in loaded] == []
+    out = subprocess.run([sys.executable, "-c", _COMMANDS_IN_ONE_PROCESS, str(tmp_path),
+                          str(CONFIGS / "heisenberg.cfg")],
+                         capture_output=True, text=True, check=True, env=env)
+    at_import, after_commands = (set(line.split()) for line in out.stdout.splitlines())
+    assert "dataclasses" not in at_import
+    assert [name for name in CLI_MODULES if name not in at_import] == []
+    # not loaded later either: the cost is gone, not moved into a command
+    assert [name for name in UNUSED_MODULES if name in after_commands] == []
 
 
 def test_cli_import_compiles_no_forward_ref():
