@@ -63,8 +63,6 @@ def cmd_flow(args) -> int:
     out = _out_dir(cfg)
     g0 = geometry.reference_metric(model)
     traj = flow.integrate(model, g0, cfg.flow)
-    if cfg.stride > 1:
-        traj = _thin(traj, cfg.stride)
     csv_path = out / "trajectory.csv"
     flow.write_trajectory_csv(traj, csv_path)
     sidecar = {
@@ -80,17 +78,6 @@ def cmd_flow(args) -> int:
         (out / "trajectory.json").write_text(_json_bytes(rows))
     print(f"wrote {csv_path} ({len(traj)} records, {traj.meta['termination']})")
     return 0
-
-
-def _thin(traj: flow.Trajectory, stride: int) -> flow.Trajectory:
-    # keep only aligned indices so the written grid stays uniform (the
-    # finite-difference checkers rely on that); the sidecar keeps t_reached
-    idx = np.arange(0, len(traj), stride)
-    return flow.Trajectory(
-        model=traj.model, times=traj.times[idx], mats=traj.mats[idx],
-        derived={k: v[idx] for k, v in traj.derived.items()},
-        meta={**traj.meta, "record_stride": stride,
-              "record_every": stride * traj.meta.get("record_every", 0.0)})
 
 
 def _trajectory_rows(traj: flow.Trajectory) -> list[dict]:
@@ -215,14 +202,13 @@ _SWEEP_FINITE = ("vol", "rm_norm", "scalar_R", "ric_min", "ric_max", "sec_min",
                  "sec_max", "rm_n2_norm", "cs_upper", "theta0")
 
 
-def _sweep_row(cfg: RunConfig, parameter: str, v: float, point, thresholds: dict) -> dict:
+def _sweep_row(cfg: RunConfig, parameter: str, v: float, point,
+               thresholds: constants.ChainThresholds) -> dict:
     """Static invariants and hypothesis margins at one grid point, by column.
 
-    ``point`` is the sweep's ``_sweep_points`` function.  ``thresholds``
-    maps n to the sweep's ``constants.chain_thresholds``, solved at the
-    first row that needs them (after that row's value and curvature, so a
-    bad first value is still reported before a bad gamma); every row then
-    computes only the initial-data part of its chain.
+    ``point`` is the sweep's ``_sweep_points`` function and ``thresholds``
+    its ``constants.chain_thresholds``, solved once before the first value,
+    so a row computes only the initial-data part of its chain.
     """
     model, g = point(v)
     n = model.dim
@@ -231,9 +217,7 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float, point, thresholds: dict
         raise FloatingPointError(f"volume underflows at {parameter} = {v!r}")
     inv = checks.hypothesis_invariants(model, g, curv.rm_norm, curv.vol, float(curv.ric_eigs[0]),
                                        cfg.kappa, cfg.flow.cs0, cfg.primitives)
-    if n not in thresholds:
-        thresholds[n] = constants.chain_thresholds(cfg.primitives, n, cfg.flow.gamma)
-    chain = constants.chain_from_thresholds(thresholds[n], curv.vol, cfg.flow.cs0, inv["rm_n2"])
+    chain = constants.chain_from_thresholds(thresholds, curv.vol, cfg.flow.cs0, inv["rm_n2"])
     rep = checks.hypothesis_report(n, inv, chain, cfg.primitives)
     margins = {t["theorem"]: t["margin"] for t in rep.details["theorems"]}
     return {
@@ -251,7 +235,7 @@ def _sweep_row(cfg: RunConfig, parameter: str, v: float, point, thresholds: dict
 
 
 def _try_sweep_row(cfg: RunConfig, parameter: str, v: float, point,
-                   thresholds: dict) -> tuple[dict | None, str | None]:
+                   thresholds: constants.ChainThresholds) -> tuple[dict | None, str | None]:
     """``_sweep_row`` at v and None, or None and why its invariants are not
     finite: the error it raised or its first non-finite column.  Called under
     ``cmd_sweep``'s ``np.errstate``, so an overflow raises."""
@@ -263,14 +247,14 @@ def _try_sweep_row(cfg: RunConfig, parameter: str, v: float, point,
     return (row, None) if bad is None else (None, f"{bad} is {row[bad]!r}")
 
 
-def _sweep_failure(cfg: RunConfig, parameter: str, v: float, point) -> str:
+def _sweep_failure(cfg: RunConfig, parameter: str, v: float, point,
+                   thresholds: constants.ChainThresholds) -> str:
     """The message for a row at v whose invariants are not finite: it blames
     the value, unless a metric_scale sweep's reference metric (value 1)
     fails too, when it names the model.  Only this error path evaluates the
-    reference row, whose chain thresholds are solved afresh, so a bad gamma
-    raises its ValueError there."""
+    reference row."""
     if parameter == "metric_scale":
-        why = _try_sweep_row(cfg, parameter, 1.0, point, {})[1]
+        why = _try_sweep_row(cfg, parameter, 1.0, point, thresholds)[1]
         if why is not None:
             return f"the model's invariants are not finite even at its reference metric: {why}"
     return f"sweep parameter {parameter} needs a value whose invariants are finite, got {v!r}"
@@ -285,7 +269,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a parameter and a nonempty value grid "
                           "(sweep block or --param/--values)", cfg.source)
     point = _sweep_points(model, parameter, cfg.source)
-    thresholds = {}
+    # every row has the model's n and the config's gamma: a bad gamma is
+    # reported here, like a bad parameter, before any value
+    thresholds = constants.chain_thresholds(cfg.primitives, model.dim, cfg.flow.gamma)
     rows = []
     # an invariant that overflows (the volume scales like value^n) is an
     # error in every row, and in _sweep_failure's reference row, not a
@@ -295,7 +281,8 @@ def cmd_sweep(args) -> int:
             _check_sweep_value(parameter, v, cfg.source)
             row = _try_sweep_row(cfg, parameter, v, point, thresholds)[0]
             if row is None:
-                raise ConfigError(_sweep_failure(cfg, parameter, v, point), cfg.source)
+                raise ConfigError(_sweep_failure(cfg, parameter, v, point, thresholds),
+                                  cfg.source)
             rows.append(row)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w") as fh:

@@ -90,7 +90,6 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     "output": {
         "dir": _Field("str", None, attr="out_dir"),
         "format": _Field("enum", "csv", ("csv", "json"), attr="out_format"),
-        "stride": _Field("posint", 1, attr="stride"),
         "seed": _Field("int", 0, attr="seed"),
     },
     "sweep": {

@@ -626,14 +626,15 @@ def _parse_rows(lines: list[str], expected: list[str]) -> np.ndarray:
 
 
 def _check_derived(derived: dict[str, np.ndarray], ref: dict[str, np.ndarray],
-                   tol: float) -> float:
+                   tol: float, where=lambda row: f"record {row}") -> float:
     """Largest deviation of stored from recomputed derived columns.
 
     Each deviation is relative to max(|ref|, min(1, colmax)), colmax being
     the largest |ref| of its column: a small value in a column of unit size
     or more is held to 1, and a column below unit size to its own largest
     value, never to an absolute bound.  A column of recomputed zeros has
-    scale 0 and admits only exact zeros.
+    scale 0 and admits only exact zeros.  A deviation above ``tol``, or a
+    NaN, raises naming the first such record, ``where(row)``, and its column.
     """
     stored, recomputed = (np.stack([cols[k] for k in DERIVED_KEYS]) for cols in (derived, ref))
     size = np.abs(recomputed)
@@ -643,8 +644,10 @@ def _check_derived(derived: dict[str, np.ndarray], ref: dict[str, np.ndarray],
                      where=scale > 0.0)
     worst = float(devs.max())                  # a NaN propagates
     if not worst <= tol:
+        row, col = np.argwhere(~(devs.T <= tol))[0]     # first record, then column
         raise TrajectorySchemaError(
-            f"derived quantities deviate from recomputation by {worst:.3e}")
+            f"{where(row)}: column {DERIVED_KEYS[col]!r} deviates from recomputation "
+            f"by {devs[col, row]:.3e}")
     return worst
 
 
@@ -661,8 +664,8 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     metrics that are not metrics of the model and stored derived columns
     that deviate from their recomputation (with ``cs0`` and ``c_n`` as
     given, by the rule of ``validate_trajectory``) raise
-    TrajectorySchemaError, naming the first bad line where there is one.
-    The returned trajectory is the ``_assemble`` of the stored metrics, so
+    TrajectorySchemaError naming, past the header, the first bad file line
+    (blank lines count).  The returned trajectory is the ``_assemble`` of the stored metrics, so
     its derived columns and row-0 values come from one ``curvature_batch``
     over all records.
     """
@@ -681,10 +684,16 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
         raise TrajectorySchemaError(f"unexpected extra column {header[len(expected)]!r}")
     data = _parse_rows(text[1:], expected)
     times = data[:, 0]
+
+    def where(row: int) -> str:
+        return f"line {_line_numbers(text[1:])[row]}"
+
     if times[0] != 0.0:
-        raise TrajectorySchemaError("column 't' must start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise TrajectorySchemaError("column 't' must be strictly increasing")
+        raise TrajectorySchemaError(f"{where(0)}: column 't' must start at 0")
+    back = np.diff(times) <= 0
+    if back.any():
+        raise TrajectorySchemaError(
+            f"{where(int(back.argmax()) + 1)}: column 't' must be strictly increasing")
     ntri = n * (n + 1) // 2
     mats = _sym_from_tri(n, data[:, 1:1 + ntri])
     meta = {
@@ -700,14 +709,14 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
         traj = _assemble(model, times, mats, meta)
     except GeometryError:
         # a stored metric is not a metric of the model: name its line
-        for ln, g in zip(_line_numbers(text[1:]), mats):
+        for row, g in enumerate(mats):
             try:
                 geometry.curvature_batch(model, g)
             except GeometryError as exc:
-                raise TrajectorySchemaError(f"line {ln}: {exc}") from None
+                raise TrajectorySchemaError(f"{where(row)}: {exc}") from None
         raise
     stored = {k: data[:, 1 + ntri + j] for j, k in enumerate(DERIVED_KEYS)}
-    _check_derived(stored, traj.derived, _VALIDATE_TOL)
+    _check_derived(stored, traj.derived, _VALIDATE_TOL, where)
     return traj
 
 
@@ -718,8 +727,8 @@ def validate_trajectory(traj: Trajectory, tol: float = _VALIDATE_TOL) -> float:
     ``_assemble`` of the trajectory's metrics, relative to
     max(|recomputed|, min(1, the column's largest |recomputed|)); a NaN on
     either side fails.  A mismatch above ``tol`` raises
-    TrajectorySchemaError (a ValueError).
-    ``read_trajectory_csv`` runs the same comparison on load.
+    TrajectorySchemaError (a ValueError) naming the first such record's
+    index.  ``read_trajectory_csv`` runs the same comparison on load.
     """
     ref = _assemble(traj.model, traj.times, traj.mats, traj.meta)
     return _check_derived(traj.derived, ref.derived, tol)

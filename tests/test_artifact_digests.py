@@ -1,9 +1,14 @@
+import difflib
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "artifact_digests.txt"
 
 
 def test_artifact_digests_on_sphere():
@@ -34,3 +39,20 @@ def test_artifact_digests_on_sphere():
         "configs/heisenberg.cfg constants exit 0"]
     assert re.search(r"^[0-9a-f]{64}  configs/heisenberg.cfg/constants.json$", "\n".join(out),
                      re.MULTILINE)
+
+
+def test_shipped_artifacts_match_the_golden_digests():
+    # every artifact of every shipped config, byte for byte, under a header
+    # naming the numpy and BLAS whose LAPACK the digests depend on: a change
+    # that moves one rewrites tests/data/artifact_digests.txt and says why
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  ROOT / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    golden = GOLDEN.read_text().splitlines()
+    now = [golden[0], f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"]
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        now += tool.config_lines(cfg, f"configs/{cfg.name}")
+    diff = list(difflib.unified_diff(golden, now, "golden", "this tree", n=0, lineterm=""))
+    assert not diff, "\n".join(diff)

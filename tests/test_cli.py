@@ -264,6 +264,14 @@ def _append(ln, text):
     return edit
 
 
+def _scale(ln, col, factor):
+    """Edit: multiply column ``col`` of file line ``ln`` by ``factor``."""
+    def edit(lines):
+        i = lines[0].split(",").index(col)
+        _field(ln, col, repr(float(lines[ln - 1].split(",")[i]) * factor))(lines)
+    return edit
+
+
 def _column(col, value):
     """Edit: set column ``col`` of every data line."""
     def edit(lines):
@@ -314,8 +322,13 @@ MALFORMED_CSV = [
                  id="whitespace-keeps-line"),
     # vol is about 1.2e-158: its zeros are off by 100%, not by 1e-158
     pytest.param(TINY_CFG, [_column("vol", "0.0")],
-                 "derived quantities deviate from recomputation by 1.000e+00",
+                 "line 2: column 'vol' deviates from recomputation by 1.000e+00",
                  id="zeroed-tiny-vol"),
+    pytest.param(HEIS_CFG, [_blank(3), _scale(8, "chi", 1.001), _scale(9, "vol", 1.001)],
+                 "line 8: column 'chi' deviates from recomputation by 1.000e-03",
+                 id="one-chi-field-off"),
+    pytest.param(HEIS_CFG, [_blank(3), _field(7, "t", "0.0"), _field(9, "t", "0.0")],
+                 "line 7: column 't' must be strictly increasing", id="t-not-increasing"),
     # stored metrics that are not metrics of the model
     pytest.param(HEIS_CFG, [_field(7, "g_2_2", "-1.0")],
                  "line 7: metric is not positive definite: minimum eigenvalue "
@@ -582,6 +595,9 @@ REJECTED = [
     pytest.param(HEIS_CFG, ["--override", "kind=torus"], None, 2,
                  "config error: override#1: override key 'kind' needs a section prefix",
                  id="override-without-section"),
+    pytest.param(HEIS_CFG + "\n[output]\nstride = 4\n", [], None, 2,
+                 "config error: {cfg}:13: unknown key 'stride' in [output]",
+                 id="retired-output-stride"),
     pytest.param(HEIS_CFG, ["--override", "shape.kind=torus"], None, 2,
                  "config error: override#1: unknown section [shape]",
                  id="override-unknown-section"),
@@ -601,7 +617,7 @@ REJECTED = [
                  id="two-record-trajectory"),
     pytest.param(HEIS_CFG, [], _one_record, 0, "", id="one-record-trajectory"),
     pytest.param(HEIS_CFG, [], _field(2, "t", "-1.0"), 3,
-                 _schema_error("column 't' must start at 0"), id="t-not-from-0"),
+                 _schema_error("line 2: column 't' must start at 0"), id="t-not-from-0"),
     # fields that float() reads but numpy's reader refuses
     pytest.param(HEIS_CFG, [], _field(4, "g_0_1", "0_0.0"), 3,
                  _schema_error("line 4: could not convert string to float: '0_0.0'"),
@@ -642,20 +658,21 @@ def test_rejected_input_exits_naming_its_cause(cfgfile, tmp_path, capsys, config
                    if r["name"] in DERIVATIVE_CHECKS)
 
 
-@pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3",
+@pytest.mark.parametrize("setting", ["output.stride=0", "output.stride=-3", "output.stride=4",
                                      "sobolev.grid=0", "sobolev.grid=511",
                                      "constants.moser_k=0"])
 def test_flow_rejects_stride_and_grid_below_one(tmp_path, capsys, setting):
-    # [sobolev] grid is retired: the witness quadrature picks its own
-    # resolution, so any grid value is an unknown key
+    # [sobolev] grid and [output] stride are retired: the witness quadrature
+    # picks its own resolution and flow.record_every sets the record grid, so
+    # any value of either is an unknown key
     rc = main(["flow", "--config", str(CONFIGS / "heisenberg.cfg"),
                "--out", str(tmp_path), "--override", setting])
     assert rc == 2
     err = capsys.readouterr().err
-    key = setting.split("=")[0]
+    section, key = setting.split("=")[0].split(".")
     assert err.startswith("config error: ")
-    assert ("override#1: unknown key 'grid' in [sobolev]" if key == "sobolev.grid"
-            else f"bad value for {key}: must be >= 1") in err
+    assert (f"override#1: unknown key {key!r} in [{section}]" if key in ("grid", "stride")
+            else f"bad value for {section}.{key}: must be >= 1") in err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -1082,15 +1099,22 @@ def test_check_factor_two_bound_through_cli(cfgfile, tmp_path):
     assert reports["scalar_identity"]["status"] == "pass"
 
 
-def test_stride_keeps_grid_uniform(cfgfile, tmp_path):
-    out = tmp_path / "strided"
-    rc = main(["flow", "--config", cfgfile(SPHERE_CFG), "--out", str(out),
-               "--override", "output.stride=4"])
-    assert rc == 0
-    lines = (out / "trajectory.csv").read_text().splitlines()
-    times = np.array([float(l.split(",")[0]) for l in lines[1:]])
-    dts = np.diff(times)
-    assert np.abs(dts - dts[0]).max() < 1e-12 * dts[0]
+@pytest.mark.parametrize("name", ["heisenberg", "sphere", "collapse_sweep"])
+def test_record_grid_thins_like_a_stride(tmp_path, name):
+    # a spacing of 4x the default writes every 4th record of the default run,
+    # byte for byte, and run.json counts the RHS evaluations per written record
+    cfg = str(CONFIGS / f"{name}.cfg")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    spacing = json.loads((tmp_path / "a" / "run.json").read_text())["meta"]["record_every"]
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--override", f"flow.record_every={4 * spacing!r}"]) == 0
+    lines = (tmp_path / "a" / "trajectory.csv").read_bytes().splitlines(keepends=True)
+    assert (tmp_path / "b" / "trajectory.csv").read_bytes() == b"".join([lines[0],
+                                                                         *lines[1::4]])
+    run = json.loads((tmp_path / "b" / "run.json").read_text())
+    stats = run["meta"]["integrator"]
+    assert run["records"] == len(lines[1::4])
+    assert stats["rhs_evals_per_record"] == stats["rhs_evals"] / run["records"]
 
 
 def test_env_var_default_outdir(cfgfile, tmp_path, monkeypatch):
@@ -1216,13 +1240,25 @@ def test_sweep_names_the_model_when_its_reference_metric_fails(tmp_path, capsys,
 
 
 def test_sweep_reports_a_bad_gamma_from_the_reference_row(tmp_path, capsys):
-    # the 1e-110 row's volume underflows; the reference row then solves the
-    # chain thresholds, whose gamma error is the one reported
+    # the 1e-110 row's volume underflows, but the chain thresholds are solved
+    # before the first value, so their gamma error is the one reported
     rc = main(["sweep", "--config", str(CONFIGS / "heisenberg.cfg"), "--out", str(tmp_path),
                "--param", "metric_scale", "--values", "1e-110", "--override", "flow.gamma=1000"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: gamma = 1000.0 is too large") and "sweep parameter" not in err
+
+
+def test_sweep_reports_a_bad_gamma_before_a_bad_value(tmp_path, capsys):
+    # 0 is no radius, but gamma is checked first, as an unknown parameter is
+    rc = main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"), "--out", str(tmp_path),
+               "--values", "0", "--override", "flow.gamma=1000"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: gamma = 1000.0 is too large for n = 4")
+    assert main(["sweep", "--config", str(CONFIGS / "collapse_sweep.cfg"),
+                 "--out", str(tmp_path), "--values", "0"]) == 2
+    assert "needs a positive value" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("param", ["metric_scale", "bracket_scale"])

@@ -93,25 +93,51 @@ def test_heisenberg_closed_form(heis_traj):
     assert _isenberg_jackson_error(heis_traj) <= 1e-8
 
 
+def _assert_nilsoliton_closed_form(traj, ric, rm0, tol):
+    """A nilsoliton flow from g = I with Ric = diag(ric) = cI + D, D a
+    derivation, is self-similar (Lauret 2001): with c = tr Ric^2 / R and
+    u = 1 - 2ct, g_ii = u^(Ric_ii / c), vol = u^(R / 2c), |Rm| = |Rm|(0) / u
+    and R(t) = R / u.  Every record must match within ``tol``, the metric
+    relative to the record's largest entry, off-diagonals included."""
+    ric = np.asarray(ric)
+    scal = ric.sum()
+    c = (ric * ric).sum() / scal
+    u = 1.0 - 2.0 * c * traj.times
+    exact = np.zeros_like(traj.mats)
+    diag = np.arange(len(ric))
+    exact[:, diag, diag] = u[:, None] ** (ric / c)
+    largest = np.abs(exact).max(axis=(1, 2))
+    assert (np.abs(traj.mats - exact).max(axis=(1, 2)) / largest).max() <= tol
+    for key, closed in (("vol", u ** (scal / (2.0 * c))), ("rm_norm", rm0 / u),
+                        ("scalar_R", scal / u)):
+        assert (np.abs(traj.derived[key] - closed) / np.abs(closed)).max() <= tol, key
+
+
 def test_filiform4_cfg_closed_form():
-    # a nilsoliton: Ric = -(3/2) I + D with D = diag(1/2, 1, 3/2, 2) a derivation,
-    # so g(t) = diag(u^{2/3}, u^{1/3}, 1, u^{-1/3}), u = 1 + 3t (Lauret 2001),
-    # vol = u^{1/3}, and |Rm| = sqrt 5 / u and R = -1 / u at every record
+    # Ric = -(3/2) I + D with D = diag(1/2, 1, 3/2, 2) a derivation of
+    # [e1,e2] = e3, [e1,e3] = e4, so u = 1 + 3t, g(t) = diag(u^{2/3}, u^{1/3},
+    # 1, u^{-1/3}), vol = u^{1/3}, |Rm| = sqrt 5 / u and R = -1 / u
     cfg = load_config(CONFIGS / "filiform4.cfg")
     model = build_model(cfg.model_spec)
     traj = integrate(model, reference_metric(model), cfg.flow)
     assert traj.meta["termination"] == TERM_HORIZON and len(traj) == 513
-    u = 1.0 + 3.0 * traj.times
-    exact = np.zeros_like(traj.mats)
-    diag = np.arange(4)
-    exact[:, diag, diag] = np.stack([u ** (2 / 3), u ** (1 / 3), np.ones_like(u),
-                                     u ** (-1 / 3)], axis=1)
-    tol = cfg.flow.rel_tol
-    # relative to each record's largest entry, u^{2/3}; off-diagonals included
-    assert (np.abs(traj.mats - exact).max(axis=(1, 2)) / u ** (2 / 3)).max() <= tol
-    for key, closed in (("vol", u ** (1 / 3)), ("rm_norm", math.sqrt(5.0) / u),
-                        ("scalar_R", -1.0 / u)):
-        assert (np.abs(traj.derived[key] - closed) / np.abs(closed)).max() <= tol, key
+    _assert_nilsoliton_closed_form(traj, [-1.0, -0.5, 0.0, 0.5], math.sqrt(5.0),
+                                   cfg.flow.rel_tol)
+
+
+@pytest.mark.parametrize("t_end", [10.0, 1000.0])
+def test_h5_nilsoliton_closed_form(t_end):
+    # the 5-dim Heisenberg algebra [e1,e2] = [e3,e4] = e5: Ric = -2 I + D with
+    # D = diag(3/2, 3/2, 3/2, 3/2, 3) a derivation, so u = 1 + 4t,
+    # g_ii = u^{1/4} (i <= 4), g_55 = u^{-1/2}, vol = u^{1/4}, |Rm| = |Rm|(0) / u
+    # and R = -1 / u, with |Rm|(0)^2 = 17/2
+    model = build_model({"kind": "lie_group_quotient", "dim": 5, "covolume": 1.0,
+                         "brackets": [[1, 2, 5, 1.0], [3, 4, 5, 1.0]]})
+    cfg = FlowConfig(t_end=t_end, record_every=t_end / 64)
+    traj = integrate(model, np.eye(5), cfg)
+    assert traj.meta["termination"] == TERM_HORIZON and len(traj) == 65
+    _assert_nilsoliton_closed_form(traj, [-0.5, -0.5, -0.5, -0.5, 1.0], math.sqrt(8.5),
+                                   cfg.rel_tol)
 
 
 def test_flat_torus_is_fixed_point(torus_traj):
@@ -837,16 +863,20 @@ def test_csv_schema_errors(heis_traj, heis_model, tmp_path):
 
     swapped = [text[0], text[1], text[3], text[2], *text[4:]]
     bad.write_text("\n".join(swapped))
-    with pytest.raises(TrajectorySchemaError, match="strictly increasing"):
+    with pytest.raises(TrajectorySchemaError,
+                       match="^line 4: column 't' must be strictly increasing$"):
         read_trajectory_csv(heis_model, bad)
 
 
 def test_validate_trajectory_reports_nan(heis_traj):
     derived = {k: v.copy() for k, v in heis_traj.derived.items()}
     derived["chi"][5] = np.nan
+    derived["vol"][7] = np.nan
     bad = Trajectory(model=heis_traj.model, times=heis_traj.times, mats=heis_traj.mats,
                      derived=derived, meta=heis_traj.meta)
-    with pytest.raises(ValueError, match="nan"):
+    # the first bad record by index, not the first bad column
+    with pytest.raises(ValueError,
+                       match="^record 5: column 'chi' deviates from recomputation by nan$"):
         validate_trajectory(bad)
 
 
