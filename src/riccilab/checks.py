@@ -475,8 +475,7 @@ def check_holder(samples: Sequence[tuple[float, float]], p: float, n: int,
         notes=notes)
 
 
-def holder_suite(n: int, p: float = 2.0, seed: int = 0, count: int = 1000,
-                 eps_grid: Sequence[float] | None = None) -> CheckReport:
+def holder_suite(n: int, p: float = 2.0, seed: int = 0, count: int = 1000) -> CheckReport:
     """The discrete inequality suite over seeded random measures.
 
     The measures come from one seeded draw in this order: ``count`` atom
@@ -487,9 +486,10 @@ def holder_suite(n: int, p: float = 2.0, seed: int = 0, count: int = 1000,
     they add nothing and no zero base is raised to a power (numpy's slow
     path).  All measures are checked at once; the reported failure entries
     are rebuilt with ``check_holder`` on the failing measures.  ``n``,
-    ``p``, ``count`` and ``eps_grid`` are validated as in ``check_holder``.
+    ``p`` and ``count`` are validated as in ``check_holder``, and the
+    epsilon split is swept over ``check_holder``'s default grid.
     """
-    eps_grid = _holder_args(n, p, _DEFAULT_EPS_GRID if eps_grid is None else eps_grid, count)
+    eps_grid = _holder_args(n, p, _DEFAULT_EPS_GRID, count)
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, _MAX_ATOMS + 1, count)
     f = np.abs(rng.standard_normal((count, _MAX_ATOMS))) \

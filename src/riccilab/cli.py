@@ -44,7 +44,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _load(args) -> RunConfig:
-    flags = tuple((f"--{name}", key, str(value)) for name, key in _FLAG_KEYS
+    flags = tuple((f"--{name}", key, value) for name, key in _FLAG_KEYS
                   if (value := getattr(args, name, None)) is not None and value != "")
     return load_config(args.config, overrides=tuple(args.override or ()), flags=flags)
 
@@ -304,9 +304,9 @@ def _nan(x) -> float:
 _COMMON = (
     ("--config", {"required": True, "help": "run configuration file"}),
     ("--out", {"default": None, "help": "output directory"}),
-    ("--format", {"choices": ("csv", "json"), "default": None,
+    ("--format", {"metavar": "{csv,json}", "default": None,
                   "help": "also emit JSON variants of tabular artifacts"}),
-    ("--seed", {"type": int, "default": None, "help": "seed override"}),
+    ("--seed", {"default": None, "help": "seed override"}),
     ("--override", {"action": "append", "metavar": "SECTION.KEY=VALUE",
                     "help": "config override, repeatable"}),
 )
@@ -354,11 +354,11 @@ def _read_flags(name: str, tokens: list[str]) -> SimpleNamespace | None:
     """The namespace of a known command whose arguments are exact
     ``--flag value`` pairs, read from the flag table with the keywords
     argparse gets; None where argparse might parse them otherwise or fail.
+    Values stay text: the config schema converts and checks them.
 
     A value starting with "-" (argparse may take it for a flag), a flag that
     is not exactly one of the command's (help, "--", an abbreviation,
-    "--flag=value"), a value that ``type`` or ``choices`` refuses and a
-    missing required flag all give None.
+    "--flag=value") and a missing required flag all give None.
     """
     _, func, extra = _COMMANDS[name]
     table = dict((*_COMMON, *extra))
@@ -368,12 +368,6 @@ def _read_flags(name: str, tokens: list[str]) -> SimpleNamespace | None:
     for flag, value in zip(tokens[::2], tokens[1::2]):
         kwargs = table.get(flag)
         if kwargs is None or value.startswith("-"):
-            return None
-        try:
-            value = kwargs.get("type", str)(value)
-        except (TypeError, ValueError):
-            return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         dest = flag[2:]
         ns[dest] = [*(ns[dest] or ()), value] if kwargs.get("action") == "append" else value
@@ -411,7 +405,7 @@ def main(argv=None) -> int:
     except TrajectorySchemaError as exc:
         print(f"trajectory schema error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, geometry.GeometryError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

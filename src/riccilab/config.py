@@ -8,9 +8,9 @@ silent config drift would invalidate inequality verdicts.  List-valued keys
 (brackets, factors, values) take semicolon-separated entries and may be
 repeated to accumulate.
 
-``_SCHEMA`` is the one list of settings; ``RunConfig``'s slots and
-construction derive from it, except the composites ``model_spec``,
-``flow`` and ``primitives``.
+``_SCHEMA`` is the one list of settings, and its converters the only code
+that reads a setting's text; ``RunConfig``'s slots and construction derive
+from it, except the composites ``model_spec``, ``flow`` and ``primitives``.
 
 Overrides of the form ``section.key=value``, then the CLI flags that stand
 for one key each, are applied after the file parses and validated against
@@ -39,13 +39,34 @@ class ConfigError(ValueError):
 
 
 _Field = namedtuple("_Field", (
-    "kind",       # str: float|int|posint|str|enum|entries|floats|optfloat
+    "convert",    # callable: the value of a setting's text; ValueError if malformed
     "default",    # object
-    "choices",    # tuple[str, ...]
+    "choices",    # tuple[str, ...]: the values convert may return, if any
     "listlike",   # bool
     "attr",       # str | None: RunConfig attribute of a plain key
     "bound",      # str | None: "positive" or "nonnegative", checked with finiteness
 ), defaults=(None, (), False, None, None))
+
+
+def _optfloat(text: str) -> float | None:
+    return None if text.lower() in ("auto", "none") else float(text)
+
+
+def _posint(text: str) -> int:
+    val = int(text)
+    if val < 1:
+        raise ValueError(f"must be >= 1, got {val}")
+    return val
+
+
+def _entries(text: str) -> tuple[tuple[str, ...], ...]:
+    """Entries separated by ";" or ",", each split into its tokens."""
+    return tuple(tuple(chunk.split()) for chunk in text.replace(",", ";").split(";")
+                 if chunk.strip())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(chunk) for chunk in text.replace(",", " ").replace(";", " ").split())
 
 
 _BOUNDS = {"positive": ("positive and finite", lambda v: 0.0 < v < math.inf),
@@ -53,48 +74,48 @@ _BOUNDS = {"positive": ("positive and finite", lambda v: 0.0 < v < math.inf),
 
 _SCHEMA: dict[str, dict[str, _Field]] = {
     "model": {
-        "kind": _Field("enum", None, ("lie_group_quotient", "product_of_space_forms")),
-        "dim": _Field("int", None),
-        "covolume": _Field("float", 1.0),
-        "brackets": _Field("entries", (), listlike=True),
-        "factors": _Field("entries", (), listlike=True),
+        "kind": _Field(str.strip, None, ("lie_group_quotient", "product_of_space_forms")),
+        "dim": _Field(int, None),
+        "covolume": _Field(float, 1.0),
+        "brackets": _Field(_entries, (), listlike=True),
+        "factors": _Field(_entries, (), listlike=True),
     },
     "flow": {
-        "gamma": _Field("float", 1.0),
-        "t_end": _Field("optfloat", None),
-        "rel_tol": _Field("float", 1e-9),
-        "abs_tol": _Field("float", 1e-12),
-        "max_rm": _Field("optfloat", None),
-        "record_every": _Field("optfloat", None),
-        "cs0": _Field("float", 1.0),
+        "gamma": _Field(float, 1.0),
+        "t_end": _Field(_optfloat, None),
+        "rel_tol": _Field(float, 1e-9),
+        "abs_tol": _Field(float, 1e-12),
+        "max_rm": _Field(_optfloat, None),
+        "record_every": _Field(_optfloat, None),
+        "cs0": _Field(float, 1.0),
     },
     "constants": {
-        "n": _Field("int", None, attr="constants_n"),
-        "c_n": _Field("float", 1.0),
-        "a_n": _Field("float", 1.0),
-        "c3": _Field("float", 1.0),
-        "gallot_c0": _Field("float", 1.0),
-        "gallot_growth": _Field("enum", "exp_sqrt", ("constant", "exp_sqrt")),
-        "gromov_ruh_eps": _Field("float", 1.0),
-        "vol0": _Field("float", 1.0, attr="vol0", bound="positive"),
-        "rm_n2_0": _Field("float", 0.0, attr="rm_n2_0", bound="nonnegative"),
-        "t_prime": _Field("float", 1.0, attr="t_prime", bound="positive"),
-        "moser_k": _Field("posint", 64, attr="moser_k"),
+        "n": _Field(int, None, attr="constants_n"),
+        "c_n": _Field(float, 1.0),
+        "a_n": _Field(float, 1.0),
+        "c3": _Field(float, 1.0),
+        "gallot_c0": _Field(float, 1.0),
+        "gallot_growth": _Field(str.strip, "exp_sqrt", ("constant", "exp_sqrt")),
+        "gromov_ruh_eps": _Field(float, 1.0),
+        "vol0": _Field(float, 1.0, attr="vol0", bound="positive"),
+        "rm_n2_0": _Field(float, 0.0, attr="rm_n2_0", bound="nonnegative"),
+        "t_prime": _Field(float, 1.0, attr="t_prime", bound="positive"),
+        "moser_k": _Field(_posint, 64, attr="moser_k"),
     },
     "sobolev": {
-        "family": _Field("enum", "eigenfunction", FAMILY_NAMES, attr="family"),
-        "a_const": _Field("float", 1.0, attr="a_const", bound="positive"),
-        "b_const": _Field("float", 1.0, attr="b_const", bound="positive"),
-        "kappa": _Field("float", 0.0, attr="kappa", bound="nonnegative"),
+        "family": _Field(str.strip, "eigenfunction", FAMILY_NAMES, attr="family"),
+        "a_const": _Field(float, 1.0, attr="a_const", bound="positive"),
+        "b_const": _Field(float, 1.0, attr="b_const", bound="positive"),
+        "kappa": _Field(float, 0.0, attr="kappa", bound="nonnegative"),
     },
     "output": {
-        "dir": _Field("str", None, attr="out_dir"),
-        "format": _Field("enum", "csv", ("csv", "json"), attr="out_format"),
-        "seed": _Field("int", 0, attr="seed"),
+        "dir": _Field(str, None, attr="out_dir"),
+        "format": _Field(str.strip, "csv", ("csv", "json"), attr="out_format"),
+        "seed": _Field(int, 0, attr="seed"),
     },
     "sweep": {
-        "parameter": _Field("str", None, attr="sweep_parameter"),
-        "values": _Field("floats", (), listlike=True, attr="sweep_values"),
+        "parameter": _Field(str, None, attr="sweep_parameter"),
+        "values": _Field(_floats, (), listlike=True, attr="sweep_values"),
     },
 }
 
@@ -151,37 +172,12 @@ def parse_text(text: str, source: str = "<config>") -> dict[str, dict[str, tuple
 def _coerce(section: str, key: str, text: str, source: str, line: int | None):
     spec = _SCHEMA[section][key]
     try:
-        if spec.kind == "float":
-            return float(text)
-        if spec.kind == "optfloat":
-            return None if text.lower() in ("auto", "none") else float(text)
-        if spec.kind in ("int", "posint"):
-            val = int(text)
-            if spec.kind == "posint" and val < 1:
-                raise ValueError(f"must be >= 1, got {val}")
-            return val
-        if spec.kind == "str":
-            return text
-        if spec.kind == "enum":
-            val = text.strip()
-            if val not in spec.choices:
-                raise ValueError(f"must be one of {list(spec.choices)}")
-            return val
-        if spec.kind == "entries":
-            entries = []
-            for chunk in text.replace(",", ";").split(";"):
-                chunk = chunk.strip()
-                if chunk:
-                    entries.append(chunk.split())
-            return tuple(tuple(tok for tok in e) for e in entries)
-        if spec.kind == "floats":
-            vals = []
-            for chunk in text.replace(",", ";").replace(";", " ").split():
-                vals.append(float(chunk))
-            return tuple(vals)
+        val = spec.convert(text)
+        if spec.choices and val not in spec.choices:
+            raise ValueError(f"must be one of {list(spec.choices)}")
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {exc}", source, line) from None
-    raise AssertionError(f"unhandled field kind {spec.kind}")
+    return val
 
 
 def _apply_overrides(raw: dict, overrides: tuple[str, ...],

@@ -720,15 +720,15 @@ def read_trajectory_csv(model: ModelGeometry, path: str | Path,
     return traj
 
 
-def validate_trajectory(traj: Trajectory, tol: float = _VALIDATE_TOL) -> float:
+def validate_trajectory(traj: Trajectory) -> float:
     """Largest relative mismatch between stored and recomputed derived values.
 
     Every ``DERIVED_KEYS`` column is compared at every record against the
     ``_assemble`` of the trajectory's metrics, relative to
     max(|recomputed|, min(1, the column's largest |recomputed|)); a NaN on
-    either side fails.  A mismatch above ``tol`` raises
+    either side fails.  A mismatch above ``_VALIDATE_TOL`` raises
     TrajectorySchemaError (a ValueError) naming the first such record's
     index.  ``read_trajectory_csv`` runs the same comparison on load.
     """
     ref = _assemble(traj.model, traj.times, traj.mats, traj.meta)
-    return _check_derived(traj.derived, ref.derived, tol)
+    return _check_derived(traj.derived, ref.derived, _VALIDATE_TOL)

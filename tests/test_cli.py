@@ -1132,6 +1132,23 @@ def test_seed_flag_zero_beats_config_seed(cfgfile, tmp_path):
     assert json.loads((tmp_path / "b" / "run.json").read_text())["seed"] == 0
 
 
+def test_empty_seed_and_format_flags_fall_back_to_the_config(cfgfile, tmp_path):
+    cfg = cfgfile(HEIS_CFG + "\n[output]\nseed = 5\nformat = json\n")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path), "--seed", "",
+                 "--format", ""]) == 0
+    assert json.loads((tmp_path / "run.json").read_text())["seed"] == 5
+    assert (tmp_path / "trajectory.json").exists()
+
+
+def test_flag_values_reach_the_schema_as_text():
+    # no flag converts or checks its value: the config schema does
+    from riccilab.cli import _COMMANDS, _COMMON, _parse_args
+    for _, kwargs in (*_COMMON, *(unit for *_, extra in _COMMANDS.values() for unit in extra)):
+        assert not {"type", "choices"} & set(kwargs)
+    args = _parse_args(["flow", "--config", "x.cfg", "--seed", "abc", "--format", "xml"])
+    assert (args.seed, args.format) == ("abc", "xml")
+
+
 def test_flags_beat_overrides_of_their_key(cfgfile, tmp_path):
     rc = main(["sweep", "--config", cfgfile(PROD_CFG), "--out", str(tmp_path),
                "--override", "sweep.values=0.5;0.25", "--values", "0.125",
@@ -1493,6 +1510,10 @@ _NOT_A_FLOAT = "could not convert string to float: 'abc'"
     ("1.0", ["--override", "flow.gamma=2", "--override", "flow.gamma=abc"],
      f"override#2: bad value for flow.gamma: {_NOT_A_FLOAT}"),
     ("1.0", ["--values", "1,abc"], f"--values: bad value for sweep.values: {_NOT_A_FLOAT}"),
+    ("1.0", ["--seed", "abc"], "--seed: bad value for output.seed: "
+                               "invalid literal for int() with base 10: 'abc'"),
+    ("1.0", ["--format", "xml"], "--format: bad value for output.format: "
+                                 "must be one of ['csv', 'json']"),
 ])
 def test_config_error_names_a_value_source_once(tmp_path, monkeypatch, capsys, gamma, args,
                                                 message):

@@ -22,6 +22,11 @@ t_end = auto
     assert cfg.sections == {"model", "flow"}
 
 
+def test_no_configuration_given():
+    with pytest.raises(ConfigError, match="^<config>: no configuration given$"):
+        load_config(None)
+
+
 def test_repeated_list_key_accumulates():
     cfg = load_config(None, text="""
 [model]
@@ -85,6 +90,14 @@ def test_malformed_entry_token_names_file_key_and_entry(tmp_path, key, entry):
 def test_enum_validation():
     with pytest.raises(ConfigError, match="one of"):
         load_config(None, text="[sobolev]\nfamily = wavelet\n")
+
+
+def test_each_setting_is_read_by_its_schema_converter():
+    cfg = load_config(None, text="", overrides=(
+        "constants.moser_k=8", "flow.t_end=auto", "flow.max_rm=50", "sweep.values=0.5, 1;2",
+        "sobolev.family= cap ", "output.seed=5_0"))
+    assert (cfg.moser_k, cfg.flow.t_end, cfg.flow.max_rm) == (8, None, 50.0)
+    assert (cfg.sweep_values, cfg.family, cfg.seed) == ((0.5, 1.0, 2.0), "cap", 50)
 
 
 def test_overrides_apply_and_validate():

@@ -245,6 +245,11 @@ def test_moser_domain():
 
 # -- the final sup bound -----------------------------------------------------------
 
+def test_final_bound_needs_dimension_at_least_3():
+    with pytest.raises(ValueError, match="dimension must be >= 3, got 2"):
+        moser_final_bound(2, 1.0, 1.0, 1.0, 1.0)
+
+
 def test_final_bound_zero_window():
     assert moser_final_bound(4, 1.0, 1.0, 0.0, 1.0) == 0.0
 

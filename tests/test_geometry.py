@@ -34,6 +34,7 @@ from riccilab.geometry import (
     factor_scales,
     ricci_fixed_basis,
     rm_norm,
+    sphere_circle_note,
 )
 
 
@@ -321,6 +322,18 @@ def test_non_finite_model_numbers_rejected(spec, field):
 
 
 # -- orthonormalize --------------------------------------------------------
+
+def test_orthonormalize_refuses_a_product(prod_model):
+    with pytest.raises(GeometryError, match="applies to Lie group quotients only"):
+        orthonormalize(prod_model, reference_metric(prod_model))
+
+
+def test_sphere_circle_note_names_sphere_times_circle_only(prod_model):
+    s2t1 = build_model({"kind": "product_of_space_forms",
+                        "factors": [["sphere", 2, 1.0], ["flat_torus", 1, 1.0]]})
+    assert sphere_circle_note(s2t1) is None
+    assert sphere_circle_note(prod_model).startswith("sphere-times-circle products")
+
 
 def test_orthonormalize_identity(heis_model):
     L, ct = orthonormalize(heis_model, reference_metric(heis_model))

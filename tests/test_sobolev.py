@@ -212,6 +212,13 @@ def test_aggressive_strategy_flags_lower_exceeds_upper(prod_model):
     assert est.lower_exceeds_upper
 
 
+def test_unknown_gallot_growth_and_witness_family_raise(s3_model):
+    with pytest.raises(ValueError, match="unknown gallot growth 'linear'"):
+        GallotConstant(growth="linear")(3, 0.0)
+    with pytest.raises(ValueError, match="unknown test-function family 'wavelet'"):
+        witness_family(s3_model, "wavelet")
+
+
 def test_quotient_models_have_no_witnesses(heis_model):
     with pytest.raises(GeometryError):
         witness_family(heis_model, "eigenfunction")

@@ -1,7 +1,7 @@
 """Print the sha256 of every artifact that ``flow``, ``check``, ``sweep`` and
-``constants`` write.
+``constants`` write, or with ``--verdicts`` the verdict of each command.
 
-    python3 tools/artifact_digests.py [extra.cfg ...]
+    python3 tools/artifact_digests.py [--verdicts] [extra.cfg ...]
 
 Runs the commands, in that order, on each config under ``configs/``
 and then on each config named on the command line, with the ``riccilab``
@@ -9,16 +9,24 @@ package of this checkout (``src/``).  Every config gets its own temporary
 directory, which is the working directory while the commands write to
 ``out/`` there: ``run.json`` records the trajectory's path, so that path is
 the same on every run.  ``check`` reads the trajectory ``flow`` wrote.  For
-each command the script prints its exit code, then one line per file the
-command wrote or changed: the sha256 and the file's name under the config's
-label.  The label is the config's path relative to the repository root, or
-for a config outside the repository its path as given, so two checkouts
-print the same lines.  Command output and warnings are discarded.  A config
-without a ``[sweep]`` block is swept with ``SWEEP_GRID``, and ``constants``
-runs only on a config with a ``[constants]`` block.
+each command the script prints its exit code, the number of warnings it
+raised if any, then one line per file the command wrote or changed: the
+sha256 and the file's name under the config's label.  The label is the
+config's path relative to the repository root, or for a config outside the
+repository its path as given, so two checkouts print the same lines.
+Command output is discarded, and every warning is counted, not shown.  A
+config without a ``[sweep]`` block is swept with ``SWEEP_GRID``, and
+``constants`` runs only on a config with a ``[constants]`` block.
+
+``--verdicts`` prints, in place of those lines, one line per command with
+its exit code, except for a ``check`` that wrote ``report.json``: it gets one
+line per report, with the report's name, its status and its headline number
+(``headline``) to 3 significant digits.
 
 Run it from two checkouts and ``diff`` the outputs: equal outputs mean the
-two write byte-identical artifacts on those configs.
+two write byte-identical artifacts, or reach the same verdicts, on those
+configs.  ``tests/data/artifact_digests.txt`` and ``tests/data/verdicts.txt``
+hold both outputs over the shipped configs and ``tests/data/witnesses/``.
 """
 
 from __future__ import annotations
@@ -26,9 +34,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +49,9 @@ from riccilab.config import ConfigError, parse_text
 
 COMMANDS = ("flow", "check", "sweep", "constants")
 SWEEP_GRID = ["--param", "metric_scale", "--values", "0.5,1,2"]
+# where a report's headline number is looked up, in order
+HEADLINE_KEYS = (("details", "max_residual"), ("fitted_constant",), ("sup_ratio",),
+                 ("details", "worst_margin"), ("details", "lhs"))
 
 
 def _has_block(config: Path, section: str) -> bool:
@@ -53,9 +66,21 @@ def _digests(out: Path) -> dict[str, str]:
             for p in sorted(out.iterdir()) if p.is_file()}
 
 
-def config_lines(config: Path, label: str) -> list[str]:
-    """The exit code and artifact digests of each command on one config."""
-    lines = []
+def headline(report: dict) -> str:
+    """The first number among ``HEADLINE_KEYS`` in one ``report.json`` entry,
+    to 3 significant digits, or "-" if there is none."""
+    for keys in HEADLINE_KEYS:
+        value = report
+        for key in keys:
+            value = value.get(key) if isinstance(value, dict) else None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return f"{value:.3g}"
+    return "-"
+
+
+def config_lines(config: Path, label: str) -> tuple[list[str], list[str]]:
+    """The digest lines and the verdict lines of each command on one config."""
+    lines, verdicts = [], []
     config = config.resolve()
     sweep_args = [] if _has_block(config, "sweep") else SWEEP_GRID
     commands = COMMANDS if _has_block(config, "constants") else COMMANDS[:-1]
@@ -73,16 +98,26 @@ def config_lines(config: Path, label: str) -> list[str]:
                 if command == "sweep":
                     argv += sweep_args
                 with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
+                        contextlib.redirect_stderr(io.StringIO()), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     rc = riccilab_main(argv)
                 lines.append(f"{label} {command} exit {rc}")
+                if caught:
+                    lines.append(f"{label} {command} warnings {len(caught)}")
                 after = _digests(out)
-                lines += [f"{digest}  {label}/{name}" for name, digest in after.items()
-                          if before.get(name) != digest]
+                changed = [name for name, digest in after.items() if before.get(name) != digest]
+                lines += [f"{after[name]}  {label}/{name}" for name in changed]
                 before = after
+                if command == "check" and "report.json" in changed:
+                    reports = json.loads((out / "report.json").read_text())
+                    verdicts += [f"{label} check {r['name']} {r['status']} {headline(r)}"
+                                 for r in reports]
+                else:
+                    verdicts.append(f"{label} {command} exit {rc}")
         finally:
             os.chdir(cwd)
-    return lines
+    return lines, verdicts
 
 
 def _label(config: Path) -> str:
@@ -92,7 +127,9 @@ def _label(config: Path) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    extras = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    verdicts = "--verdicts" in args
+    extras = [arg for arg in args if arg != "--verdicts"]
     configs = [(p, _label(p))
                for p in [*sorted((ROOT / "configs").glob("*.cfg")), *map(Path, extras)]]
     for config, label in configs:
@@ -100,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: config file not found: {config}", file=sys.stderr)
             return 2
     for config, label in configs:
-        print("\n".join(config_lines(config, label)))
+        print("\n".join(config_lines(config, label)[verdicts]))
     return 0
 
 
